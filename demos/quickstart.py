@@ -60,7 +60,7 @@ state = e_step(params, blind)
 bag = blind.bags[0]
 with np.printoptions(precision=3, suppress=True):
     print(f"   bag count y={bag.positive_count} of n={bag.size} -> "
-          f"targets {state.bag_targets[0]}")
+          f"targets {state.targets[blind.bag_slices[0]]}")
 print("   (they always sum to y exactly)")
 
 print()

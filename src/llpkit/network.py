@@ -255,28 +255,60 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ClassifierParams, OptimizerState | None]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises FormatError when the file is not a JSON object of the current
+    format and version, or when a field is missing or of the wrong type.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if record.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(record, dict) or record.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"{path} is not a llpkit checkpoint")
     if record.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {record.get('version')}")
-    params = ClassifierParams(
-        tuple(record["layer_sizes"]), np.asarray(record["theta"], dtype=np.float64)
-    )
-    opt = record.get("optimizer")
-    state = None
-    if opt is not None:
-        state = OptimizerState(
-            first_moment=np.asarray(opt["first_moment"], dtype=np.float64),
-            second_moment=np.asarray(opt["second_moment"], dtype=np.float64),
-            step=int(opt["step"]),
-            learning_rate=float(opt["learning_rate"]),
-            beta1=float(opt["beta1"]),
-            beta2=float(opt["beta2"]),
-            eps=float(opt["eps"]),
+
+    # JSON decodes to exact types, so a type() test rejects booleans where
+    # numbers are due; set(map(type, ...)) checks a long vector quickly.
+    def field(obj, key, types, items=None):
+        value = obj.get(key)
+        if type(value) not in types or (
+            items is not None and not set(map(type, value)) <= items
+        ):
+            where = "optimizer " if obj is not record else ""
+            raise FormatError(
+                f"checkpoint {path}: {where}{key!r} is missing or malformed"
+            )
+        return value
+
+    number = {int, float}
+    try:
+        params = ClassifierParams(
+            tuple(field(record, "layer_sizes", {list}, {int})),
+            np.asarray(field(record, "theta", {list}, number), dtype=np.float64),
         )
+    except UsageError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
+    opt = record.get("optimizer")
+    if opt is None:
+        return params, None
+    if not isinstance(opt, dict):
+        raise FormatError(f"checkpoint {path}: 'optimizer' is not an object")
+    moments = [
+        np.asarray(field(opt, key, {list}, number), dtype=np.float64)
+        for key in ("first_moment", "second_moment")
+    ]
+    if any(m.shape != params.theta.shape for m in moments):
+        raise FormatError(f"checkpoint {path}: optimizer moments do not match theta")
+    state = OptimizerState(
+        first_moment=moments[0],
+        second_moment=moments[1],
+        step=field(opt, "step", {int}),
+        learning_rate=float(field(opt, "learning_rate", number)),
+        beta1=float(field(opt, "beta1", number)),
+        beta2=float(field(opt, "beta2", number)),
+        eps=float(field(opt, "eps", number)),
+    )
     return params, state

@@ -5,7 +5,10 @@ Four ways to train the instance classifier:
 * count-likelihood EM ("mle"): maximize the exact Poisson binomial
   likelihood of the observed counts by alternating a posterior update
   (:func:`e_step`) with cross-entropy epochs against the resulting soft
-  targets (:func:`m_step_loss`);
+  targets (:func:`m_step_loss`).  One network pass and one batched
+  forward-backward kernel give both the targets and the dataset's count
+  log-likelihood at the same parameters, so a trainer that refreshes
+  targets after each epoch gets that epoch's log-likelihood with them;
 * normal approximation ("amle"): replace the count likelihood with a
   moment-matched Gaussian and minimize :func:`amle_loss`;
 * proportion matching ("dllp"): cross-entropy between the true and the
@@ -26,13 +29,12 @@ import numpy as np
 
 from . import network
 from .data import BagDataset
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .poisson_binomial import (
     CLAMP_EPS,
-    bag_log_likelihood,
+    batch_posteriors,
     clamp_probabilities,
     configuration_posterior,
-    instance_posteriors,
 )
 
 # Floor for the approximate bag-count variance: the Gaussian objective
@@ -59,33 +61,43 @@ class BagMoments:
     variance: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmState:
-    """Per-bag soft targets from the most recent posterior update."""
+    """Soft targets and count log-likelihood at one set of parameters.
 
-    bag_targets: list[np.ndarray]
-    refreshed_epoch: int
+    ``targets`` has one entry per instance, in the row order of the
+    dataset's ``stacked_features``.
+    """
 
-    def flat_targets(self) -> np.ndarray:
-        return np.concatenate(self.bag_targets)
+    targets: np.ndarray
+    log_likelihood: float
 
 
 def _clamped_forward(params, features) -> np.ndarray:
     return clamp_probabilities(network.forward(params, features))
 
 
-def e_step(params, dataset: BagDataset, epoch: int = 0) -> EmState:
-    """Posterior probability that each instance is positive, per bag.
+def e_step(params, dataset: BagDataset) -> EmState:
+    """Posterior probability that each instance is positive, and the
+    dataset's count log-likelihood.
 
-    Independent across bags: run the classifier once over the whole
-    dataset, then condition each bag's Bernoulli field on its count.
+    Runs the classifier once over the whole dataset, then conditions every
+    bag's Bernoulli field on its count in one :func:`batch_posteriors`
+    call.  Raises NumericalError naming the first bag whose posteriors or
+    log-likelihood are not finite.
     """
     probs = _clamped_forward(params, dataset.stacked_features)
-    targets = [
-        instance_posteriors(probs[rows], bag.positive_count)
-        for rows, bag in zip(dataset.bag_slices, dataset.bags)
-    ]
-    return EmState(bag_targets=targets, refreshed_epoch=epoch)
+    sizes = np.array([bag.size for bag in dataset.bags], dtype=np.int64)
+    counts = np.array([bag.positive_count for bag in dataset.bags], dtype=np.int64)
+    phi, log_pb = batch_posteriors(probs, sizes, counts)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    finite = np.isfinite(log_pb) & np.logical_and.reduceat(np.isfinite(phi), starts)
+    if not finite.all():
+        raise NumericalError(
+            f"non-finite E-step posterior or log-likelihood in bag "
+            f"{int(np.argmin(finite))}"
+        )
+    return EmState(targets=phi, log_likelihood=float(log_pb.sum()))
 
 
 def m_step_loss(params, features, soft_targets) -> tuple[float, np.ndarray]:
@@ -115,12 +127,9 @@ def supervised_loss(params, features, labels) -> tuple[float, np.ndarray]:
 
 
 def mle_llp_objective(params, dataset: BagDataset) -> float:
-    """Dataset log-likelihood of the observed counts (sum over bags)."""
-    probs = _clamped_forward(params, dataset.stacked_features)
-    return sum(
-        bag_log_likelihood(probs[rows], bag.positive_count)
-        for rows, bag in zip(dataset.bag_slices, dataset.bags)
-    )
+    """Dataset log-likelihood of the observed counts (sum over bags); the
+    log-likelihood half of :func:`e_step`."""
+    return e_step(params, dataset).log_likelihood
 
 
 def bag_moments(p) -> BagMoments:

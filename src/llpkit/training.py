@@ -2,11 +2,13 @@
 
 One :func:`train` call drives any of the four objectives:
 
-* ``mle``: refresh per-instance soft targets from the count posterior
-  (every ``target_refresh_interval`` epochs, default every epoch), then run
-  one epoch of minibatch cross-entropy against them.  Batches are
-  instance-level, since the soft targets decouple instances inside an
-  epoch; bags never need to fit in one batch.
+* ``mle``: run one epoch of minibatch cross-entropy against per-instance
+  soft targets from the count posterior.  Batches are instance-level,
+  since the soft targets decouple instances inside an epoch; bags never
+  need to fit in one batch.  One E-step runs before the first epoch and
+  one after each epoch.  The one after epoch e gives that epoch's count
+  log-likelihood and, every ``target_refresh_interval`` epochs (default
+  every epoch), the targets for epoch e + 1.
 * ``amle`` / ``dllp``: per-bag losses, batched as groups of whole bags.
 * ``supervised``: ordinary instance-level cross-entropy on true labels.
 
@@ -225,7 +227,7 @@ def train(
                     f"supervised training requires instance labels: {exc}"
                 ) from exc
         else:
-            targets = None
+            targets = objectives.e_step(params, dataset).targets
 
     eval_features = eval_labels = None
     if eval_instances is not None:
@@ -243,11 +245,6 @@ def train(
     best = None
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
-        if config.method == "mle" and (
-            targets is None or (epoch - 1) % config.target_refresh_interval == 0
-        ):
-            targets = objectives.e_step(params, dataset, epoch=epoch).flat_targets()
-
         if instance_level:
             count = all_features.shape[0]
             order = rng.permutation(count)
@@ -297,11 +294,12 @@ def train(
                 total += loss
             epoch_loss = total / dataset.num_bags
 
-        log_likelihood = (
-            objectives.mle_llp_objective(params, dataset)
-            if config.method == "mle"
-            else None
-        )
+        log_likelihood = None
+        if config.method == "mle":
+            state = objectives.e_step(params, dataset)
+            log_likelihood = state.log_likelihood
+            if epoch % config.target_refresh_interval == 0:
+                targets = state.targets
         accuracy = None
         if eval_features is not None:
             preds = objectives.predict(params, eval_features, infer_cfg)
@@ -449,10 +447,10 @@ def run_em_full_batch(
     params = network.init_params((dataset.feature_dim, *hidden_widths, 1), seed)
     all_features = dataset.stacked_features
     count = all_features.shape[0]
-    trace = [objectives.mle_llp_objective(params, dataset)]
+    state = objectives.e_step(params, dataset)
+    trace = [state.log_likelihood]
     gaps = []
-    for cycle in range(cycles):
-        state = objectives.e_step(params, dataset, epoch=cycle)
+    for _ in range(cycles):
         probs_all = clamp_probabilities(network.forward(params, all_features))
         worst = 0.0
         for rows, bag in zip(dataset.bag_slices, dataset.bags):
@@ -462,10 +460,10 @@ def run_em_full_batch(
             exact = bag_log_likelihood(probs, bag.positive_count)
             worst = max(worst, abs(bound - exact))
         gaps.append(worst)
-        targets = state.flat_targets()
         for _ in range(inner_steps):
-            _, out_grads = objectives.m_step_loss(params, all_features, targets)
+            _, out_grads = objectives.m_step_loss(params, all_features, state.targets)
             grad = network.backward(params, all_features, out_grads) / count
             params = params.with_theta(params.theta - learning_rate * grad)
-        trace.append(objectives.mle_llp_objective(params, dataset))
+        state = objectives.e_step(params, dataset)
+        trace.append(state.log_likelihood)
     return EmTrace(params=params, log_likelihoods=trace, bound_gaps=gaps)

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracle and error metrics."""
+"""Shared test utilities: finite-difference and leave-one-out oracles,
+and error metrics."""
 
 import numpy as np
 
@@ -48,3 +49,37 @@ def check_loss_gradient(loss_fn, params: ClassifierParams, tol=1e-5, step=1e-4):
 def logit(p):
     p = np.asarray(p, dtype=np.float64)
     return np.log(p / (1.0 - p))
+
+
+def count_probability(probs, y):
+    """P(count = y) by the plain-float convolution DP, one instance at a
+    time, updated in place from the top down."""
+    dist = [0.0] * (y + 1)
+    dist[0] = 1.0
+    for i, pi in enumerate(probs):
+        q = 1.0 - pi
+        for k in range(min(i + 1, y), 0, -1):
+            dist[k] = dist[k] * q + dist[k - 1] * pi
+        dist[0] *= q
+    return dist[y]
+
+
+def loo_posteriors(p, y):
+    """Instance posteriors by re-running the count DP with each instance
+    left out: phi_i = p_i * pb_without_i(y - 1) / pb(y).
+
+    ``p`` must already be clamped.  Runs in O(n^2 * y) and, in linear
+    space, is only accurate while pb(y) stays in the normal float range.
+    """
+    probs = [float(v) for v in p]
+    n = len(probs)
+    if y == 0:
+        return np.zeros(n)
+    if y == n:
+        return np.ones(n)
+    total = count_probability(probs, y)
+    phi = np.empty(n)
+    for i in range(n):
+        rest = probs[:i] + probs[i + 1 :]
+        phi[i] = probs[i] * count_probability(rest, y - 1) / total
+    return np.clip(phi, 0.0, 1.0)

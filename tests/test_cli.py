@@ -250,6 +250,24 @@ class TestEval:
         assert code == 2
         assert "2" in err and "3" in err
 
+    @pytest.mark.parametrize("edit", ["list", "missing-theta"])
+    def test_malformed_checkpoint_is_single_line_error(
+        self, tmp_path, instance_csv, checkpoint, capsys, edit
+    ):
+        record = json.loads(checkpoint.read_text())
+        if edit == "list":
+            record = [record]
+        else:
+            del record["theta"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(bad), "--data", str(instance_csv),
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_rerun_identical_json(self, tmp_path, instance_csv, checkpoint, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -1,5 +1,7 @@
 """Tests for the dense network, its analytic gradients, Adam, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -188,5 +190,38 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
         path.write_text("not json")
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_non_object_json_is_format_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.pop("layer_sizes"),
+            lambda r: r.update(layer_sizes="2,4,1"),
+            lambda r: r.update(layer_sizes=[2.5, 4, 1]),
+            lambda r: r.pop("theta"),
+            lambda r: r.update(theta={"0": 1.0}),
+            lambda r: r.update(theta=r["theta"][:-1]),
+            lambda r: r.update(optimizer=[]),
+            lambda r: r["optimizer"].pop("step"),
+            lambda r: r["optimizer"].update(step="3"),
+            lambda r: r["optimizer"].update(beta1=None),
+            lambda r: r["optimizer"].update(first_moment=[True] * len(r["theta"])),
+            lambda r: r["optimizer"].update(second_moment=[0.0]),
+        ],
+    )
+    def test_missing_or_mistyped_field_is_format_error(self, tmp_path, edit):
+        params = init_params((2, 4, 1), seed=3)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, init_optimizer(params))
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
         with pytest.raises(FormatError):
             load_checkpoint(path)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from helpers import check_loss_gradient, logit
+from llpkit import objectives
 from llpkit.data import Bag, BagDataset, Instance
-from llpkit.errors import UsageError
-from llpkit.network import ClassifierParams, backward, init_params, param_count
+from llpkit.errors import NumericalError, UsageError
+from llpkit.network import ClassifierParams, backward, forward, init_params, param_count
 from llpkit.objectives import (
     InferenceConfig,
     amle_batch_loss,
@@ -34,6 +35,7 @@ from llpkit.poisson_binomial import (
     clamp_probabilities,
     configuration_posterior,
     instance_posteriors,
+    pb_dp,
 )
 
 
@@ -71,14 +73,14 @@ class TestEStep:
         bag = Bag(tuple(Instance(rng.standard_normal(2)) for _ in range(4)), 0)
         dataset = BagDataset((bag,), feature_dim=2)
         state = e_step(init_params((2, 8, 1), seed=1), dataset)
-        np.testing.assert_array_equal(state.bag_targets[0], np.zeros(4))
+        np.testing.assert_array_equal(state.targets, np.zeros(4))
 
     def test_uniform_outputs_give_uniform_targets(self):
         rng = np.random.default_rng(1)
         bag = Bag(tuple(Instance(rng.standard_normal(2)) for _ in range(5)), 2)
         dataset = BagDataset((bag,), feature_dim=2)
         state = e_step(zero_params(dim=2), dataset)
-        np.testing.assert_allclose(state.bag_targets[0], 2.0 / 5.0, atol=1e-12)
+        np.testing.assert_allclose(state.targets, 2.0 / 5.0, atol=1e-12)
 
     def test_matches_instance_posteriors(self):
         features = probs_as_features([0.2, 0.5, 0.7])
@@ -86,15 +88,45 @@ class TestEStep:
         dataset = BagDataset((bag,), feature_dim=1)
         state = e_step(identity_params(), dataset)
         np.testing.assert_allclose(
-            state.bag_targets[0], [0.1 / 0.38, 0.31 / 0.38, 0.35 / 0.38], atol=1e-9
+            state.targets, [0.1 / 0.38, 0.31 / 0.38, 0.35 / 0.38], atol=1e-9
         )
 
     def test_targets_sum_to_counts(self):
         rng = np.random.default_rng(2)
         dataset = random_bag_dataset(rng)
         state = e_step(init_params((2, 8, 1), seed=3), dataset)
-        for bag, phi in zip(dataset.bags, state.bag_targets):
-            assert phi.sum() == pytest.approx(bag.positive_count, abs=1e-10)
+        for bag, rows in zip(dataset.bags, dataset.bag_slices):
+            assert state.targets[rows].sum() == pytest.approx(
+                bag.positive_count, abs=1e-10
+            )
+
+    def test_log_likelihood_matches_the_dp(self):
+        dataset = random_bag_dataset(np.random.default_rng(4))
+        params = init_params((2, 8, 1), seed=5)
+        expected = sum(
+            math.log(pb_dp(forward(params, bag.features), bag.positive_count))
+            for bag in dataset.bags
+        )
+        state = e_step(params, dataset)
+        assert state.log_likelihood == pytest.approx(expected, rel=1e-12)
+        assert mle_llp_objective(params, dataset) == state.log_likelihood
+
+    @pytest.mark.parametrize("broken_bag", [1, 3])
+    def test_non_finite_result_names_the_bag(self, monkeypatch, broken_bag):
+        dataset = random_bag_dataset(np.random.default_rng(2))
+        kernel = objectives.batch_posteriors
+
+        def corrupted(probs, sizes, counts):
+            phi, log_pb = kernel(probs, sizes, counts)
+            if broken_bag == 1:
+                phi[sizes[0]] = np.nan  # first instance of bag 1
+            else:
+                log_pb[3] = -np.inf
+            return phi, log_pb
+
+        monkeypatch.setattr(objectives, "batch_posteriors", corrupted)
+        with pytest.raises(NumericalError, match=f"bag {broken_bag}$"):
+            e_step(init_params((2, 8, 1), seed=3), dataset)
 
 
 class TestMStepLoss:

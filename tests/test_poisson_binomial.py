@@ -1,21 +1,26 @@
 """Unit and property tests for the Poisson binomial machinery.
 
 The enumeration path is the oracle for the convolution path; the
-configuration posterior is the oracle for the leave-one-out instance
-posteriors.  Hand-checkable values are frozen in the assertions.
+configuration posterior and the leave-one-out DP in ``helpers`` are the
+oracles for the batched forward-backward posteriors.  Hand-checkable
+values are frozen in the assertions.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loo_posteriors
+from llpkit import poisson_binomial
 from llpkit.errors import CapacityError, UsageError
 from llpkit.poisson_binomial import (
     CLAMP_EPS,
     bag_log_likelihood,
+    batch_posteriors,
     clamp_probabilities,
     configuration_posterior,
     enumerate_configurations,
@@ -181,6 +186,105 @@ class TestInstancePosteriors:
         for config, weight in post.items():
             marginals += weight * np.asarray(config)
         np.testing.assert_allclose(phi, marginals, atol=1e-10)
+
+
+@st.composite
+def mixed_bags(draw, max_bags=6, max_n=70):
+    """Bags of 1..70 instances, across the power-of-two size buckets up to
+    128, with counts that often sit at 0 or n."""
+    bags = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_bags))):
+        n = draw(st.integers(min_value=1, max_value=max_n))
+        p = draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        y = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+        bags.append((clamp_probabilities(p), y))
+    return bags
+
+
+def split_rows(values, sizes):
+    return np.split(values, np.cumsum(sizes)[:-1])
+
+
+class TestBatchPosteriors:
+    @given(mixed_bags())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_leave_one_out_oracle(self, bags):
+        sizes = [p.size for p, _ in bags]
+        counts = [y for _, y in bags]
+        # A small table budget splits every bucket above width 8 into
+        # chunks of one bag.
+        with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 512):
+            phi, log_pb = batch_posteriors(
+                np.concatenate([p for p, _ in bags]), sizes, counts
+            )
+        for (p, y), got, log_value in zip(bags, split_rows(phi, sizes), log_pb):
+            assert got.min() >= 0.0 and got.max() <= 1.0
+            assert abs(got.sum() - y) <= 1e-10
+            pb = pb_dp(p, y)
+            # The linear-space oracles lose precision once pb underflows.
+            if pb > 1e-300:
+                np.testing.assert_allclose(got, loo_posteriors(p, y), rtol=0, atol=1e-10)
+                assert abs(log_value - math.log(pb)) <= 1e-12 * max(1.0, -math.log(pb))
+
+    def test_chunks_at_the_real_budget(self):
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(40, 65, size=100)
+        counts = rng.integers(0, sizes + 1)
+        assert sizes.size * 64 * (counts.max() + 2) > 2 * poisson_binomial._TABLE_BUDGET
+        probs = clamp_probabilities(rng.random(int(sizes.sum())))
+        phi, log_pb = batch_posteriors(probs, sizes, counts)
+        pairs = zip(split_rows(probs, sizes), split_rows(phi, sizes))
+        for j, (p, got) in enumerate(pairs):
+            alone, alone_log = batch_posteriors(p, [p.size], [counts[j]])
+            np.testing.assert_allclose(got, alone, rtol=0, atol=1e-14)
+            assert log_pb[j] == alone_log[0]
+            assert abs(got.sum() - counts[j]) <= 1e-10
+
+    def test_rejects_inconsistent_shapes(self):
+        with pytest.raises(UsageError):
+            batch_posteriors([0.5, 0.5], [3], [1])
+        with pytest.raises(UsageError, match="bag 1"):
+            batch_posteriors([0.5, 0.5, 0.5], [1, 2], [1, 3])
+
+
+class TestUnderflow:
+    """One confident instance among near-certain negatives, y = n/2: pb(y)
+    lies far below the smallest float64 at these sizes."""
+
+    @pytest.mark.parametrize("n", [100, 128, 200])
+    def test_saturated_bag(self, n):
+        p = np.full(n, 1e-9)
+        p[0] = 0.9
+        y = n // 2
+        phi = instance_posteriors(p, y)
+        assert phi.min() >= 0.0 and phi.max() <= 1.0
+        assert abs(phi.sum() - y) <= 1e-10
+        log_pb = bag_log_likelihood(p, y)
+        assert math.isfinite(log_pb)
+
+        # Closed form: the other n - 1 instances share one clamped p.
+        s = CLAMP_EPS
+        log_with = (
+            math.log(0.9) + math.lgamma(n) - math.lgamma(y) - math.lgamma(n - y + 1)
+            + (y - 1) * math.log(s) + (n - y) * math.log1p(-s)
+        )
+        log_without = (
+            math.log(0.1) + math.lgamma(n) - math.lgamma(y + 1) - math.lgamma(n - y)
+            + y * math.log(s) + (n - 1 - y) * math.log1p(-s)
+        )
+        top = max(log_with, log_without)
+        log_total = top + math.log(
+            math.exp(log_with - top) + math.exp(log_without - top)
+        )
+        assert phi[0] == pytest.approx(math.exp(log_with - log_total), abs=1e-12)
+        np.testing.assert_allclose(phi[1:], (y - phi[0]) / (n - 1), rtol=0, atol=1e-12)
+        assert log_pb == pytest.approx(log_total, rel=1e-12)
 
 
 class TestBagLogLikelihood:

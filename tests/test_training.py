@@ -12,8 +12,9 @@ from llpkit.data import (
     generate_synthetic,
     make_bags,
 )
+from llpkit import network
 from llpkit.errors import UsageError
-from llpkit.objectives import predict
+from llpkit.objectives import e_step, m_step_loss, mle_llp_objective, predict
 from llpkit.training import (
     TrainConfig,
     TrainingRecord,
@@ -137,6 +138,60 @@ class TestTrain:
         )
         assert evaluate(supervised_params, holdout).accuracy >= 0.93
         assert evaluate(mle_params, holdout).accuracy >= 0.9
+
+
+def reference_mle_loop(dataset, config):
+    """The mle epoch loop with separate passes: an E-step at the start of
+    every ``target_refresh_interval``-th epoch and the count log-likelihood
+    after each epoch.  No early stopping."""
+    init_seed, shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)
+    params = network.init_params(
+        (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
+    )
+    opt_state = network.init_optimizer(
+        params, config.learning_rate, config.beta1, config.beta2, config.adam_eps
+    )
+    rng = np.random.default_rng(int(shuffle_seed))
+    features = dataset.stacked_features
+    rows = []
+    for epoch in range(1, config.max_epochs + 1):
+        if (epoch - 1) % config.target_refresh_interval == 0:
+            targets = e_step(params, dataset).targets
+        order = rng.permutation(len(features))
+        total = 0.0
+        for lo in range(0, len(features), config.batch_size):
+            sel = order[lo : lo + config.batch_size]
+            loss, out_grads = m_step_loss(params, features[sel], targets[sel])
+            grad = network.backward(params, features[sel], out_grads)
+            params, opt_state = network.optimizer_step(
+                params, opt_state, grad / sel.size
+            )
+            total += loss
+        rows.append((epoch, total / len(features), mle_llp_objective(params, dataset)))
+    return params, rows
+
+
+class TestFusedEStep:
+    def test_curve_log_likelihood_is_objective_at_epoch_parameters(self):
+        dataset, _ = blob_bags(n=60)
+        _, record = train(dataset, quick_config("mle", max_epochs=4))
+        for epoch in range(1, 5):
+            params, _ = train(dataset, quick_config("mle", max_epochs=epoch))
+            assert record.rows[epoch - 1].log_likelihood == mle_llp_objective(
+                params, dataset
+            )
+
+    def test_refresh_interval_matches_reference_loop(self, tmp_path):
+        dataset, _ = blob_bags(n=60)
+        config = quick_config("mle", max_epochs=7, target_refresh_interval=3)
+        params, record = train(dataset, config)
+        ref_params, ref_rows = reference_mle_loop(dataset, config)
+        assert [(r.epoch, r.loss, r.log_likelihood) for r in record.rows] == ref_rows
+        network.save_checkpoint(tmp_path / "train.json", params)
+        network.save_checkpoint(tmp_path / "reference.json", ref_params)
+        assert (tmp_path / "train.json").read_bytes() == (
+            tmp_path / "reference.json"
+        ).read_bytes()
 
 
 class TestEvaluate:
