@@ -241,6 +241,7 @@ def _forward_backward(lp, lq, counts) -> tuple[np.ndarray, np.ndarray]:
     count, which no lower count depends on.
     """
     b, width = lp.shape
+    # Counts 0..max; at least two columns, so the y - 1 sums have a term.
     k = max(int(counts.max()), 1) + 1
     bags = np.arange(b)
 
