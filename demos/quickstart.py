@@ -32,8 +32,8 @@ holdout = generate_synthetic(SyntheticSpec(800, 2, 4.0, 0.5, seed=43))
 print("2. Grouping them into bags of 1..8 instances; from here on, the")
 print("   only supervision is each bag's count of positives.")
 dataset = make_bags(instances, 1, 8, seed=42)
-sizes = [bag.size for bag in dataset.bags]
-print(f"   {dataset.num_bags} bags, sizes {min(sizes)}..{max(sizes)}")
+sizes = dataset.sizes
+print(f"   {dataset.num_bags} bags, sizes {sizes.min()}..{sizes.max()}")
 
 # strip_labels() proves nothing below peeks at instance labels: the
 # training result is identical either way (the test suite pins this).
@@ -57,10 +57,10 @@ print(f"5. Held-out accuracy: counts only {acc_counts:.4f} vs "
 print("6. Peeking inside one E-step: the per-instance posteriors of the")
 print("   first bag, given its count, which become soft targets:")
 state = e_step(params, blind)
-bag = blind.bags[0]
+lo, hi = blind.offsets[:2]
 with np.printoptions(precision=3, suppress=True):
-    print(f"   bag count y={bag.positive_count} of n={bag.size} -> "
-          f"targets {state.targets[blind.bag_slices[0]]}")
+    print(f"   bag count y={blind.counts[0]} of n={hi - lo} -> "
+          f"targets {state.targets[lo:hi]}")
 print("   (they always sum to y exactly)")
 
 print()

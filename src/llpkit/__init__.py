@@ -10,9 +10,8 @@ cross-validation harness around them.
 __version__ = "0.1.0"
 
 from .data import (
-    Bag,
     BagDataset,
-    Instance,
+    Instances,
     SyntheticSpec,
     assign_folds,
     generate_synthetic,
@@ -37,9 +36,6 @@ from .network import (
 from .objectives import (
     EmState,
     InferenceConfig,
-    amle_loss,
-    bag_moments,
-    dllp_loss,
     e_step,
     em_lower_bound,
     m_step_loss,

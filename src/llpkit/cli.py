@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__, data, network, objectives, training
 from .errors import LlpError, NumericalError, UsageError
+from .files import write_atomic
 
 
 def _out_path(raw) -> Path:
@@ -67,9 +68,11 @@ def _train_config(args, method=None) -> training.TrainConfig:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    def write(fh):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+    write_atomic(path, write)
 
 
 def _manifest(command, config, dataset_path, outputs) -> dict:
@@ -100,7 +103,7 @@ def cmd_synth(args) -> int:
     instances = data.generate_synthetic(spec)
     out = _out_path(args.out)
     data.save_instances_csv(out, instances)
-    positives = sum(inst.true_label for inst in instances)
+    positives = int(instances.labels.sum())
     print(
         f"wrote {len(instances)} instances ({positives} positive, "
         f"{len(instances) - positives} negative) to {out}"
@@ -113,8 +116,8 @@ def cmd_bag(args) -> int:
     dataset = data.make_bags(instances, args.min_size, args.max_size, args.seed)
     out = _out_path(args.out)
     data.save_bags_csv(out, dataset)
-    histogram = Counter(bag.size for bag in dataset.bags)
-    positives = sum(bag.positive_count for bag in dataset.bags)
+    histogram = Counter(dataset.sizes.tolist())
+    positives = int(dataset.counts.sum())
     total = dataset.num_instances
     print(f"bags: {dataset.num_bags}")
     print(
@@ -175,13 +178,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params, _ = network.load_checkpoint(args.checkpoint)
     instances = data.load_instances_csv(args.data)
-    if any(inst.true_label is None for inst in instances):
+    if instances.labels is None:
         raise UsageError(f"{args.data} has no label column")
-    feature_dim = instances[0].features.size
-    if feature_dim != params.input_dim:
+    if instances.dim != params.input_dim:
         raise UsageError(
             f"checkpoint expects {params.input_dim} features, data has "
-            f"{feature_dim}"
+            f"{instances.dim}"
         )
     metrics = training.evaluate(
         params, instances, objectives.InferenceConfig(args.threshold)
@@ -202,7 +204,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     instances = data.load_instances_csv(args.data)
-    if any(inst.true_label is None for inst in instances):
+    if instances.labels is None:
         raise UsageError(f"{args.data} has no label column")
     sizes = _parse_int_list(args.sizes, "--sizes")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -243,8 +245,7 @@ def cmd_sweep(args) -> int:
                 f"{method} size {row.bag_size}: accuracy "
                 f"{row.mean_accuracy:.6f} +- {row.std_accuracy:.6f}"
             )
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(out, lambda fh: fh.write("\n".join(lines) + "\n"))
     print(f"wrote {out}")
     return 0
 

@@ -1,10 +1,10 @@
-"""Instances, bags, datasets: CSV ingestion, bagging, synthetic blobs.
+"""Instances and bag datasets: CSV ingestion, bagging, synthetic blobs.
 
-Supervision model: a bag is an ordered group of instances annotated only
-with the number of positive labels it contains.  Ground-truth instance
-labels may travel along (bagging keeps them so held-out folds can be
-scored), but training objectives only ever see a bag's feature matrix and
-its positive count; see :mod:`llpkit.objectives`.
+Supervision model: a bag is a run of consecutive instance rows annotated
+only with the number of positive labels it contains.  Ground-truth
+instance labels may travel along (bagging keeps them so held-out folds can
+be scored), but training objectives only ever see feature rows and bag
+counts; see :mod:`llpkit.objectives`.
 
 File formats
 ------------
@@ -15,154 +15,143 @@ Bag CSV (written by the ``bag`` CLI command): header line ``bag_id,y,n``,
 then for each bag one summary row ``bag_id,y,n`` followed by exactly ``n``
 instance rows ``bag_id,instance_id,f0,...,f{d-1}[,label]``.  The summary
 row's ``n`` says how many instance rows follow, so the two row kinds never
-need to be distinguished by shape.
+need to be distinguished by shape.  ``instance_id`` is an integer on every
+row or empty on every row.
+
+Parse errors name the file, the 1-based line and the 1-based column.
 """
 
 import csv
-import math
+import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, UsageError
+from .files import write_atomic
 
 
 @dataclass(frozen=True, eq=False)
-class Instance:
-    """One feature vector, optionally with its ground-truth binary label."""
+class Instances:
+    """N feature vectors of one dimension, optionally with 0/1 labels."""
 
     features: np.ndarray
-    true_label: int | None = None
-    instance_id: int | None = None
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1 or feats.size == 0:
-            raise UsageError(f"features must be a nonempty vector, got {feats.shape}")
+        if feats.ndim != 2 or feats.shape[1] == 0:
+            raise UsageError(f"features must be an (N, d) matrix, got {feats.shape}")
         if not np.all(np.isfinite(feats)):
             raise UsageError("features contain non-finite values")
         object.__setattr__(self, "features", feats)
-        if self.true_label is not None and self.true_label not in (0, 1):
-            raise UsageError(f"label must be 0 or 1, got {self.true_label!r}")
+        if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.shape != (len(feats),) or not np.isin(labels, (0, 1)).all():
+                raise UsageError("labels must be one 0 or 1 per instance")
+            object.__setattr__(self, "labels", labels.astype(np.int64))
 
-
-@dataclass(frozen=True, eq=False)
-class Bag:
-    """Instances plus the count of positives among them (the supervision)."""
-
-    instances: tuple[Instance, ...]
-    positive_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-        n = len(self.instances)
-        if n < 1:
-            raise UsageError("a bag needs at least one instance")
-        if not 0 <= self.positive_count <= n:
-            raise UsageError(
-                f"positive count {self.positive_count} outside [0, {n}]"
-            )
-        dims = {inst.features.size for inst in self.instances}
-        if len(dims) != 1:
-            raise UsageError(f"mixed feature dimensions in one bag: {sorted(dims)}")
+    def __len__(self) -> int:
+        return self.features.shape[0]
 
     @property
-    def size(self) -> int:
-        return len(self.instances)
+    def dim(self) -> int:
+        return self.features.shape[1]
 
-    @cached_property
-    def features(self) -> np.ndarray:
-        """(n, d) feature matrix; the only instance data objectives see."""
-        return np.vstack([inst.features for inst in self.instances])
-
-    @property
-    def instance_ids(self) -> tuple:
-        return tuple(inst.instance_id for inst in self.instances)
-
-    def true_labels(self) -> np.ndarray:
-        """Ground-truth labels, for evaluation only."""
-        labels = [inst.true_label for inst in self.instances]
-        if any(lab is None for lab in labels):
-            raise UsageError("bag contains unlabeled instances")
-        return np.asarray(labels, dtype=np.int64)
+    def take(self, rows) -> "Instances":
+        """The instances at the given row indices, in that order."""
+        labels = None if self.labels is None else self.labels[rows]
+        return Instances(self.features[rows], labels)
 
 
 @dataclass(frozen=True, eq=False)
 class BagDataset:
-    """A collection of bags sharing one feature dimension."""
+    """Instances cut into consecutive bags, each with its positive count.
 
-    bags: tuple[Bag, ...]
-    feature_dim: int
+    ``instance_ids`` (one integer per row, or None) says where each row
+    came from; ``fold_assignment`` maps every bag index to a fold.
+    """
+
+    instances: Instances
+    offsets: np.ndarray
+    counts: np.ndarray
+    instance_ids: np.ndarray | None = None
     fold_assignment: dict[int, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bags", tuple(self.bags))
-        if not self.bags:
+        n = len(self.instances)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "counts", counts)
+        if offsets.ndim != 1 or offsets.size < 2:
             raise UsageError("dataset needs at least one bag")
-        for bag in self.bags:
-            if bag.features.shape[1] != self.feature_dim:
-                raise UsageError(
-                    f"bag feature dimension {bag.features.shape[1]} does not "
-                    f"match dataset dimension {self.feature_dim}"
-                )
+        sizes = self.sizes
+        if offsets[0] != 0 or offsets[-1] != n or sizes.min() < 1:
+            raise UsageError(f"bag offsets must rise strictly from 0 to {n}")
+        if counts.shape != sizes.shape or np.any((counts < 0) | (counts > sizes)):
+            raise UsageError("each bag needs a positive count in [0, bag size]")
+        if self.instance_ids is not None:
+            ids = np.asarray(self.instance_ids, dtype=np.int64)
+            if ids.shape != (n,):
+                raise UsageError(f"{ids.size} instance ids for {n} rows")
+            object.__setattr__(self, "instance_ids", ids)
         if self.fold_assignment is not None:
-            if set(self.fold_assignment) != set(range(len(self.bags))):
+            if set(self.fold_assignment) != set(range(self.num_bags)):
                 raise UsageError("fold assignment must cover every bag exactly once")
 
     @property
     def num_bags(self) -> int:
-        return len(self.bags)
+        return self.counts.size
 
     @property
     def num_instances(self) -> int:
-        return sum(bag.size for bag in self.bags)
+        return len(self.instances)
 
-    @cached_property
-    def stacked_features(self) -> np.ndarray:
-        """All bags' features stacked into one (num_instances, d) matrix."""
-        return np.vstack([bag.features for bag in self.bags])
+    @property
+    def feature_dim(self) -> int:
+        return self.instances.dim
 
-    @cached_property
-    def bag_slices(self) -> tuple[slice, ...]:
-        """Row range of each bag inside :attr:`stacked_features`."""
-        slices = []
-        start = 0
-        for bag in self.bags:
-            slices.append(slice(start, start + bag.size))
-            start += bag.size
-        return tuple(slices)
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def bag_rows(self, bags) -> np.ndarray:
+        """Row indices of the given bags, bag after bag in the given order."""
+        bags = np.asarray(bags, dtype=np.int64)
+        starts = self.offsets[bags]
+        sizes = self.offsets[bags + 1] - starts
+        ends = np.cumsum(sizes)
+        shift = np.repeat(starts - (ends - sizes), sizes)
+        return shift + np.arange(shift.size)
 
     def folds(self) -> list[int]:
         if self.fold_assignment is None:
             raise UsageError("dataset has no fold assignment")
         return sorted(set(self.fold_assignment.values()))
 
-    def fold_split(self, fold: int) -> tuple["BagDataset", list[Instance]]:
+    def fold_split(self, fold: int) -> tuple["BagDataset", Instances]:
         """(training dataset, held-out instances) for one fold."""
         if self.fold_assignment is None:
             raise UsageError("dataset has no fold assignment")
-        train = [b for i, b in enumerate(self.bags) if self.fold_assignment[i] != fold]
-        held = [b for i, b in enumerate(self.bags) if self.fold_assignment[i] == fold]
-        if not train or not held:
+        folds = np.array([self.fold_assignment[j] for j in range(self.num_bags)])
+        train, held = np.flatnonzero(folds != fold), np.flatnonzero(folds == fold)
+        if not train.size or not held.size:
             raise UsageError(f"fold {fold} leaves an empty split")
-        held_instances = [inst for bag in held for inst in bag.instances]
-        return BagDataset(tuple(train), self.feature_dim), held_instances
-
-    def all_instances(self) -> list[Instance]:
-        return [inst for bag in self.bags for inst in bag.instances]
+        rows = self.bag_rows(train)
+        train_set = BagDataset(
+            self.instances.take(rows),
+            np.concatenate(([0], np.cumsum(self.sizes[train]))),
+            self.counts[train],
+            None if self.instance_ids is None else self.instance_ids[rows],
+        )
+        return train_set, self.instances.take(self.bag_rows(held))
 
     def strip_labels(self) -> "BagDataset":
         """Copy with every ground-truth label removed (leak checks)."""
-        bags = tuple(
-            Bag(
-                tuple(replace(inst, true_label=None) for inst in bag.instances),
-                bag.positive_count,
-            )
-            for bag in self.bags
-        )
         fold = dict(self.fold_assignment) if self.fold_assignment else None
-        return BagDataset(bags, self.feature_dim, fold)
+        unlabeled = Instances(self.instances.features)
+        return replace(self, instances=unlabeled, fold_assignment=fold)
 
 
 @dataclass(frozen=True)
@@ -186,7 +175,7 @@ class SyntheticSpec:
             raise UsageError("positive prior must lie strictly inside (0, 1)")
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[Instance]:
+def generate_synthetic(spec: SyntheticSpec) -> Instances:
     """Labeled blobs: class 0 at the origin, class 1 shifted along axis 0.
 
     Both classes have unit isotropic covariance; labels are drawn first
@@ -197,28 +186,48 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Instance]:
     labels = (rng.random(n) < spec.positive_prior).astype(np.int64)
     feats = rng.standard_normal((n, d))
     feats[:, 0] += spec.class_separation * labels
-    return [
-        Instance(feats[i], int(labels[i]), instance_id=i) for i in range(n)
-    ]
+    return Instances(feats, labels)
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
+def _line_number(path, index: int) -> int:
+    """1-based file line of nonblank CSV row ``index`` (the header is row
+    0); only error messages need it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines = (reader.line_num for row in reader if row)
+        return next(itertools.islice(lines, index, None))
+
+
+def _parse_cells(path, rows, first_col, width, file_rows, parse):
+    """Parse ``width`` cells from column ``first_col`` of every row with
+    ``parse`` (``float`` or ``int``) into a (len(rows), width) array of
+    finite values; ``file_rows[k]`` is row k's nonblank-row index."""
+    cells = [c for row in rows for c in row[first_col : first_col + width]]
+    k = 0
+
+    def values():
+        nonlocal k  # the cell being parsed, if parsing raises
+        for k, cell in enumerate(cells):
+            yield parse(cell)
+
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise FormatError(f"row {row}: column {col}: {text!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise FormatError(f"row {row}: column {col}: non-finite value {text!r}")
-    return value
+        dtype = np.float64 if parse is float else np.int64
+        parsed = np.fromiter(values(), dtype, len(cells))
+        bad = np.flatnonzero(~np.isfinite(parsed))
+        if not bad.size:
+            return parsed.reshape(len(rows), width)
+        k = int(bad[0])
+    except (ValueError, OverflowError):
+        pass
+    row, col = divmod(k, width)
+    kind = "a finite number" if parse is float else "an integer"
+    raise FormatError(
+        f"{path}: line {_line_number(path, int(file_rows[row]))}, column "
+        f"{first_col + col + 1}: {cells[k]!r} is not {kind}"
+    )
 
 
-def _parse_label(text: str, row: int) -> int:
-    if text not in ("0", "1"):
-        raise FormatError(f"row {row}: label must be 0 or 1, got {text!r}")
-    return int(text)
-
-
-def load_instances_csv(path) -> list[Instance]:
+def load_instances_csv(path) -> Instances:
     """Read an instance CSV; labels are parsed when the column exists."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -232,45 +241,54 @@ def load_instances_csv(path) -> list[Instance]:
         raise FormatError(
             f"{path}: header must be f0,...,f{{d-1}}[,label], got {header}"
         )
-    if not rows[1:]:
+    body = rows[1:]
+    if not body:
         raise FormatError(f"{path}: no instance rows")
+    if set(map(len, body)) != {len(header)}:
+        k = next(k for k, row in enumerate(body) if len(row) != len(header))
+        raise FormatError(
+            f"{path}: line {_line_number(path, k + 1)} has {len(body[k])} "
+            f"columns, header declares {len(header)}"
+        )
     dim = len(feature_names)
-    instances = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
+    feats = _parse_cells(path, body, 0, dim, range(1, len(rows)), float)
+    labels = None
+    if has_label:
+        text = np.array([row[dim] for row in body])
+        bad = np.flatnonzero((text != "0") & (text != "1"))
+        if bad.size:
+            k = int(bad[0])
             raise FormatError(
-                f"{path}: row {r} has {len(row)} columns, header declares "
-                f"{len(header)}"
+                f"{path}: line {_line_number(path, k + 1)}, column {dim + 1}: "
+                f"label must be 0 or 1, got {body[k][dim]!r}"
             )
-        feats = [_parse_float(v, r, f"f{i}") for i, v in enumerate(row[:dim])]
-        label = _parse_label(row[dim], r) if has_label else None
-        instances.append(Instance(np.array(feats), label, instance_id=r - 2))
-    return instances
+        labels = (text == "1").astype(np.int64)
+    return Instances(feats, labels)
 
 
-def save_instances_csv(path, instances: list[Instance]) -> None:
-    """Write instances in the loadable CSV format; labels only if all set."""
-    if not instances:
+def save_instances_csv(path, instances: Instances) -> None:
+    """Write instances in the loadable CSV format, with labels if known."""
+    if len(instances) == 0:
         raise UsageError("nothing to write")
-    dim = instances[0].features.size
-    labeled = all(inst.true_label is not None for inst in instances)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    header = [f"f{i}" for i in range(instances.dim)]
+    if instances.labels is not None:
+        header.append("label")
+    labels = instances.labels.tolist() if instances.labels is not None else None
+
+    def write(fh):
         writer = csv.writer(fh)
-        header = [f"f{i}" for i in range(dim)]
-        if labeled:
-            header.append("label")
         writer.writerow(header)
-        for inst in instances:
-            if inst.features.size != dim:
-                raise UsageError("instances have inconsistent dimensions")
-            row = [repr(v) for v in inst.features.tolist()]
-            if labeled:
-                row.append(str(inst.true_label))
+        for i, feats in enumerate(instances.features.tolist()):
+            row = [repr(v) for v in feats]
+            if labels is not None:
+                row.append(labels[i])
             writer.writerow(row)
+
+    write_atomic(path, write)
 
 
 def make_bags(
-    instances: list[Instance], min_size: int, max_size: int, seed: int
+    instances: Instances, min_size: int, max_size: int, seed: int
 ) -> BagDataset:
     """Partition labeled instances into bags of uniform random sizes.
 
@@ -279,36 +297,28 @@ def make_bags(
     than ``min_size`` instances remain they are discarded; a final draw
     that exceeds the remainder is truncated to it (still >= min_size), so
     no usable instance is dropped.  Each bag's positive count is the number
-    of label-1 instances it received.
+    of label-1 instances it received, and each row's instance id is its
+    index in ``instances``.
     """
-    if not instances:
+    n = len(instances)
+    if n == 0:
         raise UsageError("no instances to bag")
-    if any(inst.true_label is None for inst in instances):
+    if instances.labels is None:
         raise UsageError("bagging requires every instance to be labeled")
-    if not 1 <= min_size <= max_size <= len(instances):
+    if not 1 <= min_size <= max_size <= n:
         raise UsageError(
-            f"need 1 <= min_size <= max_size <= {len(instances)}, got "
-            f"[{min_size}, {max_size}]"
+            f"need 1 <= min_size <= max_size <= {n}, got [{min_size}, {max_size}]"
         )
-    dims = {inst.features.size for inst in instances}
-    if len(dims) != 1:
-        raise UsageError(f"mixed feature dimensions: {sorted(dims)}")
-
-    # Identity within the dataset is positional: ids are reassigned from
-    # input order so uniqueness holds regardless of what the caller set.
-    pool = [replace(inst, instance_id=i) for i, inst in enumerate(instances)]
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pool))
-    bags = []
-    pos = 0
-    while len(pool) - pos >= min_size:
+    order = rng.permutation(n)
+    offsets = [0]
+    while n - offsets[-1] >= min_size:
         size = int(rng.integers(min_size, max_size + 1))
-        size = min(size, len(pool) - pos)
-        members = tuple(pool[i] for i in order[pos : pos + size])
-        y = sum(inst.true_label for inst in members)
-        bags.append(Bag(members, y))
-        pos += size
-    return BagDataset(tuple(bags), feature_dim=dims.pop())
+        offsets.append(offsets[-1] + min(size, n - offsets[-1]))
+    rows = order[: offsets[-1]]
+    bagged = instances.take(rows)
+    counts = np.add.reduceat(bagged.labels, offsets[:-1])
+    return BagDataset(bagged, offsets, counts, instance_ids=rows)
 
 
 def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
@@ -322,25 +332,32 @@ def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
     rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.num_bags)
     assignment = {int(bag): i % k for i, bag in enumerate(order)}
-    return BagDataset(dataset.bags, dataset.feature_dim, assignment)
+    return replace(dataset, fold_assignment=assignment)
 
 
 def save_bags_csv(path, dataset: BagDataset) -> None:
-    """Write a bag CSV; the label column is kept when every label is set."""
-    labeled = all(
-        inst.true_label is not None for bag in dataset.bags for inst in bag.instances
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write a bag CSV; the label column is kept when labels are known."""
+    feats = dataset.instances.features.tolist()
+    labels = dataset.instances.labels
+    labels = None if labels is None else labels.tolist()
+    ids = dataset.instance_ids
+    ids = [""] * len(feats) if ids is None else ids.tolist()
+    offsets = dataset.offsets.tolist()
+    counts = dataset.counts.tolist()
+
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "y", "n"])
-        for bag_id, bag in enumerate(dataset.bags):
-            writer.writerow([bag_id, bag.positive_count, bag.size])
-            for inst in bag.instances:
-                iid = inst.instance_id if inst.instance_id is not None else ""
-                row = [bag_id, iid] + [repr(v) for v in inst.features.tolist()]
-                if labeled:
-                    row.append(str(inst.true_label))
+        for j, y in enumerate(counts):
+            lo, hi = offsets[j], offsets[j + 1]
+            writer.writerow([j, y, hi - lo])
+            for i in range(lo, hi):
+                row = [j, ids[i]] + [repr(v) for v in feats[i]]
+                if labels is not None:
+                    row.append(labels[i])
                 writer.writerow(row)
+
+    write_atomic(path, write)
 
 
 def load_bags_csv(path) -> BagDataset:
@@ -358,59 +375,47 @@ def load_bags_csv(path) -> BagDataset:
     if [c.strip() for c in rows[0]] != ["bag_id", "y", "n"]:
         raise FormatError(f"{path}: header must be bag_id,y,n, got {rows[0]}")
 
-    raw_bags = []
+    members, offsets, counts = [], [0], []
     idx = 1
     while idx < len(rows):
-        summary = rows[idx]
-        if len(summary) != 3:
-            raise FormatError(
-                f"{path}: row {idx + 1}: expected bag summary bag_id,y,n"
-            )
         try:
-            bag_id, y, n = (int(v) for v in summary)
-        except ValueError as exc:
-            raise FormatError(f"{path}: row {idx + 1}: bad bag summary") from exc
+            bag_id, y, n = map(int, rows[idx])
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {_line_number(path, idx)}: expected bag summary "
+                f"bag_id,y,n of integers"
+            ) from None
         if n < 1 or not 0 <= y <= n:
             raise FormatError(f"{path}: bag {bag_id}: invalid counts y={y}, n={n}")
-        members = rows[idx + 1 : idx + 1 + n]
-        if len(members) < n:
+        if idx + 1 + n > len(rows):
             raise FormatError(f"{path}: bag {bag_id}: file ends mid-bag")
-        raw_bags.append((bag_id, y, members))
+        members.extend(rows[idx + 1 : idx + 1 + n])
+        offsets.append(offsets[-1] + n)
+        counts.append(y)
         idx += 1 + n
 
-    widths = {len(row) for _, _, members in raw_bags for row in members}
+    widths = set(map(len, members))
     if len(widths) != 1:
         raise FormatError(f"{path}: instance rows have mixed column counts")
     width = widths.pop()
-    if width < 3:
-        raise FormatError(f"{path}: instance rows need at least one feature")
+    offsets = np.array(offsets)
+    counts = np.array(counts)
+    # Member k of bag j comes after the header and j + 1 summary rows.
+    file_rows = np.arange(len(members))
+    file_rows += np.repeat(np.arange(2, counts.size + 2), np.diff(offsets))
 
-    def last_column_is_label() -> bool:
-        for _, y, members in raw_bags:
-            total = 0
-            for row in members:
-                if row[-1] not in ("0", "1"):
-                    return False
-                total += int(row[-1])
-            if total != y:
-                return False
-        return True
-
-    labeled = last_column_is_label()
+    last = np.array([row[-1] for row in members])
+    is_label = last == "1"
+    labeled = bool(np.all(is_label | (last == "0"))) and np.array_equal(
+        np.add.reduceat(is_label.astype(np.int64), offsets[:-1]), counts
+    )
     dim = width - 3 if labeled else width - 2
     if dim < 1:
         raise FormatError(f"{path}: instance rows need at least one feature")
 
-    bags = []
-    for bag_id, y, members in raw_bags:
-        instances = []
-        for row in members:
-            iid = int(row[1]) if row[1] != "" else None
-            feats = [
-                _parse_float(v, bag_id, f"f{i}")
-                for i, v in enumerate(row[2 : 2 + dim])
-            ]
-            label = _parse_label(row[-1], bag_id) if labeled else None
-            instances.append(Instance(np.array(feats), label, instance_id=iid))
-        bags.append(Bag(tuple(instances), y))
-    return BagDataset(tuple(bags), feature_dim=dim)
+    ids = None
+    if any(row[1] != "" for row in members):
+        ids = _parse_cells(path, members, 1, 1, file_rows, int)[:, 0]
+    feats = _parse_cells(path, members, 2, dim, file_rows, float)
+    labels = is_label.astype(np.int64) if labeled else None
+    return BagDataset(Instances(feats, labels), offsets, counts, instance_ids=ids)

@@ -17,12 +17,12 @@ shape (fan_in, fan_out).
 """
 
 import json
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FormatError, NumericalError, UsageError
+from .files import write_atomic
 
 CHECKPOINT_FORMAT = "llpkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -247,11 +247,12 @@ def save_checkpoint(
         }
     else:
         record["optimizer"] = None
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         json.dump(record, fh)
         fh.write("\n")
-    os.replace(tmp, path)
+
+    write_atomic(path, write)
 
 
 def load_checkpoint(path) -> tuple[ClassifierParams, OptimizerState | None]:

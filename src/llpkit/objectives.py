@@ -10,16 +10,16 @@ Four ways to train the instance classifier:
   log-likelihood at the same parameters, so a trainer that refreshes
   targets after each epoch gets that epoch's log-likelihood with them;
 * normal approximation ("amle"): replace the count likelihood with a
-  moment-matched Gaussian and minimize :func:`amle_loss`;
+  moment-matched Gaussian and minimize :func:`amle_batch_loss`;
 * proportion matching ("dllp"): cross-entropy between the true and the
-  mean-predicted positive proportion of each bag (:func:`dllp_loss`);
+  mean-predicted positive proportion of each bag (:func:`dllp_batch_loss`);
 * fully supervised: ordinary binary cross-entropy on instance labels
   (:func:`supervised_loss`), the skyline baseline.
 
 Every loss returns ``(value, dvalue_doutputs)`` so the network's generic
-backward pass maps it onto parameters.  Losses only ever receive a bag's
-feature matrix and its positive count; ground-truth labels cannot reach
-them by construction.
+backward pass maps it onto parameters.  Losses only ever receive feature
+rows and bag counts; ground-truth labels cannot reach them by
+construction.
 """
 
 import math
@@ -54,19 +54,11 @@ class InferenceConfig:
 
 
 @dataclass(frozen=True)
-class BagMoments:
-    """Mean and (floored) variance of a bag's predicted positive count."""
-
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class EmState:
     """Soft targets and count log-likelihood at one set of parameters.
 
-    ``targets`` has one entry per instance, in the row order of the
-    dataset's ``stacked_features``.
+    ``targets`` has one entry per instance, in the row order of
+    ``dataset.instances``.
     """
 
     targets: np.ndarray
@@ -86,12 +78,11 @@ def e_step(params, dataset: BagDataset) -> EmState:
     call.  Raises NumericalError naming the first bag whose posteriors or
     log-likelihood are not finite.
     """
-    probs = _clamped_forward(params, dataset.stacked_features)
-    sizes = np.array([bag.size for bag in dataset.bags], dtype=np.int64)
-    counts = np.array([bag.positive_count for bag in dataset.bags], dtype=np.int64)
-    phi, log_pb = batch_posteriors(probs, sizes, counts)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    finite = np.isfinite(log_pb) & np.logical_and.reduceat(np.isfinite(phi), starts)
+    probs = _clamped_forward(params, dataset.instances.features)
+    phi, log_pb = batch_posteriors(probs, dataset.sizes, dataset.counts)
+    finite = np.isfinite(log_pb) & np.logical_and.reduceat(
+        np.isfinite(phi), dataset.offsets[:-1]
+    )
     if not finite.all():
         raise NumericalError(
             f"non-finite E-step posterior or log-likelihood in bag "
@@ -132,52 +123,6 @@ def mle_llp_objective(params, dataset: BagDataset) -> float:
     return e_step(params, dataset).log_likelihood
 
 
-def bag_moments(p) -> BagMoments:
-    """Moment-match the predicted count: mean sum(p), variance sum(p(1-p))
-    floored at VARIANCE_FLOOR."""
-    p = clamp_probabilities(p)
-    mean = float(p.sum())
-    variance = float(np.sum(p * (1.0 - p)))
-    return BagMoments(mean=mean, variance=max(variance, VARIANCE_FLOOR))
-
-
-def amle_loss(params, features, positive_count: int) -> tuple[float, np.ndarray]:
-    """Gaussian-approximated negative count log-likelihood for one bag.
-
-    loss = (y - mu)^2 / var + log(var) with the constant terms of the
-    normal density dropped (the loss may be negative).  Where the variance
-    floor is active that term is locally constant, so its gradient path is
-    zero.
-    """
-    f = _clamped_forward(params, features)
-    mu = float(f.sum())
-    raw_var = float(np.sum(f * (1.0 - f)))
-    floored = raw_var < VARIANCE_FLOOR
-    var = VARIANCE_FLOOR if floored else raw_var
-    residual = positive_count - mu
-    loss = residual * residual / var + math.log(var)
-    grads = np.full(f.shape, -2.0 * residual / var)
-    if not floored:
-        grads += (-(residual * residual) / (var * var) + 1.0 / var) * (1.0 - 2.0 * f)
-    return loss, grads
-
-
-def dllp_loss(params, features, positive_count: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy between the true and mean-predicted positive proportion.
-
-    With rho = y/n and rho_hat = clamp(mean(f)):
-    loss = -[rho log rho_hat + (1 - rho) log(1 - rho_hat)], and every
-    instance shares the gradient (rho_hat - rho) / (rho_hat (1 - rho_hat) n).
-    """
-    f = _clamped_forward(params, features)
-    n = f.size
-    rho = positive_count / n
-    rho_hat = min(max(float(f.mean()), CLAMP_EPS), 1.0 - CLAMP_EPS)
-    loss = -(rho * math.log(rho_hat) + (1.0 - rho) * math.log1p(-rho_hat))
-    grad = (rho_hat - rho) / (rho_hat * (1.0 - rho_hat) * n)
-    return loss, np.full(n, grad)
-
-
 def amle_batch_loss(
     params, features, sizes, positive_counts
 ) -> tuple[float, np.ndarray]:
@@ -185,8 +130,13 @@ def amle_batch_loss(
 
     ``features`` stacks the bags' instances; ``sizes`` and
     ``positive_counts`` give each bag's length and count.  Returns the
-    summed loss and per-instance output gradients, matching
-    :func:`amle_loss` applied bag by bag up to summation order.
+    summed loss and per-instance output gradients.
+
+    Per bag, with mu = sum(f) and var = sum(f (1 - f)) floored at
+    VARIANCE_FLOOR: loss = (y - mu)^2 / var + log(var), the normal density
+    without its constant terms (the loss may be negative).  Where the
+    floor is active the variance is locally constant, so its gradient
+    path is zero.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     ys = np.asarray(positive_counts, dtype=np.float64)
@@ -213,8 +163,10 @@ def dllp_batch_loss(
 ) -> tuple[float, np.ndarray]:
     """Proportion cross-entropy for several bags in one network pass.
 
-    Same contract as :func:`amle_batch_loss`, matching :func:`dllp_loss`
-    applied bag by bag up to summation order.
+    Same contract as :func:`amle_batch_loss`.  Per bag, with rho = y/n and
+    rho_hat = clamp(mean(f)): loss = -[rho log rho_hat + (1 - rho)
+    log(1 - rho_hat)], and every instance shares the gradient
+    (rho_hat - rho) / (rho_hat (1 - rho_hat) n).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     ys = np.asarray(positive_counts, dtype=np.float64)
@@ -270,12 +222,14 @@ def em_lower_bound(params, dataset: BagDataset, bag_alphas=None) -> float:
     With ``bag_alphas`` omitted, each bag uses its exact configuration
     posterior, making the bound tight.
     """
+    probs_all = _clamped_forward(params, dataset.instances.features)
+    offsets, counts = dataset.offsets.tolist(), dataset.counts.tolist()
     total = 0.0
-    for j, bag in enumerate(dataset.bags):
-        probs = _clamped_forward(params, bag.features)
+    for j, y in enumerate(counts):
+        probs = probs_all[offsets[j] : offsets[j + 1]]
         if bag_alphas is None:
-            alpha = configuration_posterior(probs, bag.positive_count)
+            alpha = configuration_posterior(probs, y)
         else:
             alpha = bag_alphas[j]
-        total += bag_lower_bound(probs, bag.positive_count, alpha)
+        total += bag_lower_bound(probs, y, alpha)
     return total

@@ -12,6 +12,9 @@ One :func:`train` call drives any of the four objectives:
 * ``amle`` / ``dllp``: per-bag losses, batched as groups of whole bags.
 * ``supervised``: ordinary instance-level cross-entropy on true labels.
 
+All four share one minibatch loop; a method only decides what a batch
+indexes (instances or bags) and how a batch turns into a loss.
+
 Early stopping watches the training objective (count log-likelihood for
 ``mle``, mean epoch loss otherwise), never test data: it stops after
 ``patience`` consecutive epochs without a relative improvement above
@@ -28,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network, objectives
-from .data import BagDataset, Instance, assign_folds, make_bags
+from .data import BagDataset, Instances, assign_folds, make_bags
 from .errors import NumericalError, UsageError
+from .files import write_atomic
 from .poisson_binomial import (
     bag_log_likelihood,
     clamp_probabilities,
@@ -45,8 +49,7 @@ class TrainConfig:
     """Everything a run needs besides the data.
 
     ``batch_size`` counts instances for mle/supervised and whole bags for
-    amle/dllp.  ``optimizer`` is "adam" for experiments; "sgd" takes plain
-    mean-gradient steps and exists for the monotonicity checks.
+    amle/dllp.  Every step is an Adam step.
     """
 
     method: str
@@ -62,7 +65,6 @@ class TrainConfig:
     target_refresh_interval: int = 1
     threshold: float = 0.5
     hidden_widths: tuple[int, ...] = (32, 32)
-    optimizer: str = "adam"
     threads: int = 1
 
     def __post_init__(self):
@@ -78,8 +80,6 @@ class TrainConfig:
             raise UsageError("rel_tol must be nonnegative")
         if self.target_refresh_interval < 1:
             raise UsageError("target_refresh_interval must be at least 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise UsageError(f"unknown optimizer {self.optimizer!r}")
         if self.threads < 1:
             raise UsageError("threads must be at least 1")
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
@@ -102,7 +102,7 @@ class TrainingRecord:
     rows: list[EpochRow] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        def write(fh):
             writer = csv.writer(fh)
             writer.writerow(RECORD_HEADER)
             for row in self.rows:
@@ -115,6 +115,8 @@ class TrainingRecord:
                         repr(row.seconds),
                     ]
                 )
+
+        write_atomic(path, write)
 
     @classmethod
     def read_csv(cls, path) -> "TrainingRecord":
@@ -164,16 +166,20 @@ class EvalMetrics:
         }
 
 
+def _labeled(instances: Instances) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of a labeled, nonempty evaluation set."""
+    if len(instances) == 0:
+        raise UsageError("evaluation set is empty")
+    if instances.labels is None:
+        raise UsageError("evaluation requires instance labels")
+    return instances.features, instances.labels
+
+
 def evaluate(
-    params, instances: list[Instance], config=objectives.InferenceConfig()
+    params, instances: Instances, config=objectives.InferenceConfig()
 ) -> EvalMetrics:
     """Accuracy and confusion counts of thresholded predictions."""
-    if not instances:
-        raise UsageError("evaluation set is empty")
-    if any(inst.true_label is None for inst in instances):
-        raise UsageError("evaluation requires instance labels")
-    features = np.vstack([inst.features for inst in instances])
-    labels = np.asarray([inst.true_label for inst in instances], dtype=np.int64)
+    features, labels = _labeled(instances)
     preds = objectives.predict(params, features, config)
     return EvalMetrics(
         accuracy=float(np.mean(preds == labels)),
@@ -184,19 +190,8 @@ def evaluate(
     )
 
 
-def _apply_update(params, opt_state, grad, config, context):
-    if config.optimizer == "sgd":
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError(f"non-finite gradient at {context}")
-        return params.with_theta(params.theta - config.learning_rate * grad), opt_state
-    try:
-        return network.optimizer_step(params, opt_state, grad)
-    except NumericalError as exc:
-        raise NumericalError(f"{exc} at {context}") from exc
-
-
 def train(
-    dataset: BagDataset, config: TrainConfig, eval_instances=None
+    dataset: BagDataset, config: TrainConfig, eval_instances: Instances | None = None
 ) -> tuple[network.ClassifierParams, TrainingRecord]:
     """Run the configured method on a bag dataset.
 
@@ -213,86 +208,66 @@ def train(
     )
     rng = np.random.default_rng(int(shuffle_seed))
     infer_cfg = objectives.InferenceConfig(config.threshold)
+    features = dataset.instances.features
 
-    instance_level = config.method in ("mle", "supervised")
-    if instance_level:
-        all_features = dataset.stacked_features
+    # step(params, batch) -> (batch features, summed loss, output gradients),
+    # where a batch indexes instances or bags.
+    bag_level = config.method in ("amle", "dllp")
+    if bag_level:
+        num_items = dataset.num_bags
+        batch_loss = (
+            objectives.amle_batch_loss
+            if config.method == "amle"
+            else objectives.dllp_batch_loss
+        )
+        sizes, counts = dataset.sizes, dataset.counts
+
+        def step(params, bags):
+            feats = features[dataset.bag_rows(bags)]
+            return feats, *batch_loss(params, feats, sizes[bags], counts[bags])
+
+    else:
+        num_items = dataset.num_instances
         if config.method == "supervised":
-            try:
-                targets = np.concatenate(
-                    [bag.true_labels() for bag in dataset.bags]
-                ).astype(np.float64)
-            except UsageError as exc:
-                raise UsageError(
-                    f"supervised training requires instance labels: {exc}"
-                ) from exc
+            if dataset.instances.labels is None:
+                raise UsageError("supervised training requires instance labels")
+            targets = dataset.instances.labels.astype(np.float64)
         else:
             targets = objectives.e_step(params, dataset).targets
 
+        # Reads ``targets`` when called, so mle's refreshes below take effect.
+        def step(params, rows):
+            feats = features[rows]
+            return feats, *objectives.m_step_loss(params, feats, targets[rows])
+
     eval_features = eval_labels = None
     if eval_instances is not None:
-        if not eval_instances:
-            raise UsageError("evaluation set is empty")
-        if any(inst.true_label is None for inst in eval_instances):
-            raise UsageError("evaluation requires instance labels")
-        eval_features = np.vstack([inst.features for inst in eval_instances])
-        eval_labels = np.asarray(
-            [inst.true_label for inst in eval_instances], dtype=np.int64
-        )
+        eval_features, eval_labels = _labeled(eval_instances)
 
     record = TrainingRecord()
     start = time.perf_counter()
     best = None
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
-        if instance_level:
-            count = all_features.shape[0]
-            order = rng.permutation(count)
-            total = 0.0
-            for bi, lo in enumerate(range(0, count, config.batch_size)):
-                sel = order[lo : lo + config.batch_size]
-                loss, out_grads = objectives.m_step_loss(
-                    params, all_features[sel], targets[sel]
-                )
+        order = rng.permutation(num_items)
+        total = 0.0
+        for bi, lo in enumerate(range(0, num_items, config.batch_size)):
+            batch = order[lo : lo + config.batch_size]
+            try:
+                feats, loss, out_grads = step(params, batch)
                 if not math.isfinite(loss):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch}, batch {bi}"
-                    )
-                grad = network.backward(params, all_features[sel], out_grads)
-                params, opt_state = _apply_update(
-                    params, opt_state, grad / sel.size, config,
-                    f"epoch {epoch}, batch {bi}",
-                )
-                total += loss
-            epoch_loss = total / count
-        else:
-            batch_loss = (
-                objectives.amle_batch_loss
-                if config.method == "amle"
-                else objectives.dllp_batch_loss
-            )
-            stacked = dataset.stacked_features
-            slices = dataset.bag_slices
-            order = rng.permutation(dataset.num_bags)
-            total = 0.0
-            for bi, lo in enumerate(range(0, dataset.num_bags, config.batch_size)):
-                chunk = order[lo : lo + config.batch_size]
-                feats = np.concatenate([stacked[slices[j]] for j in chunk])
-                sizes = [dataset.bags[j].size for j in chunk]
-                counts = [dataset.bags[j].positive_count for j in chunk]
-                loss, out_grads = batch_loss(params, feats, sizes, counts)
-                if not math.isfinite(loss):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch}, batch {bi}, "
-                        f"bags {chunk.tolist()}"
-                    )
+                    raise NumericalError("non-finite loss")
                 grad = network.backward(params, feats, out_grads)
-                params, opt_state = _apply_update(
-                    params, opt_state, grad / chunk.size, config,
-                    f"epoch {epoch}, batch {bi}, bags {chunk.tolist()}",
+                params, opt_state = network.optimizer_step(
+                    params, opt_state, grad / batch.size
                 )
-                total += loss
-            epoch_loss = total / dataset.num_bags
+            except NumericalError as exc:
+                where = f"epoch {epoch}, batch {bi}"
+                if bag_level:
+                    where += f", bags {batch.tolist()}"
+                raise NumericalError(f"{exc} at {where}") from exc
+            total += loss
+        epoch_loss = total / num_items
 
         log_likelihood = None
         if config.method == "mle":
@@ -392,7 +367,7 @@ class SweepRow:
 
 
 def bag_size_sweep(
-    instances: list[Instance], sizes, config: TrainConfig, k: int = 10
+    instances: Instances, sizes, config: TrainConfig, k: int = 10
 ) -> list[SweepRow]:
     """Rebag at each fixed size and cross-validate.
 
@@ -445,19 +420,20 @@ def run_em_full_batch(
     tight at the exact posterior).
     """
     params = network.init_params((dataset.feature_dim, *hidden_widths, 1), seed)
-    all_features = dataset.stacked_features
+    all_features = dataset.instances.features
     count = all_features.shape[0]
+    offsets, counts = dataset.offsets.tolist(), dataset.counts.tolist()
     state = objectives.e_step(params, dataset)
     trace = [state.log_likelihood]
     gaps = []
     for _ in range(cycles):
         probs_all = clamp_probabilities(network.forward(params, all_features))
         worst = 0.0
-        for rows, bag in zip(dataset.bag_slices, dataset.bags):
-            probs = probs_all[rows]
-            alpha = configuration_posterior(probs, bag.positive_count)
-            bound = objectives.bag_lower_bound(probs, bag.positive_count, alpha)
-            exact = bag_log_likelihood(probs, bag.positive_count)
+        for j, y in enumerate(counts):
+            probs = probs_all[offsets[j] : offsets[j + 1]]
+            alpha = configuration_posterior(probs, y)
+            bound = objectives.bag_lower_bound(probs, y, alpha)
+            exact = bag_log_likelihood(probs, y)
             worst = max(worst, abs(bound - exact))
         gaps.append(worst)
         for _ in range(inner_steps):

@@ -1,9 +1,13 @@
-"""Shared test utilities: finite-difference and leave-one-out oracles,
-and error metrics."""
+"""Shared test utilities: finite-difference, leave-one-out and per-bag
+loss oracles, and error metrics."""
+
+import math
 
 import numpy as np
 
-from llpkit.network import ClassifierParams
+from llpkit.network import ClassifierParams, forward
+from llpkit.objectives import VARIANCE_FLOOR
+from llpkit.poisson_binomial import CLAMP_EPS, clamp_probabilities
 
 
 def finite_difference_gradient(loss_fn, theta, step=1e-4):
@@ -83,3 +87,38 @@ def loo_posteriors(p, y):
         rest = probs[:i] + probs[i + 1 :]
         phi[i] = probs[i] * count_probability(rest, y - 1) / total
     return np.clip(phi, 0.0, 1.0)
+
+
+def amle_loss(params, features, positive_count):
+    """Gaussian count loss of one bag, term by term in Python floats: the
+    oracle for ``amle_batch_loss``.
+
+    loss = (y - mu)^2 / var + log(var), mu = sum(f), var = sum(f (1 - f))
+    floored at VARIANCE_FLOOR; the floored variance has no gradient path.
+    """
+    f = clamp_probabilities(forward(params, features)).tolist()
+    mu = sum(f)
+    raw_var = sum(v * (1.0 - v) for v in f)
+    floored = raw_var < VARIANCE_FLOOR
+    var = VARIANCE_FLOOR if floored else raw_var
+    residual = positive_count - mu
+    loss = residual * residual / var + math.log(var)
+    var_path = 0.0 if floored else -(residual * residual) / (var * var) + 1.0 / var
+    grads = [-2.0 * residual / var + var_path * (1.0 - 2.0 * v) for v in f]
+    return loss, np.array(grads)
+
+
+def dllp_loss(params, features, positive_count):
+    """Proportion cross-entropy of one bag in Python floats: the oracle for
+    ``dllp_batch_loss``.
+
+    rho = y/n, rho_hat = clamp(mean(f)); every instance shares the gradient
+    (rho_hat - rho) / (rho_hat (1 - rho_hat) n).
+    """
+    f = clamp_probabilities(forward(params, features)).tolist()
+    n = len(f)
+    rho = positive_count / n
+    rho_hat = min(max(sum(f) / n, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    loss = -(rho * math.log(rho_hat) + (1.0 - rho) * math.log1p(-rho_hat))
+    grad = (rho_hat - rho) / (rho_hat * (1.0 - rho_hat) * n)
+    return loss, np.full(n, grad)

@@ -16,7 +16,6 @@ from helpers import check_loss_gradient
 from llpkit import objectives
 from llpkit.cli import main as cli_main
 from llpkit.data import (
-    Bag,
     BagDataset,
     SyntheticSpec,
     generate_synthetic,
@@ -59,13 +58,9 @@ def em_trace():
     instances = generate_synthetic(
         SyntheticSpec(int(sizes.sum()), 2, 2.0, 0.5, seed=4242)
     )
-    bags = []
-    start = 0
-    for size in sizes:
-        members = tuple(instances[start : start + size])
-        bags.append(Bag(members, sum(inst.true_label for inst in members)))
-        start += size
-    dataset = BagDataset(tuple(bags), feature_dim=2)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    counts = np.add.reduceat(instances.labels, offsets[:-1])
+    dataset = BagDataset(instances, offsets, counts)
     assert dataset.num_bags == 50
 
     t0 = time.perf_counter()
@@ -147,8 +142,8 @@ def test_criterion_03_gradient_suite():
         hard = rng.integers(0, 2, size=n)
         losses = (
             lambda p: objectives.m_step_loss(p, X, soft),
-            lambda p: objectives.amle_loss(p, X, y),
-            lambda p: objectives.dllp_loss(p, X, y),
+            lambda p: objectives.amle_batch_loss(p, X, [n], [y]),
+            lambda p: objectives.dllp_batch_loss(p, X, [n], [y]),
             lambda p: objectives.supervised_loss(p, X, hard),
         )
         for maker in losses:

@@ -372,3 +372,33 @@ class TestErrorContract:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+
+class TestBagCsvErrors:
+    """A malformed bag file is a format error: one ``error:`` line naming
+    the file, line and column, and the usage exit code."""
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("0,1,1\n0,x7,1.0,0.5,1\n", "line 3, column 2: 'x7' is not an integer"),
+            (
+                "0,1,1\n0,0,1.0,0.5,1\n1,0,1\n1,1,2.0,nan,0\n",
+                "line 5, column 4: 'nan' is not a finite number",
+            ),
+            ("0,1,1\n0,0,1.0,0.5,1\n1,y,1\n1,1,2.0,0.5,0\n", "line 4: expected bag summary"),
+        ],
+        ids=["instance-id", "nan-feature", "bag-summary"],
+    )
+    def test_single_error_line(self, tmp_path, capsys, text, where):
+        bags = tmp_path / "bad.csv"
+        bags.write_text("bag_id,y,n\n" + text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "train", "--bags", str(bags), "--method", "amle",
+            "--epochs", "1", "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bags}: ")
+        assert where in lines[0]

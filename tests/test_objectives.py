@@ -10,19 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_loss_gradient, logit
+from helpers import amle_loss, check_loss_gradient, dllp_loss, logit
 from llpkit import objectives
-from llpkit.data import Bag, BagDataset, Instance
+from llpkit.data import BagDataset, Instances
 from llpkit.errors import NumericalError, UsageError
 from llpkit.network import ClassifierParams, backward, forward, init_params, param_count
 from llpkit.objectives import (
     InferenceConfig,
     amle_batch_loss,
-    amle_loss,
     bag_lower_bound,
-    bag_moments,
     dllp_batch_loss,
-    dllp_loss,
     e_step,
     em_lower_bound,
     m_step_loss,
@@ -54,38 +51,42 @@ def probs_as_features(p):
     return logit(np.asarray(p))[:, None]
 
 
+def bags_of(features, sizes, counts, labels=None):
+    """Dataset of consecutive bags of the given sizes over ``features``."""
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return BagDataset(Instances(features, labels), offsets, counts)
+
+
 def random_bag_dataset(rng, num_bags=6, dim=2, max_size=5):
-    bags = []
+    feats, labels, sizes = [], [], []
     for _ in range(num_bags):
         n = int(rng.integers(1, max_size + 1))
-        feats = rng.standard_normal((n, dim))
-        labels = rng.integers(0, 2, size=n)
-        instances = tuple(
-            Instance(feats[i], int(labels[i])) for i in range(n)
-        )
-        bags.append(Bag(instances, int(labels.sum())))
-    return BagDataset(tuple(bags), feature_dim=dim)
+        feats.append(rng.standard_normal((n, dim)))
+        labels.append(rng.integers(0, 2, size=n))
+        sizes.append(n)
+    counts = [int(lab.sum()) for lab in labels]
+    return bags_of(np.vstack(feats), sizes, counts, np.concatenate(labels))
+
+
+def bag_slices(dataset):
+    return [slice(lo, hi) for lo, hi in zip(dataset.offsets[:-1], dataset.offsets[1:])]
 
 
 class TestEStep:
     def test_zero_count_gives_zero_targets(self):
         rng = np.random.default_rng(0)
-        bag = Bag(tuple(Instance(rng.standard_normal(2)) for _ in range(4)), 0)
-        dataset = BagDataset((bag,), feature_dim=2)
+        dataset = bags_of(rng.standard_normal((4, 2)), [4], [0])
         state = e_step(init_params((2, 8, 1), seed=1), dataset)
         np.testing.assert_array_equal(state.targets, np.zeros(4))
 
     def test_uniform_outputs_give_uniform_targets(self):
         rng = np.random.default_rng(1)
-        bag = Bag(tuple(Instance(rng.standard_normal(2)) for _ in range(5)), 2)
-        dataset = BagDataset((bag,), feature_dim=2)
+        dataset = bags_of(rng.standard_normal((5, 2)), [5], [2])
         state = e_step(zero_params(dim=2), dataset)
         np.testing.assert_allclose(state.targets, 2.0 / 5.0, atol=1e-12)
 
     def test_matches_instance_posteriors(self):
-        features = probs_as_features([0.2, 0.5, 0.7])
-        bag = Bag(tuple(Instance(row) for row in features), 2)
-        dataset = BagDataset((bag,), feature_dim=1)
+        dataset = bags_of(probs_as_features([0.2, 0.5, 0.7]), [3], [2])
         state = e_step(identity_params(), dataset)
         np.testing.assert_allclose(
             state.targets, [0.1 / 0.38, 0.31 / 0.38, 0.35 / 0.38], atol=1e-9
@@ -95,17 +96,16 @@ class TestEStep:
         rng = np.random.default_rng(2)
         dataset = random_bag_dataset(rng)
         state = e_step(init_params((2, 8, 1), seed=3), dataset)
-        for bag, rows in zip(dataset.bags, dataset.bag_slices):
-            assert state.targets[rows].sum() == pytest.approx(
-                bag.positive_count, abs=1e-10
-            )
+        for y, rows in zip(dataset.counts, bag_slices(dataset)):
+            assert state.targets[rows].sum() == pytest.approx(y, abs=1e-10)
 
     def test_log_likelihood_matches_the_dp(self):
         dataset = random_bag_dataset(np.random.default_rng(4))
         params = init_params((2, 8, 1), seed=5)
+        features = dataset.instances.features
         expected = sum(
-            math.log(pb_dp(forward(params, bag.features), bag.positive_count))
-            for bag in dataset.bags
+            math.log(pb_dp(forward(params, features[rows]), y))
+            for y, rows in zip(dataset.counts, bag_slices(dataset))
         )
         state = e_step(params, dataset)
         assert state.log_likelihood == pytest.approx(expected, rel=1e-12)
@@ -200,8 +200,7 @@ class TestSupervisedLoss:
 
 class TestCountLogLikelihood:
     def test_single_symmetric_bag(self):
-        bag = Bag((Instance(np.zeros(2)), Instance(np.zeros(2))), 1)
-        dataset = BagDataset((bag,), feature_dim=2)
+        dataset = bags_of(np.zeros((2, 2)), [2], [1])
         assert mle_llp_objective(zero_params(dim=2), dataset) == pytest.approx(
             math.log(0.5), abs=1e-12
         )
@@ -209,40 +208,59 @@ class TestCountLogLikelihood:
     def test_additive_over_bags(self):
         rng = np.random.default_rng(8)
         feats = rng.standard_normal((3, 2))
-        bag = Bag(tuple(Instance(row) for row in feats), 2)
-        single = BagDataset((bag,), feature_dim=2)
-        double = BagDataset((bag, bag), feature_dim=2)
+        single = bags_of(feats, [3], [2])
+        double = bags_of(np.vstack([feats, feats]), [3, 3], [2, 2])
         params = init_params((2, 6, 1), seed=9)
         assert mle_llp_objective(params, double) == pytest.approx(
             2.0 * mle_llp_objective(params, single), rel=1e-12
         )
 
 
+def amle_one_bag(params, features, y):
+    return amle_batch_loss(params, features, [len(features)], [y])
+
+
+def dllp_one_bag(params, features, y):
+    return dllp_batch_loss(params, features, [len(features)], [y])
+
+
 class TestBagMoments:
+    """amle matches the count's mean sum(p) and variance sum(p (1 - p)),
+    floored at VARIANCE_FLOOR: loss = (y - mean)^2 / variance + log(variance)."""
+
     def test_symmetric_pair(self):
-        moments = bag_moments([0.5, 0.5])
-        assert moments.mean == pytest.approx(1.0, abs=1e-12)
-        assert moments.variance == pytest.approx(0.5, abs=1e-12)
+        params, X = zero_params(dim=1), np.zeros((2, 1))
+        assert amle_one_bag(params, X, 1)[0] == pytest.approx(
+            math.log(0.5), abs=1e-12
+        )
+        assert amle_one_bag(params, X, 0)[0] == pytest.approx(
+            1.0 / 0.5 + math.log(0.5), abs=1e-12
+        )
 
     def test_hand_values(self):
-        moments = bag_moments([0.2, 0.5, 0.7])
-        assert moments.mean == pytest.approx(1.4, abs=1e-12)
-        assert moments.variance == pytest.approx(0.62, abs=1e-12)
+        features = probs_as_features([0.2, 0.5, 0.7])
+        for y in (1, 2):
+            loss, _ = amle_one_bag(identity_params(), features, y)
+            assert loss == pytest.approx(
+                (y - 1.4) ** 2 / 0.62 + math.log(0.62), abs=1e-12
+            )
 
     def test_variance_floor(self):
-        moments = bag_moments([1.0 - 1e-9, 1.0 - 1e-9])
-        assert moments.variance == 1e-4
+        features = probs_as_features([1.0 - 1e-9, 1.0 - 1e-9])
+        loss, _ = amle_one_bag(identity_params(), features, 1)
+        mean = 2.0 * (1.0 - 1e-7)  # both outputs clamped
+        assert loss == pytest.approx((1.0 - mean) ** 2 / 1e-4 + math.log(1e-4), rel=1e-12)
 
 
 class TestAmleLoss:
     def test_symmetric_pair_value(self):
         # mu = y = 1, var = 0.5: the residual term vanishes.
-        loss, _ = amle_loss(zero_params(dim=1), np.zeros((2, 1)), 1)
+        loss, _ = amle_one_bag(zero_params(dim=1), np.zeros((2, 1)), 1)
         assert loss == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_zero_residual_leaves_variance_gradient(self):
         features = probs_as_features([0.3, 0.7])  # mu = 1.0 = y
-        loss, grads = amle_loss(identity_params(), features, 1)
+        loss, grads = amle_one_bag(identity_params(), features, 1)
         var = 0.3 * 0.7 + 0.7 * 0.3
         assert loss == pytest.approx(math.log(var), abs=1e-9)
         expected = (1.0 / var) * (1.0 - 2.0 * np.array([0.3, 0.7]))
@@ -257,7 +275,7 @@ class TestAmleLoss:
             y = int(rng.integers(0, n + 1))
 
             def loss_fn(p):
-                loss, out_grads = amle_loss(p, X, y)
+                loss, out_grads = amle_one_bag(p, X, y)
                 return loss, backward(p, X, out_grads)
 
             check_loss_gradient(loss_fn, params)
@@ -266,13 +284,13 @@ class TestAmleLoss:
 class TestDllpLoss:
     def test_matched_proportion_is_stationary(self):
         features = probs_as_features([0.25, 0.25, 0.25, 0.25])
-        loss, grads = dllp_loss(identity_params(), features, 1)
+        loss, grads = dllp_one_bag(identity_params(), features, 1)
         entropy = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
         assert loss == pytest.approx(entropy, abs=1e-9)
         np.testing.assert_allclose(grads, 0.0, atol=1e-9)
 
     def test_log_two_at_half(self):
-        loss, _ = dllp_loss(zero_params(dim=1), np.zeros((2, 1)), 1)
+        loss, _ = dllp_one_bag(zero_params(dim=1), np.zeros((2, 1)), 1)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_against_finite_differences(self):
@@ -284,14 +302,15 @@ class TestDllpLoss:
             y = int(rng.integers(0, n + 1))
 
             def loss_fn(p):
-                loss, out_grads = dllp_loss(p, X, y)
+                loss, out_grads = dllp_one_bag(p, X, y)
                 return loss, backward(p, X, out_grads)
 
             check_loss_gradient(loss_fn, params)
 
 
 class TestBatchedBagLosses:
-    """The multi-bag fast paths must match the per-bag definitions."""
+    """The multi-bag losses must match per-bag oracles computed in Python
+    floats (``helpers.amle_loss``, ``helpers.dllp_loss``)."""
 
     def make_batch(self, rng, num_bags=7):
         sizes, counts, blocks = [], [], []
@@ -325,8 +344,8 @@ class TestBatchedBagLosses:
         params = ClassifierParams((1, 1), np.array([60.0, 0.0]))
         X = np.array([[5.0], [5.0], [0.0]])  # first bag saturated, second not
         total, grads = amle_batch_loss(params, X, [2, 1], [2, 0])
-        loss_a, grads_a = amle_loss(params, X[:2], 2)
-        loss_b, grads_b = amle_loss(params, X[2:], 0)
+        loss_a, grads_a = amle_one_bag(params, X[:2], 2)
+        loss_b, grads_b = amle_one_bag(params, X[2:], 0)
         assert total == pytest.approx(loss_a + loss_b, rel=1e-12)
         np.testing.assert_allclose(
             grads, np.concatenate([grads_a, grads_b]), rtol=1e-10
@@ -438,7 +457,7 @@ class TestSingleInstanceConsistency:
             for x, f in zip(features, grid):
                 X = x[None, :]
                 _, exact = m_step_loss(identity_params(), X, np.array([float(y)]))
-                _, approx = amle_loss(identity_params(), X, y)
+                _, approx = amle_one_bag(identity_params(), X, y)
                 expected = math.copysign(1.0, f - y)
                 assert math.copysign(1.0, exact[0]) == expected
                 assert math.copysign(1.0, approx[0]) == expected

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from llpkit.data import (
-    Bag,
     BagDataset,
-    Instance,
+    Instances,
     SyntheticSpec,
     assign_folds,
     generate_synthetic,
@@ -52,23 +51,16 @@ class TestTrain:
         assert len(record.rows) == 1
         assert record.rows[0].epoch == 1
 
-    def test_all_negative_bags_full_batch_is_monotone(self):
-        instances = [
-            Instance(np.random.default_rng(3).standard_normal(2), 0)
-            for _ in range(40)
-        ]
-        dataset = make_bags(instances, 2, 4, seed=0)
+    def test_all_negative_bags_full_batch_predicts_negative(self):
+        features = np.tile(np.random.default_rng(3).standard_normal(2), (40, 1))
+        dataset = make_bags(Instances(features, np.zeros(40, dtype=int)), 2, 4, seed=0)
         config = quick_config(
             "mle",
             max_epochs=40,
             batch_size=10_000,
-            optimizer="sgd",
             learning_rate=0.5,
         )
-        params, record = train(dataset, config)
-        losses = [row.loss for row in record.rows]
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-        features = np.vstack([bag.features for bag in dataset.bags])
+        params, _ = train(dataset, config)
         np.testing.assert_array_equal(predict(params, features), 0)
 
     def test_deterministic_given_seed(self):
@@ -152,7 +144,7 @@ def reference_mle_loop(dataset, config):
         params, config.learning_rate, config.beta1, config.beta2, config.adam_eps
     )
     rng = np.random.default_rng(int(shuffle_seed))
-    features = dataset.stacked_features
+    features = dataset.instances.features
     rows = []
     for epoch in range(1, config.max_epochs + 1):
         if (epoch - 1) % config.target_refresh_interval == 0:
@@ -206,42 +198,31 @@ class TestEvaluate:
 
     def test_perfect_predictions(self):
         # Evaluate against the model's own predictions as pseudo-labels.
-        features = np.vstack([inst.features for inst in self.instances])
-        preds = predict(self.params, features)
-        relabeled = [
-            Instance(inst.features, int(pred))
-            for inst, pred in zip(self.instances, preds)
-        ]
+        features = self.instances.features
+        relabeled = Instances(features, predict(self.params, features))
         assert evaluate(self.params, relabeled).accuracy == 1.0
 
     def test_flipped_predictions(self):
-        features = np.vstack([inst.features for inst in self.instances])
-        preds = predict(self.params, features)
-        flipped = [
-            Instance(inst.features, 1 - int(pred))
-            for inst, pred in zip(self.instances, preds)
-        ]
+        features = self.instances.features
+        flipped = Instances(features, 1 - predict(self.params, features))
         metrics = evaluate(self.params, flipped)
         assert metrics.accuracy == 0.0
         assert metrics.true_positive == 0 and metrics.true_negative == 0
 
     def test_independent_labels_score_near_chance(self):
         rng = np.random.default_rng(41)
-        coin = [
-            Instance(inst.features, int(rng.integers(0, 2)))
-            for inst in self.instances
-        ]
+        coin = Instances(self.instances.features, rng.integers(0, 2, size=400))
         accuracy = evaluate(self.params, coin).accuracy
         # Binomial(400, 0.5) concentration: 4 sigma is 0.1.
         assert abs(accuracy - 0.5) < 0.1
 
     def test_empty_set_rejected(self):
-        with pytest.raises(UsageError):
-            evaluate(self.params, [])
+        with pytest.raises(UsageError, match="empty"):
+            evaluate(self.params, Instances(np.zeros((0, 2))))
 
     def test_unlabeled_rejected(self):
-        with pytest.raises(UsageError):
-            evaluate(self.params, [Instance(np.zeros(2))])
+        with pytest.raises(UsageError, match="labels"):
+            evaluate(self.params, Instances(np.zeros((1, 2))))
 
 
 class TestCrossValidate:
@@ -249,14 +230,13 @@ class TestCrossValidate:
         rng = np.random.default_rng(51)
         feats = rng.standard_normal((12, 2))
         labels = rng.integers(0, 2, size=12)
-        instances = tuple(
-            Instance(feats[i], int(labels[i]), instance_id=i) for i in range(12)
-        )
-        half = [Bag(instances[i : i + 3], int(labels[i : i + 3].sum())) for i in (0, 3, 6, 9)]
+        counts = [int(labels[i : i + 3].sum()) for i in (0, 3, 6, 9)]
         # Two folds containing byte-identical bags.
-        bags = tuple(half + half)
         dataset = BagDataset(
-            bags, feature_dim=2, fold_assignment={i: i // 4 for i in range(8)}
+            Instances(np.vstack([feats, feats]), np.concatenate([labels, labels])),
+            offsets=np.arange(0, 25, 3),
+            counts=counts + counts,
+            fold_assignment={i: i // 4 for i in range(8)},
         )
         result = cross_validate(dataset, quick_config("mle", max_epochs=5))
         accs = [fr.metrics.accuracy for fr in result.folds]
