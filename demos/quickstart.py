@@ -14,7 +14,6 @@ Run from the repository root:
 import numpy as np
 
 from llpkit import (
-    InferenceConfig,
     SyntheticSpec,
     TrainConfig,
     e_step,
@@ -49,8 +48,8 @@ print("4. Training the fully supervised skyline on the same instances...")
 supervised_params, _ = train(dataset, TrainConfig(method="supervised",
                                                   max_epochs=100, seed=7))
 
-acc_counts = evaluate(params, holdout, InferenceConfig()).accuracy
-acc_labels = evaluate(supervised_params, holdout, InferenceConfig()).accuracy
+acc_counts = evaluate(params, holdout, threshold=0.5).accuracy
+acc_labels = evaluate(supervised_params, holdout, threshold=0.5).accuracy
 print(f"5. Held-out accuracy: counts only {acc_counts:.4f} vs "
       f"labels {acc_labels:.4f}")
 

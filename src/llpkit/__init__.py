@@ -21,7 +21,7 @@ from .data import (
     save_bags_csv,
     save_instances_csv,
 )
-from .errors import CapacityError, FormatError, LlpError, NumericalError, UsageError
+from .errors import FormatError, LlpError, NumericalError, UsageError
 from .network import (
     ClassifierParams,
     OptimizerState,
@@ -35,22 +35,12 @@ from .network import (
 )
 from .objectives import (
     EmState,
-    InferenceConfig,
     e_step,
-    em_lower_bound,
     m_step_loss,
-    mle_llp_objective,
     predict,
     supervised_loss,
 )
-from .poisson_binomial import (
-    bag_log_likelihood,
-    configuration_posterior,
-    enumerate_configurations,
-    instance_posteriors,
-    pb_dp,
-    pb_enumerated,
-)
+from .poisson_binomial import bag_log_likelihood, instance_posteriors
 from .training import (
     CrossValResult,
     EvalMetrics,
@@ -59,6 +49,5 @@ from .training import (
     bag_size_sweep,
     cross_validate,
     evaluate,
-    run_em_full_batch,
     train,
 )

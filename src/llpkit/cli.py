@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import __version__, data, network, objectives, training
+from . import __version__, data, network, training
 from .errors import LlpError, NumericalError, UsageError
 from .files import write_atomic
 
@@ -63,7 +63,6 @@ def _train_config(args, method=None) -> training.TrainConfig:
         target_refresh_interval=args.refresh,
         threshold=args.threshold,
         hidden_widths=tuple(_parse_int_list(args.hidden, "--hidden")),
-        threads=args.threads,
     )
 
 
@@ -130,6 +129,11 @@ def cmd_bag(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.folds is not None and args.eval_data:
+        raise UsageError(
+            "--eval cannot be combined with --folds: cross-validation scores "
+            "each held-out fold instead"
+        )
     dataset = data.load_bags_csv(args.bags)
     config = _train_config(args)
     out_dir = _out_path(args.out)
@@ -185,9 +189,7 @@ def cmd_eval(args) -> int:
             f"checkpoint expects {params.input_dim} features, data has "
             f"{instances.dim}"
         )
-    metrics = training.evaluate(
-        params, instances, objectives.InferenceConfig(args.threshold)
-    )
+    metrics = training.evaluate(params, instances, args.threshold)
     payload = metrics.as_dict()
     payload["accuracy"] = round(payload["accuracy"], 6)
     print(f"accuracy: {metrics.accuracy:.6f}")
@@ -214,13 +216,6 @@ def cmd_sweep(args) -> int:
         if method not in training.METHODS:
             raise UsageError(
                 f"unknown method {method!r}, expected one of {training.METHODS}"
-            )
-    if "mle" in methods:
-        oversized = [s for s in sizes if s > args.mle_max_size]
-        if oversized:
-            raise UsageError(
-                f"bag size {oversized[0]} exceeds the mle capacity guard "
-                f"({args.mle_max_size}); raise --mle-max-size to override"
             )
 
     out = _out_path(args.out)
@@ -266,8 +261,6 @@ def _add_train_flags(parser) -> None:
                         help="decision threshold")
     parser.add_argument("--hidden", default="32,32",
                         help="comma-separated hidden layer widths")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel fold workers (results are identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--folds", type=int, default=None,
                        help="run k-fold cross-validation instead of one fit")
     train.add_argument("--eval", dest="eval_data", default=None,
-                       help="labeled instance CSV scored after every epoch")
+                       help="labeled instance CSV scored after every epoch "
+                            "(not with --folds)")
     _add_train_flags(train)
     train.set_defaults(func=cmd_train)
 
@@ -324,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of " + ",".join(training.METHODS))
     sweep.add_argument("--out", required=True, help="results CSV to write")
     sweep.add_argument("--folds", type=int, default=10)
-    sweep.add_argument("--mle-max-size", type=int, default=64,
-                       help="largest bag size allowed for mle")
     _add_train_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser

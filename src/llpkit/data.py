@@ -189,6 +189,19 @@ def generate_synthetic(spec: SyntheticSpec) -> Instances:
     return Instances(feats, labels)
 
 
+def _read_rows(path) -> list[list[str]]:
+    """The nonblank CSV rows of a file; FormatError if it is empty or not
+    UTF-8 text."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    return rows
+
+
 def _line_number(path, index: int) -> int:
     """1-based file line of nonblank CSV row ``index`` (the header is row
     0); only error messages need it."""
@@ -229,10 +242,7 @@ def _parse_cells(path, rows, first_col, width, file_rows, parse):
 
 def load_instances_csv(path) -> Instances:
     """Read an instance CSV; labels are parsed when the column exists."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise FormatError(f"{path}: empty file")
+    rows = _read_rows(path)
     header = [name.strip() for name in rows[0]]
     has_label = header[-1] == "label"
     feature_names = header[:-1] if has_label else header
@@ -368,10 +378,7 @@ def load_bags_csv(path) -> BagDataset:
     otherwise it is a feature.  Files written by :func:`save_bags_csv` from
     labeled data always satisfy the first case.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise FormatError(f"{path}: empty file")
+    rows = _read_rows(path)
     if [c.strip() for c in rows[0]] != ["bag_id", "y", "n"]:
         raise FormatError(f"{path}: header must be bag_id,y,n, got {rows[0]}")
 

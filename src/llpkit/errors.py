@@ -13,9 +13,5 @@ class FormatError(UsageError):
     """A data file does not match its documented layout."""
 
 
-class CapacityError(LlpError):
-    """An exhaustive enumeration was requested for a bag too large to list."""
-
-
 class NumericalError(LlpError):
     """A computation produced a non-finite quantity."""

@@ -264,6 +264,8 @@ def load_checkpoint(path) -> tuple[ClassifierParams, OptimizerState | None]:
     with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
+        except UnicodeDecodeError:
+            raise FormatError(f"checkpoint {path} is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise FormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(record, dict) or record.get("format") != CHECKPOINT_FORMAT:

@@ -22,7 +22,6 @@ rows and bag counts; ground-truth labels cannot reach them by
 construction.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,27 +29,11 @@ import numpy as np
 from . import network
 from .data import BagDataset
 from .errors import NumericalError, UsageError
-from .poisson_binomial import (
-    CLAMP_EPS,
-    batch_posteriors,
-    clamp_probabilities,
-    configuration_posterior,
-)
+from .poisson_binomial import CLAMP_EPS, batch_posteriors, clamp_probabilities
 
 # Floor for the approximate bag-count variance: the Gaussian objective
 # divides by it and takes its log, both unbounded as predictions saturate.
 VARIANCE_FLOOR = 1e-4
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Decision threshold on the classifier output."""
-
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise UsageError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +100,6 @@ def supervised_loss(params, features, labels) -> tuple[float, np.ndarray]:
     return m_step_loss(params, features, labels.astype(np.float64))
 
 
-def mle_llp_objective(params, dataset: BagDataset) -> float:
-    """Dataset log-likelihood of the observed counts (sum over bags); the
-    log-likelihood half of :func:`e_step`."""
-    return e_step(params, dataset).log_likelihood
-
-
 def amle_batch_loss(
     params, features, sizes, positive_counts
 ) -> tuple[float, np.ndarray]:
@@ -181,55 +158,12 @@ def dllp_batch_loss(
     return loss, np.repeat(per_bag, sizes)
 
 
-def predict(params, features, config: InferenceConfig = InferenceConfig()) -> np.ndarray:
-    """Thresholded labels; ties at the threshold go to the positive class."""
+def predict(params, features, threshold: float = 0.5) -> np.ndarray:
+    """Thresholded labels; ties at the threshold go to the positive class.
+
+    Raises UsageError for a threshold outside (0, 1).
+    """
+    if not 0.0 < threshold < 1.0:
+        raise UsageError(f"threshold must be in (0, 1), got {threshold}")
     probs = network.forward(params, features)
-    return (probs >= config.threshold).astype(np.int64)
-
-
-def bag_lower_bound(p, y: int, alpha: dict[tuple[int, ...], float]) -> float:
-    """Expected complete-data log-likelihood plus entropy for one bag.
-
-    ``alpha`` assigns a weight to each configuration consistent with the
-    count.  At the exact posterior this equals the bag's count
-    log-likelihood (Jensen's inequality is tight there); any other
-    distribution gives a smaller value.
-    """
-    p = clamp_probabilities(p)
-    log_p = np.log(p)
-    log_q = np.log1p(-p)
-    total = 0.0
-    weight = 0.0
-    for config, a in alpha.items():
-        if a < 0.0:
-            raise UsageError("configuration weights must be nonnegative")
-        weight += a
-        if a == 0.0:
-            continue
-        if len(config) != p.size or sum(config) != y:
-            raise UsageError(f"configuration {config} inconsistent with count {y}")
-        mask = np.asarray(config, dtype=bool)
-        log_joint = float(log_p[mask].sum() + log_q[~mask].sum())
-        total += a * (log_joint - math.log(a))
-    if abs(weight - 1.0) > 1e-9:
-        raise UsageError(f"configuration weights sum to {weight}, not 1")
-    return total
-
-
-def em_lower_bound(params, dataset: BagDataset, bag_alphas=None) -> float:
-    """Dataset-level lower bound on the count log-likelihood.
-
-    With ``bag_alphas`` omitted, each bag uses its exact configuration
-    posterior, making the bound tight.
-    """
-    probs_all = _clamped_forward(params, dataset.instances.features)
-    offsets, counts = dataset.offsets.tolist(), dataset.counts.tolist()
-    total = 0.0
-    for j, y in enumerate(counts):
-        probs = probs_all[offsets[j] : offsets[j + 1]]
-        if bag_alphas is None:
-            alpha = configuration_posterior(probs, y)
-        else:
-            alpha = bag_alphas[j]
-        total += bag_lower_bound(probs, y, alpha)
-    return total
+    return (probs >= threshold).astype(np.int64)

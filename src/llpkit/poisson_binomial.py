@@ -2,43 +2,30 @@
 
 When the instances of a bag are independent Bernoulli variables with
 individual success probabilities ``p_i``, the number of positive instances
-follows a Poisson binomial distribution.  This module evaluates its pmf two
-ways:
+follows a Poisson binomial distribution.  Count-supervised training needs
+two quantities from it: the log pmf of each bag's observed count and the
+per-instance posterior probabilities given that count (the soft
+cross-entropy targets).
 
-* :func:`pb_enumerated` sums over every label configuration consistent with
-  the count.  It is exponential in the bag size and exists as an independent
-  oracle for the fast path.
-* :func:`pb_dp` folds one Bernoulli variable in at a time with the standard
-  O(n * (y + 1)) convolution recurrence and supports any bag size.
-
-On top of the pmf it derives the quantities needed for count-supervised
-training: the posterior weight of each consistent configuration and the
-per-instance posterior probabilities (the soft cross-entropy targets).
-
-Training gets both the posteriors and the log pmf of every bag from one
-kernel, :func:`batch_posteriors`.  It runs a forward-backward pass over
-count distributions in log space, O(n * y) per bag, for many bags at once,
-and holds at any bag size: a bag whose pmf underflows float64 still gets
-finite log-likelihoods and posteriors that sum to its count.
+Both come from one kernel, :func:`batch_posteriors`.  It runs a
+forward-backward pass over count distributions in log space, O(n * y) per
+bag, for many bags at once, and holds at any bag size: a bag whose pmf
+underflows float64 still gets finite log-likelihoods and posteriors that
+sum to its count.  :func:`instance_posteriors` and
+:func:`bag_log_likelihood` are its one-bag forms.
 
 All entry points clamp probabilities into ``[CLAMP_EPS, 1 - CLAMP_EPS]`` so
 that every consistent count has strictly positive probability and logs stay
-finite.  Both pmf paths clamp identically, so their results remain
-comparable at full precision.
+finite.
 """
-
-import itertools
 
 import numpy as np
 
-from .errors import CapacityError, UsageError
+from .errors import UsageError
 
 # Clamp width for instance probabilities; keeps pb(p, y) > 0 for any valid y
 # while perturbing well-scaled probabilities by at most 1e-7.
 CLAMP_EPS = 1e-7
-
-# Hard cap for the enumeration path: C(20, 10) = 184756 configurations.
-ENUMERATION_LIMIT = 20
 
 # Floats in one chunk's forward table in batch_posteriors (1 MiB), so the
 # kernel's working memory does not grow with the number of bags.
@@ -64,83 +51,6 @@ def clamp_probabilities(p) -> np.ndarray:
 def _check_count(n: int, y: int) -> None:
     if not 0 <= y <= n:
         raise UsageError(f"positive count y={y} outside [0, {n}]")
-
-
-def enumerate_configurations(n: int, y: int) -> list[tuple[int, ...]]:
-    """All binary label vectors of length ``n`` that sum to ``y``.
-
-    Returned in lexicographic order, exactly C(n, y) of them.  Bags larger
-    than ENUMERATION_LIMIT raise CapacityError; callers that only need the
-    pmf should use :func:`pb_dp` instead, which has no size limit.
-    """
-    if n > ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"bag size {n} exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
-    _check_count(n, y)
-    configs = []
-    for ones in itertools.combinations(range(n), y):
-        h = [0] * n
-        for i in ones:
-            h[i] = 1
-        configs.append(tuple(h))
-    configs.sort()
-    return configs
-
-
-def pb_enumerated(p, y: int) -> float:
-    """Poisson binomial pmf by explicit sum over consistent configurations.
-
-    Exponential in the bag size; serves as the oracle for :func:`pb_dp`.
-    """
-    p = clamp_probabilities(p)
-    _check_count(p.size, y)
-    configs = np.asarray(enumerate_configurations(p.size, y), dtype=bool)
-    configs = configs.reshape(-1, p.size)
-    terms = np.where(configs, p, 1.0 - p)
-    return float(terms.prod(axis=1).sum())
-
-
-def pb_dp(p, y: int) -> float:
-    """Poisson binomial pmf via the convolution recurrence.
-
-    Starts from the point distribution at count 0 and folds in one
-    Bernoulli variable at a time, keeping only counts up to ``y``.  Runs in
-    O(n * (y + 1)) time for any bag size.
-    """
-    p = clamp_probabilities(p)
-    _check_count(p.size, y)
-    return _count_probability(p.tolist(), y)
-
-
-def _count_probability(probs: list[float], y: int) -> float:
-    # Plain-float DP: the arrays involved are tiny, so Python floats beat
-    # numpy dispatch overhead.  Updated in place from the top down so each
-    # step sees the previous iteration's values.
-    dist = [0.0] * (y + 1)
-    dist[0] = 1.0
-    for i, pi in enumerate(probs):
-        q = 1.0 - pi
-        for k in range(min(i + 1, y), 0, -1):
-            dist[k] = dist[k] * q + dist[k - 1] * pi
-        dist[0] *= q
-    return dist[y]
-
-
-def configuration_posterior(p, y: int) -> dict[tuple[int, ...], float]:
-    """Posterior weight of each consistent configuration given the count.
-
-    Weights are proportional to the configuration probabilities and sum to
-    one.  Limited to bags of size ENUMERATION_LIMIT, like the enumeration
-    it is built on.
-    """
-    p = clamp_probabilities(p)
-    _check_count(p.size, y)
-    configs = enumerate_configurations(p.size, y)
-    mat = np.asarray(configs, dtype=bool).reshape(-1, p.size)
-    weights = np.where(mat, p, 1.0 - p).prod(axis=1)
-    weights /= weights.sum()
-    return dict(zip(configs, weights.tolist()))
 
 
 def instance_posteriors(p, y: int) -> np.ndarray:

@@ -25,7 +25,6 @@ wall-clock time only ever lands in the record's ``seconds`` column.
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +33,6 @@ from . import network, objectives
 from .data import BagDataset, Instances, assign_folds, make_bags
 from .errors import NumericalError, UsageError
 from .files import write_atomic
-from .poisson_binomial import (
-    bag_log_likelihood,
-    clamp_probabilities,
-    configuration_posterior,
-)
 
 METHODS = ("mle", "amle", "dllp", "supervised")
 RECORD_HEADER = ["epoch", "loss", "log_likelihood", "test_accuracy", "seconds"]
@@ -56,16 +50,12 @@ class TrainConfig:
     max_epochs: int = 200
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 10
     rel_tol: float = 1e-5
     seed: int = 0
     target_refresh_interval: int = 1
     threshold: float = 0.5
     hidden_widths: tuple[int, ...] = (32, 32)
-    threads: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -80,10 +70,9 @@ class TrainConfig:
             raise UsageError("rel_tol must be nonnegative")
         if self.target_refresh_interval < 1:
             raise UsageError("target_refresh_interval must be at least 1")
-        if self.threads < 1:
-            raise UsageError("threads must be at least 1")
+        if not 0.0 < self.threshold < 1.0:
+            raise UsageError(f"threshold must be in (0, 1), got {self.threshold}")
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
-        objectives.InferenceConfig(self.threshold)
 
 
 @dataclass(frozen=True)
@@ -117,25 +106,6 @@ class TrainingRecord:
                 )
 
         write_atomic(path, write)
-
-    @classmethod
-    def read_csv(cls, path) -> "TrainingRecord":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != RECORD_HEADER:
-                raise UsageError(f"{path}: not a training record")
-            rows = [
-                EpochRow(
-                    epoch=int(r[0]),
-                    loss=float(r[1]),
-                    log_likelihood=None if r[2] == "" else float(r[2]),
-                    test_accuracy=None if r[3] == "" else float(r[3]),
-                    seconds=float(r[4]),
-                )
-                for r in reader
-            ]
-        return cls(rows)
 
 
 @dataclass(frozen=True)
@@ -175,12 +145,10 @@ def _labeled(instances: Instances) -> tuple[np.ndarray, np.ndarray]:
     return instances.features, instances.labels
 
 
-def evaluate(
-    params, instances: Instances, config=objectives.InferenceConfig()
-) -> EvalMetrics:
+def evaluate(params, instances: Instances, threshold: float = 0.5) -> EvalMetrics:
     """Accuracy and confusion counts of thresholded predictions."""
     features, labels = _labeled(instances)
-    preds = objectives.predict(params, features, config)
+    preds = objectives.predict(params, features, threshold)
     return EvalMetrics(
         accuracy=float(np.mean(preds == labels)),
         true_positive=int(np.sum((preds == 1) & (labels == 1))),
@@ -203,11 +171,8 @@ def train(
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
     )
-    opt_state = network.init_optimizer(
-        params, config.learning_rate, config.beta1, config.beta2, config.adam_eps
-    )
+    opt_state = network.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(int(shuffle_seed))
-    infer_cfg = objectives.InferenceConfig(config.threshold)
     features = dataset.instances.features
 
     # step(params, batch) -> (batch features, summed loss, output gradients),
@@ -277,7 +242,7 @@ def train(
                 targets = state.targets
         accuracy = None
         if eval_features is not None:
-            preds = objectives.predict(params, eval_features, infer_cfg)
+            preds = objectives.predict(params, eval_features, config.threshold)
             accuracy = float(np.mean(preds == eval_labels))
         record.rows.append(
             EpochRow(
@@ -330,28 +295,19 @@ def cross_validate(dataset: BagDataset, config: TrainConfig, k=None) -> CrossVal
     """Train per fold, score each model on its held-out fold's instances.
 
     Reuses the dataset's fold assignment when present, otherwise assigns
-    ``k`` seeded folds.  Every fold trains with the same config seed (so
-    symmetric folds give symmetric results); fold runs are independent, so
-    ``config.threads`` of them may run at once without changing any result.
+    ``k`` seeded folds.  Every fold trains with the same config seed, so
+    symmetric folds give symmetric results.
     """
     if dataset.fold_assignment is None:
         if k is None:
             raise UsageError("dataset has no fold assignment; pass k")
         dataset = assign_folds(dataset, k, config.seed)
-    folds = dataset.folds()
-
-    def run_fold(i: int) -> FoldResult:
-        fold = folds[i]
+    results = []
+    for fold in dataset.folds():
         train_ds, held = dataset.fold_split(fold)
         params, record = train(train_ds, config, eval_instances=held)
-        metrics = evaluate(params, held, objectives.InferenceConfig(config.threshold))
-        return FoldResult(fold=fold, metrics=metrics, record=record)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_fold, range(len(folds))))
-    else:
-        results = [run_fold(i) for i in range(len(folds))]
+        metrics = evaluate(params, held, config.threshold)
+        results.append(FoldResult(fold=fold, metrics=metrics, record=record))
 
     accuracies = [fr.metrics.accuracy for fr in results]
     mean = float(np.mean(accuracies))
@@ -391,55 +347,3 @@ def bag_size_sweep(
         result = cross_validate(bagged, config, k=k)
         rows.append(SweepRow(size, result.mean_accuracy, result.std_accuracy))
     return rows
-
-
-@dataclass(frozen=True)
-class EmTrace:
-    """Log-likelihood trajectory of a full-batch EM run."""
-
-    params: network.ClassifierParams
-    log_likelihoods: list[float]
-    bound_gaps: list[float]
-
-
-def run_em_full_batch(
-    dataset: BagDataset,
-    cycles: int,
-    inner_steps: int,
-    learning_rate: float,
-    seed: int,
-    hidden_widths=(32, 32),
-) -> EmTrace:
-    """Textbook EM cycle for the monotonicity checks.
-
-    Each cycle refreshes the soft targets once, then takes ``inner_steps``
-    plain full-batch descent steps on the mean target cross-entropy.
-    Records the count log-likelihood before the first cycle and after each
-    cycle, plus the worst per-bag gap between the lower bound and the bag
-    log-likelihood at every refresh (zero up to float error: the bound is
-    tight at the exact posterior).
-    """
-    params = network.init_params((dataset.feature_dim, *hidden_widths, 1), seed)
-    all_features = dataset.instances.features
-    count = all_features.shape[0]
-    offsets, counts = dataset.offsets.tolist(), dataset.counts.tolist()
-    state = objectives.e_step(params, dataset)
-    trace = [state.log_likelihood]
-    gaps = []
-    for _ in range(cycles):
-        probs_all = clamp_probabilities(network.forward(params, all_features))
-        worst = 0.0
-        for j, y in enumerate(counts):
-            probs = probs_all[offsets[j] : offsets[j + 1]]
-            alpha = configuration_posterior(probs, y)
-            bound = objectives.bag_lower_bound(probs, y, alpha)
-            exact = bag_log_likelihood(probs, y)
-            worst = max(worst, abs(bound - exact))
-        gaps.append(worst)
-        for _ in range(inner_steps):
-            _, out_grads = objectives.m_step_loss(params, all_features, state.targets)
-            grad = network.backward(params, all_features, out_grads) / count
-            params = params.with_theta(params.theta - learning_rate * grad)
-        state = objectives.e_step(params, dataset)
-        trace.append(state.log_likelihood)
-    return EmTrace(params=params, log_likelihoods=trace, bound_gaps=gaps)

@@ -1,13 +1,25 @@
-"""Shared test utilities: finite-difference, leave-one-out and per-bag
-loss oracles, and error metrics."""
+"""Shared test utilities: finite-difference gradients, error metrics, and
+the oracles the library is checked against.
 
+The oracles compute the same quantities as the library by independent,
+slower routes: the Poisson binomial pmf by enumerating label
+configurations and by a linear-space convolution DP, instance posteriors
+by leave-one-out DPs and configuration marginals, the EM lower bound, a
+textbook full-batch EM loop, and the per-bag losses in Python floats.
+"""
+
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from llpkit import network, objectives
+from llpkit.data import BagDataset
+from llpkit.errors import UsageError
 from llpkit.network import ClassifierParams, forward
 from llpkit.objectives import VARIANCE_FLOOR
-from llpkit.poisson_binomial import CLAMP_EPS, clamp_probabilities
+from llpkit.poisson_binomial import CLAMP_EPS, bag_log_likelihood, clamp_probabilities
 
 
 def finite_difference_gradient(loss_fn, theta, step=1e-4):
@@ -66,6 +78,157 @@ def count_probability(probs, y):
             dist[k] = dist[k] * q + dist[k - 1] * pi
         dist[0] *= q
     return dist[y]
+
+
+def _check_count(n, y):
+    if not 0 <= y <= n:
+        raise UsageError(f"positive count y={y} outside [0, {n}]")
+
+
+def enumerate_configurations(n, y):
+    """All binary label vectors of length ``n`` that sum to ``y``, in
+    lexicographic order: exactly C(n, y) of them."""
+    _check_count(n, y)
+    configs = []
+    for ones in itertools.combinations(range(n), y):
+        h = [0] * n
+        for i in ones:
+            h[i] = 1
+        configs.append(tuple(h))
+    configs.sort()
+    return configs
+
+
+def pb_enumerated(p, y):
+    """Poisson binomial pmf by explicit sum over the consistent
+    configurations, with the library's clamping.  Exponential in the bag
+    size."""
+    p = clamp_probabilities(p)
+    _check_count(p.size, y)
+    configs = np.asarray(enumerate_configurations(p.size, y), dtype=bool)
+    configs = configs.reshape(-1, p.size)
+    terms = np.where(configs, p, 1.0 - p)
+    return float(terms.prod(axis=1).sum())
+
+
+def pb_dp(p, y):
+    """Poisson binomial pmf by the convolution DP, with the library's
+    clamping."""
+    p = clamp_probabilities(p)
+    _check_count(p.size, y)
+    return count_probability(p.tolist(), y)
+
+
+def configuration_posterior(p, y):
+    """Posterior weight of each consistent configuration given the count;
+    the weights sum to one."""
+    p = clamp_probabilities(p)
+    _check_count(p.size, y)
+    configs = enumerate_configurations(p.size, y)
+    mat = np.asarray(configs, dtype=bool).reshape(-1, p.size)
+    weights = np.where(mat, p, 1.0 - p).prod(axis=1)
+    weights /= weights.sum()
+    return dict(zip(configs, weights.tolist()))
+
+
+def bag_lower_bound(p, y, alpha):
+    """Expected complete-data log-likelihood plus entropy for one bag.
+
+    ``alpha`` assigns a weight to each configuration consistent with the
+    count.  At the exact posterior this equals the bag's count
+    log-likelihood (Jensen's inequality is tight there); any other
+    distribution gives a smaller value.
+    """
+    p = clamp_probabilities(p)
+    log_p = np.log(p)
+    log_q = np.log1p(-p)
+    total = 0.0
+    weight = 0.0
+    for config, a in alpha.items():
+        if a < 0.0:
+            raise UsageError("configuration weights must be nonnegative")
+        weight += a
+        if a == 0.0:
+            continue
+        if len(config) != p.size or sum(config) != y:
+            raise UsageError(f"configuration {config} inconsistent with count {y}")
+        mask = np.asarray(config, dtype=bool)
+        log_joint = float(log_p[mask].sum() + log_q[~mask].sum())
+        total += a * (log_joint - math.log(a))
+    if abs(weight - 1.0) > 1e-9:
+        raise UsageError(f"configuration weights sum to {weight}, not 1")
+    return total
+
+
+def em_lower_bound(params, dataset: BagDataset, bag_alphas=None):
+    """Dataset-level lower bound on the count log-likelihood.
+
+    With ``bag_alphas`` omitted, each bag uses its exact configuration
+    posterior, making the bound tight.
+    """
+    probs_all = clamp_probabilities(forward(params, dataset.instances.features))
+    offsets, counts = dataset.offsets.tolist(), dataset.counts.tolist()
+    total = 0.0
+    for j, y in enumerate(counts):
+        probs = probs_all[offsets[j] : offsets[j + 1]]
+        if bag_alphas is None:
+            alpha = configuration_posterior(probs, y)
+        else:
+            alpha = bag_alphas[j]
+        total += bag_lower_bound(probs, y, alpha)
+    return total
+
+
+@dataclass(frozen=True)
+class EmTrace:
+    """Log-likelihood trajectory of a full-batch EM run."""
+
+    params: ClassifierParams
+    log_likelihoods: list
+    bound_gaps: list
+
+
+def run_em_full_batch(
+    dataset: BagDataset,
+    cycles,
+    inner_steps,
+    learning_rate,
+    seed,
+    hidden_widths=(32, 32),
+):
+    """Textbook EM cycle for the monotonicity checks.
+
+    Each cycle refreshes the soft targets once, then takes ``inner_steps``
+    plain full-batch descent steps on the mean target cross-entropy.
+    Records the count log-likelihood before the first cycle and after each
+    cycle, plus the worst per-bag gap between the lower bound and the bag
+    log-likelihood at every refresh (zero up to float error: the bound is
+    tight at the exact posterior).
+    """
+    params = network.init_params((dataset.feature_dim, *hidden_widths, 1), seed)
+    all_features = dataset.instances.features
+    count = all_features.shape[0]
+    offsets, counts = dataset.offsets.tolist(), dataset.counts.tolist()
+    state = objectives.e_step(params, dataset)
+    trace = [state.log_likelihood]
+    gaps = []
+    for _ in range(cycles):
+        probs_all = clamp_probabilities(network.forward(params, all_features))
+        worst = 0.0
+        for j, y in enumerate(counts):
+            probs = probs_all[offsets[j] : offsets[j + 1]]
+            alpha = configuration_posterior(probs, y)
+            bound = bag_lower_bound(probs, y, alpha)
+            exact = bag_log_likelihood(probs, y)
+            worst = max(worst, abs(bound - exact))
+        gaps.append(worst)
+        for _ in range(inner_steps):
+            _, out_grads = objectives.m_step_loss(params, all_features, state.targets)
+            grad = network.backward(params, all_features, out_grads) / count
+            params = params.with_theta(params.theta - learning_rate * grad)
+        state = objectives.e_step(params, dataset)
+        trace.append(state.log_likelihood)
+    return EmTrace(params=params, log_likelihoods=trace, bound_gaps=gaps)
 
 
 def loo_posteriors(p, y):

@@ -7,12 +7,19 @@ that examine the same run.
 """
 
 import csv
+import math
 import time
 
 import numpy as np
 import pytest
 
-from helpers import check_loss_gradient
+from helpers import (
+    check_loss_gradient,
+    configuration_posterior,
+    pb_dp,
+    pb_enumerated,
+    run_em_full_batch,
+)
 from llpkit import objectives
 from llpkit.cli import main as cli_main
 from llpkit.data import (
@@ -22,18 +29,12 @@ from llpkit.data import (
     make_bags,
 )
 from llpkit.network import backward, init_params
-from llpkit.poisson_binomial import (
-    configuration_posterior,
-    instance_posteriors,
-    pb_dp,
-    pb_enumerated,
-)
+from llpkit.poisson_binomial import bag_log_likelihood, instance_posteriors
 from llpkit.training import (
     TrainConfig,
     bag_size_sweep,
     cross_validate,
     evaluate,
-    run_em_full_batch,
     train,
 )
 
@@ -93,17 +94,23 @@ def test_criterion_01_pmf_oracle_equivalence():
     rng = np.random.default_rng(12345)
     t0 = time.perf_counter()
     worst = 0.0
+    worst_library = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         p = rng.random(n)
         y = int(rng.integers(0, n + 1))
-        worst = max(worst, abs(pb_dp(p, y) - pb_enumerated(p, y)))
+        enumerated = pb_enumerated(p, y)
+        worst = max(worst, abs(pb_dp(p, y) - enumerated))
+        library = math.exp(bag_log_likelihood(p, y))
+        worst_library = max(worst_library, abs(library - enumerated))
     elapsed = time.perf_counter() - t0
     report(
         1,
         "pmf equivalence on 1000 random bags",
-        worst <= 1e-12 and elapsed < 5.0,
-        f"max |dp - enumerated| = {worst:.2e}, {elapsed:.2f}s",
+        worst <= 1e-12 and worst_library <= 1e-12 and elapsed < 5.0,
+        f"max |dp - enumerated| = {worst:.2e}, "
+        f"max |exp(bag_log_likelihood) - enumerated| = {worst_library:.2e}, "
+        f"{elapsed:.2f}s",
     )
 
 

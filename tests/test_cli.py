@@ -185,6 +185,20 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_eval_with_folds_is_usage_error(
+        self, tmp_path, bag_csv, instance_csv, capsys
+    ):
+        out_dir = tmp_path / "cv"
+        code, out, err = run(
+            capsys, "train", "--method", "dllp", "--bags", str(bag_csv),
+            "--folds", "3", "--eval", str(instance_csv), "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --eval")
+        assert not out_dir.exists()
+
     def test_identical_reruns_identical_outputs(self, tmp_path, bag_csv, capsys):
         args = [
             "train", "--method", "mle", "--bags", str(bag_csv),
@@ -293,15 +307,17 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 2
         assert (tmp_path / "results.csv.manifest.json").exists()
 
-    def test_mle_capacity_guard(self, tmp_path, instance_csv, capsys):
-        code, _, err = run(
+    def test_mle_runs_above_bag_size_64(self, tmp_path, instance_csv, capsys):
+        out = tmp_path / "r.csv"
+        code, _, _ = run(
             capsys, "sweep", "--data", str(instance_csv), "--sizes", "2,128",
             "--methods", "mle", "--folds", "2", "--epochs", "1",
-            "--out", str(tmp_path / "r.csv"),
+            "--out", str(out),
         )
-        assert code == 2
-        assert "capacity guard" in err
-        assert "--mle-max-size" in err
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:2] for row in rows[1:]] == [["mle", "2"], ["mle", "128"]]
 
     def test_unknown_method_rejected(self, tmp_path, instance_csv, capsys):
         code, _, err = run(
@@ -402,3 +418,43 @@ class TestBagCsvErrors:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {bags}: ")
         assert where in lines[0]
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is a format error naming the file:
+    one ``error:`` line and the usage exit code."""
+
+    @pytest.fixture
+    def latin1_csv(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("f0,label\n1.0,0\n\u00e9,1\n".encode("latin-1"))
+        return path
+
+    def check_single_error(self, capsys, path, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0] and "UTF-8" in lines[0]
+
+    def test_eval_checkpoint(self, tmp_path, instance_csv, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_bytes(b'{"format": "llpkit-checkpoint\xff"}\n')
+        self.check_single_error(
+            capsys, checkpoint,
+            "eval", "--checkpoint", str(checkpoint), "--data", str(instance_csv),
+        )
+
+    def test_bag_instances(self, tmp_path, latin1_csv, capsys):
+        self.check_single_error(
+            capsys, latin1_csv,
+            "bag", "--in", str(latin1_csv), "--out", str(tmp_path / "bags.csv"),
+        )
+
+    def test_train_bags(self, tmp_path, latin1_csv, capsys):
+        self.check_single_error(
+            capsys, latin1_csv,
+            "train", "--method", "amle", "--bags", str(latin1_csv),
+            "--out", str(tmp_path / "run"),
+        )

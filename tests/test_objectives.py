@@ -10,29 +10,32 @@ import math
 import numpy as np
 import pytest
 
-from helpers import amle_loss, check_loss_gradient, dllp_loss, logit
+from helpers import (
+    amle_loss,
+    bag_lower_bound,
+    check_loss_gradient,
+    configuration_posterior,
+    dllp_loss,
+    em_lower_bound,
+    logit,
+    pb_dp,
+)
 from llpkit import objectives
 from llpkit.data import BagDataset, Instances
 from llpkit.errors import NumericalError, UsageError
 from llpkit.network import ClassifierParams, backward, forward, init_params, param_count
 from llpkit.objectives import (
-    InferenceConfig,
     amle_batch_loss,
-    bag_lower_bound,
     dllp_batch_loss,
     e_step,
-    em_lower_bound,
     m_step_loss,
-    mle_llp_objective,
     predict,
     supervised_loss,
 )
 from llpkit.poisson_binomial import (
     bag_log_likelihood,
     clamp_probabilities,
-    configuration_posterior,
     instance_posteriors,
-    pb_dp,
 )
 
 
@@ -109,7 +112,6 @@ class TestEStep:
         )
         state = e_step(params, dataset)
         assert state.log_likelihood == pytest.approx(expected, rel=1e-12)
-        assert mle_llp_objective(params, dataset) == state.log_likelihood
 
     @pytest.mark.parametrize("broken_bag", [1, 3])
     def test_non_finite_result_names_the_bag(self, monkeypatch, broken_bag):
@@ -201,7 +203,7 @@ class TestSupervisedLoss:
 class TestCountLogLikelihood:
     def test_single_symmetric_bag(self):
         dataset = bags_of(np.zeros((2, 2)), [2], [1])
-        assert mle_llp_objective(zero_params(dim=2), dataset) == pytest.approx(
+        assert e_step(zero_params(dim=2), dataset).log_likelihood == pytest.approx(
             math.log(0.5), abs=1e-12
         )
 
@@ -211,8 +213,8 @@ class TestCountLogLikelihood:
         single = bags_of(feats, [3], [2])
         double = bags_of(np.vstack([feats, feats]), [3, 3], [2, 2])
         params = init_params((2, 6, 1), seed=9)
-        assert mle_llp_objective(params, double) == pytest.approx(
-            2.0 * mle_llp_objective(params, single), rel=1e-12
+        assert e_step(params, double).log_likelihood == pytest.approx(
+            2.0 * e_step(params, single).log_likelihood, rel=1e-12
         )
 
 
@@ -373,7 +375,7 @@ class TestPredict:
         from llpkit.network import forward
 
         probs = forward(params, X)
-        base = predict(params, X, InferenceConfig(0.5))
+        base = predict(params, X, 0.5)
         # Any strictly monotone map applied to both sides of the comparison
         # keeps the decision: compare squashed probabilities to the squashed
         # threshold.
@@ -381,8 +383,10 @@ class TestPredict:
         np.testing.assert_array_equal(base, (squashed >= 0.5).astype(int))
 
     def test_threshold_validation(self):
-        with pytest.raises(UsageError):
-            InferenceConfig(0.0)
+        with pytest.raises(UsageError, match="threshold"):
+            predict(zero_params(dim=2), np.zeros((1, 2)), 0.0)
+        with pytest.raises(UsageError, match="threshold"):
+            predict(zero_params(dim=2), np.zeros((1, 2)), 1.0)
 
 
 class TestLowerBound:
@@ -415,7 +419,7 @@ class TestLowerBound:
         dataset = random_bag_dataset(rng, num_bags=8, max_size=6)
         params = init_params((2, 8, 1), seed=15)
         assert em_lower_bound(params, dataset) == pytest.approx(
-            mle_llp_objective(params, dataset), abs=1e-8
+            e_step(params, dataset).log_likelihood, abs=1e-8
         )
 
     def test_rejects_unnormalized_weights(self):

@@ -1,8 +1,11 @@
 """Tests for the epoch loop, cross-validation, and the bag-size sweep."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from helpers import run_em_full_batch
 from llpkit.data import (
     BagDataset,
     Instances,
@@ -13,14 +16,13 @@ from llpkit.data import (
 )
 from llpkit import network
 from llpkit.errors import UsageError
-from llpkit.objectives import e_step, m_step_loss, mle_llp_objective, predict
+from llpkit.objectives import e_step, m_step_loss, predict
 from llpkit.training import (
+    RECORD_HEADER,
     TrainConfig,
-    TrainingRecord,
     bag_size_sweep,
     cross_validate,
     evaluate,
-    run_em_full_batch,
     train,
 )
 
@@ -140,9 +142,7 @@ def reference_mle_loop(dataset, config):
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
     )
-    opt_state = network.init_optimizer(
-        params, config.learning_rate, config.beta1, config.beta2, config.adam_eps
-    )
+    opt_state = network.init_optimizer(params, config.learning_rate)
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
     rows = []
@@ -159,7 +159,8 @@ def reference_mle_loop(dataset, config):
                 params, opt_state, grad / sel.size
             )
             total += loss
-        rows.append((epoch, total / len(features), mle_llp_objective(params, dataset)))
+        log_likelihood = e_step(params, dataset).log_likelihood
+        rows.append((epoch, total / len(features), log_likelihood))
     return params, rows
 
 
@@ -169,8 +170,9 @@ class TestFusedEStep:
         _, record = train(dataset, quick_config("mle", max_epochs=4))
         for epoch in range(1, 5):
             params, _ = train(dataset, quick_config("mle", max_epochs=epoch))
-            assert record.rows[epoch - 1].log_likelihood == mle_llp_objective(
-                params, dataset
+            assert (
+                record.rows[epoch - 1].log_likelihood
+                == e_step(params, dataset).log_likelihood
             )
 
     def test_refresh_interval_matches_reference_loop(self, tmp_path):
@@ -249,16 +251,6 @@ class TestCrossValidate:
         assert result.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-12)
         assert len(result.folds) == 4
 
-    def test_threads_do_not_change_results(self):
-        dataset, _ = blob_bags(n=60)
-        serial = cross_validate(dataset, quick_config("amle", max_epochs=5), k=3)
-        threaded = cross_validate(
-            dataset, quick_config("amle", max_epochs=5, threads=3), k=3
-        )
-        assert [fr.metrics.accuracy for fr in serial.folds] == [
-            fr.metrics.accuracy for fr in threaded.folds
-        ]
-
     def test_existing_assignment_reused(self):
         dataset, _ = blob_bags(n=40)
         dataset = assign_folds(dataset, 3, seed=7)
@@ -313,6 +305,18 @@ class TestFullBatchEm:
         assert all(gap <= 1e-9 for gap in trace.bound_gaps)
 
 
+def read_curve(path):
+    """(epoch, loss, log_likelihood, test_accuracy, seconds) per curve row,
+    with None for a blank column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == RECORD_HEADER
+        return [
+            (int(r[0]), *(None if v == "" else float(v) for v in r[1:]))
+            for r in reader
+        ]
+
+
 class TestTrainingRecordCsv:
     def test_round_trip(self, tmp_path):
         dataset, instances = blob_bags(n=30)
@@ -321,17 +325,19 @@ class TestTrainingRecordCsv:
         )
         path = tmp_path / "curve.csv"
         record.write_csv(path)
-        loaded = TrainingRecord.read_csv(path)
-        assert loaded.rows == record.rows
+        assert read_curve(path) == [
+            (r.epoch, r.loss, r.log_likelihood, r.test_accuracy, r.seconds)
+            for r in record.rows
+        ]
 
     def test_blank_columns_round_trip(self, tmp_path):
         dataset, _ = blob_bags(n=30)
         _, record = train(dataset, quick_config("dllp", max_epochs=3))
         path = tmp_path / "curve.csv"
         record.write_csv(path)
-        loaded = TrainingRecord.read_csv(path)
-        assert all(row.log_likelihood is None for row in loaded.rows)
-        assert all(row.test_accuracy is None for row in loaded.rows)
+        rows = read_curve(path)
+        assert len(rows) == len(record.rows)
+        assert all(row[2] is None and row[3] is None for row in rows)
 
 
 class TestConfigValidation:
