@@ -33,13 +33,7 @@ from .network import (
     optimizer_step,
     save_checkpoint,
 )
-from .objectives import (
-    EmState,
-    e_step,
-    m_step_loss,
-    predict,
-    supervised_loss,
-)
+from .objectives import EmState, e_step, m_step_loss, predict
 from .poisson_binomial import bag_log_likelihood, instance_posteriors
 from .training import (
     CrossValResult,

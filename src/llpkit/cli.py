@@ -136,6 +136,9 @@ def cmd_train(args) -> int:
         )
     dataset = data.load_bags_csv(args.bags)
     config = _train_config(args)
+    if args.folds is not None:
+        # Before anything is written: fails on fewer bags than folds.
+        dataset = data.assign_folds(dataset, args.folds, config.seed)
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -152,7 +155,7 @@ def cmd_train(args) -> int:
     _write_json(out_dir / "manifest.json", manifest)
 
     if args.folds is not None:
-        result = training.cross_validate(dataset, config, k=args.folds)
+        result = training.cross_validate(dataset, config)
         _write_json(outputs["summary"], result.summary())
         for fr in result.folds:
             fr.record.write_csv(outputs[f"curve_fold{fr.fold}"])

@@ -191,9 +191,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Instances:
 
 def _read_rows(path) -> list[list[str]]:
     """The nonblank CSV rows of a file; FormatError if it is empty or not
-    UTF-8 text."""
+    UTF-8 text.  A leading byte-order mark, as spreadsheets write, is
+    skipped."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
@@ -205,7 +206,7 @@ def _read_rows(path) -> list[list[str]]:
 def _line_number(path, index: int) -> int:
     """1-based file line of nonblank CSV row ``index`` (the header is row
     0); only error messages need it."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         lines = (reader.line_num for row in reader if row)
         return next(itertools.islice(lines, index, None))

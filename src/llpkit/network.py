@@ -150,19 +150,22 @@ def forward(params: ClassifierParams, batch) -> np.ndarray:
     return probs
 
 
-def backward(params: ClassifierParams, batch, output_grads) -> np.ndarray:
-    """Chain rule from per-row loss gradients to the flat parameter vector.
+def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
+    """One network pass over ``batch``, the loss on its outputs, and the
+    chain rule back through the same pass.
 
-    ``output_grads[i]`` is dLoss/dprob_i; the result is dLoss/dtheta with
-    the same layout as ``params.theta``.
+    ``loss(probs)`` returns ``(value, dvalue/dprobs)`` with one gradient
+    entry per batch row; the result is ``(value, dvalue/dtheta)`` with the
+    gradient in the layout of ``params.theta``.
     """
     batch = _check_batch(params, batch)
-    g = np.asarray(output_grads, dtype=np.float64)
-    if g.shape != (batch.shape[0],):
-        raise UsageError(
-            f"output_grads has shape {g.shape}, expected ({batch.shape[0]},)"
-        )
     probs, pre, activations = _forward_trace(params, batch)
+    value, g = loss(probs)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != probs.shape:
+        raise UsageError(
+            f"loss gradient has shape {g.shape}, expected {probs.shape}"
+        )
 
     grad = np.zeros_like(params.theta)
     layers = list(_layers(params.layer_sizes))
@@ -177,24 +180,16 @@ def backward(params: ClassifierParams, batch, output_grads) -> np.ndarray:
             weight = params.theta[w].reshape(fan_in, fan_out)
             da = np.einsum("no,io->ni", dz, weight)
             dz = da * (pre[idx - 1] > 0.0)
-    return grad
+    return value, grad
 
 
 def init_optimizer(
-    params: ClassifierParams,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: ClassifierParams, learning_rate: float = 1e-3
 ) -> OptimizerState:
     return OptimizerState(
         first_moment=np.zeros_like(params.theta),
         second_moment=np.zeros_like(params.theta),
-        step=0,
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 

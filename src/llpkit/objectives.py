@@ -13,13 +13,15 @@ Four ways to train the instance classifier:
   moment-matched Gaussian and minimize :func:`amle_batch_loss`;
 * proportion matching ("dllp"): cross-entropy between the true and the
   mean-predicted positive proportion of each bag (:func:`dllp_batch_loss`);
-* fully supervised: ordinary binary cross-entropy on instance labels
-  (:func:`supervised_loss`), the skyline baseline.
+* fully supervised: :func:`m_step_loss` with the instance labels as hard
+  targets, the skyline baseline.
 
-Every loss returns ``(value, dvalue_doutputs)`` so the network's generic
-backward pass maps it onto parameters.  Losses only ever receive feature
-rows and bag counts; ground-truth labels cannot reach them by
-construction.
+Every loss is a function of the network's outputs alone, clamped as in
+:func:`clamp_probabilities` before any log, and returns ``(value,
+dvalue/doutputs)``; :func:`network.backward` runs the one network pass
+per training step and maps that gradient onto parameters.  The count
+losses only ever receive outputs and bag counts; ground-truth labels
+cannot reach them by construction.
 """
 
 from dataclasses import dataclass
@@ -48,10 +50,6 @@ class EmState:
     log_likelihood: float
 
 
-def _clamped_forward(params, features) -> np.ndarray:
-    return clamp_probabilities(network.forward(params, features))
-
-
 def e_step(params, dataset: BagDataset) -> EmState:
     """Posterior probability that each instance is positive, and the
     dataset's count log-likelihood.
@@ -61,7 +59,7 @@ def e_step(params, dataset: BagDataset) -> EmState:
     call.  Raises NumericalError naming the first bag whose posteriors or
     log-likelihood are not finite.
     """
-    probs = _clamped_forward(params, dataset.instances.features)
+    probs = clamp_probabilities(network.forward(params, dataset.instances.features))
     phi, log_pb = batch_posteriors(probs, dataset.sizes, dataset.counts)
     finite = np.isfinite(log_pb) & np.logical_and.reduceat(
         np.isfinite(phi), dataset.offsets[:-1]
@@ -74,14 +72,14 @@ def e_step(params, dataset: BagDataset) -> EmState:
     return EmState(targets=phi, log_likelihood=float(log_pb.sum()))
 
 
-def m_step_loss(params, features, soft_targets) -> tuple[float, np.ndarray]:
+def m_step_loss(probs, soft_targets) -> tuple[float, np.ndarray]:
     """Summed cross-entropy against soft targets in [0, 1].
 
     loss = -sum_i [t_i log f_i + (1 - t_i) log(1 - f_i)], with outputs
     clamped before the logs; gradient per output: (f_i - t_i) / (f_i (1 - f_i)).
     """
     t = np.asarray(soft_targets, dtype=np.float64)
-    f = _clamped_forward(params, features)
+    f = clamp_probabilities(probs)
     if t.shape != f.shape:
         raise UsageError(f"{t.shape} targets for {f.shape} outputs")
     if t.size and (t.min() < 0.0 or t.max() > 1.0):
@@ -91,21 +89,10 @@ def m_step_loss(params, features, soft_targets) -> tuple[float, np.ndarray]:
     return loss, grads
 
 
-def supervised_loss(params, features, labels) -> tuple[float, np.ndarray]:
-    """Binary cross-entropy against hard labels; the soft-target special
-    case with targets in {0, 1}."""
-    labels = np.asarray(labels)
-    if labels.size and not np.isin(labels, (0, 1)).all():
-        raise UsageError("labels must be 0 or 1")
-    return m_step_loss(params, features, labels.astype(np.float64))
+def amle_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
+    """Gaussian count loss for several bags.
 
-
-def amle_batch_loss(
-    params, features, sizes, positive_counts
-) -> tuple[float, np.ndarray]:
-    """Gaussian count loss for several bags in one network pass.
-
-    ``features`` stacks the bags' instances; ``sizes`` and
+    ``probs`` stacks the outputs for the bags' instances; ``sizes`` and
     ``positive_counts`` give each bag's length and count.  Returns the
     summed loss and per-instance output gradients.
 
@@ -118,9 +105,9 @@ def amle_batch_loss(
     sizes = np.asarray(sizes, dtype=np.int64)
     ys = np.asarray(positive_counts, dtype=np.float64)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    f = _clamped_forward(params, features)
+    f = clamp_probabilities(probs)
     if f.size != int(sizes.sum()):
-        raise UsageError("bag sizes do not cover the feature rows")
+        raise UsageError("bag sizes do not cover the outputs")
     mu = np.add.reduceat(f, starts)
     raw_var = np.add.reduceat(f * (1.0 - f), starts)
     floored = raw_var < VARIANCE_FLOOR
@@ -135,10 +122,8 @@ def amle_batch_loss(
     return loss, grads
 
 
-def dllp_batch_loss(
-    params, features, sizes, positive_counts
-) -> tuple[float, np.ndarray]:
-    """Proportion cross-entropy for several bags in one network pass.
+def dllp_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
+    """Proportion cross-entropy for several bags.
 
     Same contract as :func:`amle_batch_loss`.  Per bag, with rho = y/n and
     rho_hat = clamp(mean(f)): loss = -[rho log rho_hat + (1 - rho)
@@ -148,9 +133,9 @@ def dllp_batch_loss(
     sizes = np.asarray(sizes, dtype=np.int64)
     ys = np.asarray(positive_counts, dtype=np.float64)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    f = _clamped_forward(params, features)
+    f = clamp_probabilities(probs)
     if f.size != int(sizes.sum()):
-        raise UsageError("bag sizes do not cover the feature rows")
+        raise UsageError("bag sizes do not cover the outputs")
     rho = ys / sizes
     rho_hat = np.clip(np.add.reduceat(f, starts) / sizes, CLAMP_EPS, 1.0 - CLAMP_EPS)
     loss = float(-np.sum(rho * np.log(rho_hat) + (1.0 - rho) * np.log1p(-rho_hat)))

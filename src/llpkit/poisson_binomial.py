@@ -48,11 +48,6 @@ def clamp_probabilities(p) -> np.ndarray:
     return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-def _check_count(n: int, y: int) -> None:
-    if not 0 <= y <= n:
-        raise UsageError(f"positive count y={y} outside [0, {n}]")
-
-
 def instance_posteriors(p, y: int) -> np.ndarray:
     """P(instance i is positive | bag count y), for every instance.
 
@@ -60,7 +55,6 @@ def instance_posteriors(p, y: int) -> np.ndarray:
     out as exact 0/1 targets.
     """
     p = clamp_probabilities(p)
-    _check_count(p.size, y)
     phi, _ = batch_posteriors(p, [p.size], [y])
     return phi
 
@@ -69,7 +63,6 @@ def bag_log_likelihood(p, y: int) -> float:
     """Log pmf of the observed count; finite thanks to clamping, at any
     bag size."""
     p = clamp_probabilities(p)
-    _check_count(p.size, y)
     _, log_pb = batch_posteriors(p, [p.size], [y])
     return float(log_pb[0])
 

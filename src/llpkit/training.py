@@ -13,7 +13,9 @@ One :func:`train` call drives any of the four objectives:
 * ``supervised``: ordinary instance-level cross-entropy on true labels.
 
 All four share one minibatch loop; a method only decides what a batch
-indexes (instances or bags) and how a batch turns into a loss.
+indexes (instances or bags) and how the network's outputs on it turn into
+a loss.  Each step runs the network once over the batch, in
+:func:`network.backward`.
 
 Early stopping watches the training objective (count log-likelihood for
 ``mle``, mean epoch loss otherwise), never test data: it stops after
@@ -175,8 +177,8 @@ def train(
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
 
-    # step(params, batch) -> (batch features, summed loss, output gradients),
-    # where a batch indexes instances or bags.
+    # step(params, batch) -> (summed loss, dloss/dtheta), where a batch
+    # indexes instances or bags.
     bag_level = config.method in ("amle", "dllp")
     if bag_level:
         num_items = dataset.num_bags
@@ -188,8 +190,11 @@ def train(
         sizes, counts = dataset.sizes, dataset.counts
 
         def step(params, bags):
-            feats = features[dataset.bag_rows(bags)]
-            return feats, *batch_loss(params, feats, sizes[bags], counts[bags])
+            return network.backward(
+                params,
+                features[dataset.bag_rows(bags)],
+                lambda probs: batch_loss(probs, sizes[bags], counts[bags]),
+            )
 
     else:
         num_items = dataset.num_instances
@@ -202,8 +207,11 @@ def train(
 
         # Reads ``targets`` when called, so mle's refreshes below take effect.
         def step(params, rows):
-            feats = features[rows]
-            return feats, *objectives.m_step_loss(params, feats, targets[rows])
+            return network.backward(
+                params,
+                features[rows],
+                lambda probs: objectives.m_step_loss(probs, targets[rows]),
+            )
 
     eval_features = eval_labels = None
     if eval_instances is not None:
@@ -219,10 +227,9 @@ def train(
         for bi, lo in enumerate(range(0, num_items, config.batch_size)):
             batch = order[lo : lo + config.batch_size]
             try:
-                feats, loss, out_grads = step(params, batch)
+                loss, grad = step(params, batch)
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite loss")
-                grad = network.backward(params, feats, out_grads)
                 params, opt_state = network.optimizer_step(
                     params, opt_state, grad / batch.size
                 )

@@ -62,6 +62,12 @@ def check_loss_gradient(loss_fn, params: ClassifierParams, tol=1e-5, step=1e-4):
     return err
 
 
+def through_network(features, loss):
+    """``loss_fn(params)`` for :func:`check_loss_gradient`: ``loss`` on the
+    network's outputs over ``features``, chained back to the parameters."""
+    return lambda params: network.backward(params, features, loss)
+
+
 def logit(p):
     p = np.asarray(p, dtype=np.float64)
     return np.log(p / (1.0 - p))
@@ -223,8 +229,12 @@ def run_em_full_batch(
             worst = max(worst, abs(bound - exact))
         gaps.append(worst)
         for _ in range(inner_steps):
-            _, out_grads = objectives.m_step_loss(params, all_features, state.targets)
-            grad = network.backward(params, all_features, out_grads) / count
+            _, grad = network.backward(
+                params,
+                all_features,
+                lambda probs: objectives.m_step_loss(probs, state.targets),
+            )
+            grad = grad / count
             params = params.with_theta(params.theta - learning_rate * grad)
         state = objectives.e_step(params, dataset)
         trace.append(state.log_likelihood)
@@ -252,14 +262,14 @@ def loo_posteriors(p, y):
     return np.clip(phi, 0.0, 1.0)
 
 
-def amle_loss(params, features, positive_count):
+def amle_loss(probs, positive_count):
     """Gaussian count loss of one bag, term by term in Python floats: the
     oracle for ``amle_batch_loss``.
 
     loss = (y - mu)^2 / var + log(var), mu = sum(f), var = sum(f (1 - f))
     floored at VARIANCE_FLOOR; the floored variance has no gradient path.
     """
-    f = clamp_probabilities(forward(params, features)).tolist()
+    f = clamp_probabilities(probs).tolist()
     mu = sum(f)
     raw_var = sum(v * (1.0 - v) for v in f)
     floored = raw_var < VARIANCE_FLOOR
@@ -271,14 +281,14 @@ def amle_loss(params, features, positive_count):
     return loss, np.array(grads)
 
 
-def dllp_loss(params, features, positive_count):
+def dllp_loss(probs, positive_count):
     """Proportion cross-entropy of one bag in Python floats: the oracle for
     ``dllp_batch_loss``.
 
     rho = y/n, rho_hat = clamp(mean(f)); every instance shares the gradient
     (rho_hat - rho) / (rho_hat (1 - rho_hat) n).
     """
-    f = clamp_probabilities(forward(params, features)).tolist()
+    f = clamp_probabilities(probs).tolist()
     n = len(f)
     rho = positive_count / n
     rho_hat = min(max(sum(f) / n, CLAMP_EPS), 1.0 - CLAMP_EPS)

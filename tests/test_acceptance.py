@@ -19,6 +19,7 @@ from helpers import (
     pb_dp,
     pb_enumerated,
     run_em_full_batch,
+    through_network,
 )
 from llpkit import objectives
 from llpkit.cli import main as cli_main
@@ -28,7 +29,7 @@ from llpkit.data import (
     generate_synthetic,
     make_bags,
 )
-from llpkit.network import backward, init_params
+from llpkit.network import init_params
 from llpkit.poisson_binomial import bag_log_likelihood, instance_posteriors
 from llpkit.training import (
     TrainConfig,
@@ -146,19 +147,15 @@ def test_criterion_03_gradient_suite():
         X = rng.standard_normal((n, 3))
         y = int(rng.integers(0, n + 1))
         soft = rng.random(n)
-        hard = rng.integers(0, 2, size=n)
+        hard = rng.integers(0, 2, size=n).astype(np.float64)
         losses = (
-            lambda p: objectives.m_step_loss(p, X, soft),
-            lambda p: objectives.amle_batch_loss(p, X, [n], [y]),
-            lambda p: objectives.dllp_batch_loss(p, X, [n], [y]),
-            lambda p: objectives.supervised_loss(p, X, hard),
+            lambda probs: objectives.m_step_loss(probs, soft),
+            lambda probs: objectives.amle_batch_loss(probs, [n], [y]),
+            lambda probs: objectives.dllp_batch_loss(probs, [n], [y]),
+            lambda probs: objectives.m_step_loss(probs, hard),
         )
-        for maker in losses:
-
-            def loss_fn(p, maker=maker):
-                loss, out_grads = maker(p)
-                return loss, backward(p, X, out_grads)
-
+        for loss in losses:
+            loss_fn = through_network(X, loss)
             worst = max(worst, check_loss_gradient(loss_fn, params, tol=1e-5))
     report(
         3,

@@ -199,6 +199,18 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error: --eval")
         assert not out_dir.exists()
 
+    def test_more_folds_than_bags_writes_nothing(self, tmp_path, bag_csv, capsys):
+        out_dir = tmp_path / "cv"
+        code, out, err = run(
+            capsys, "train", "--method", "dllp", "--bags", str(bag_csv),
+            "--folds", "1000", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot split")
+        assert not (out_dir / "manifest.json").exists()
+
     def test_identical_reruns_identical_outputs(self, tmp_path, bag_csv, capsys):
         args = [
             "train", "--method", "mle", "--bags", str(bag_csv),

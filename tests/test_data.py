@@ -1,5 +1,7 @@
 """Tests for CSV ingestion, bagging, fold assignment, and synthetic data."""
 
+import codecs
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,42 @@ class TestBagCsv:
         path = write(tmp_path / "bags.csv", f"bag_id,y,n\n0,0,{len(cells)}\n" + rows)
         features = load_bags_csv(path).instances.features[:, 0]
         assert features.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+class TestByteOrderMark:
+    """Spreadsheets save "CSV UTF-8" with a leading byte-order mark; it is
+    not part of the first header name."""
+
+    def with_bom(self, path):
+        marked = path.with_name("bom_" + path.name)
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return marked
+
+    def test_instance_csv_loads_as_plain(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_instances_csv(path, generate_synthetic(SyntheticSpec(20, 2, 2.0, 0.5, seed=3)))
+        plain, marked = load_instances_csv(path), load_instances_csv(self.with_bom(path))
+        assert marked.features.tobytes() == plain.features.tobytes()
+        np.testing.assert_array_equal(marked.labels, plain.labels)
+
+    def test_bag_csv_loads_as_plain(self, tmp_path):
+        instances = generate_synthetic(SyntheticSpec(30, 2, 2.0, 0.5, seed=4))
+        path = tmp_path / "bags.csv"
+        save_bags_csv(path, make_bags(instances, 1, 5, seed=6))
+        plain, marked = load_bags_csv(path), load_bags_csv(self.with_bom(path))
+        for name in ("offsets", "counts", "instance_ids"):
+            np.testing.assert_array_equal(getattr(marked, name), getattr(plain, name))
+        assert marked.instances.features.tobytes() == plain.instances.features.tobytes()
+        np.testing.assert_array_equal(marked.instances.labels, plain.instances.labels)
+
+    def test_parse_errors_name_line_and_column(self, tmp_path):
+        path = write(tmp_path / "data.csv", "\ufefff0,f1\n0.5,1.0\n\n0.5,NaN\n")
+        with pytest.raises(FormatError, match="line 4, column 2: 'NaN'"):
+            load_instances_csv(path)
+        text = "\ufeffbag_id,y,n\n0,1,1\n0,0,1.0,0.5,1\n1,0,1\n1,1,2.0,nan,0\n"
+        path = write(tmp_path / "bags.csv", text)
+        with pytest.raises(FormatError, match="line 5, column 4: 'nan'"):
+            load_bags_csv(path)
 
 
 class TestDomainTypes:

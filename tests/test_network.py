@@ -83,11 +83,16 @@ class TestForward:
             forward(params, np.zeros((5, 2)))
 
 
+def weighted_sum(weights):
+    """Loss sum_i w_i f_i: its output gradient is ``weights`` itself."""
+    return lambda probs: (float(weights @ probs), weights)
+
+
 class TestBackward:
     def test_zero_output_grads(self):
         params = init_params((3, 8, 1), seed=2)
         X = np.random.default_rng(5).standard_normal((7, 3))
-        grad = backward(params, X, np.zeros(7))
+        _, grad = backward(params, X, weighted_sum(np.zeros(7)))
         np.testing.assert_array_equal(grad, np.zeros_like(params.theta))
 
     def test_linear_in_output_grads(self):
@@ -96,9 +101,10 @@ class TestBackward:
         X = rng.standard_normal((7, 3))
         g1 = rng.standard_normal(7)
         g2 = rng.standard_normal(7)
-        combined = backward(params, X, g1 + g2)
-        separate = backward(params, X, g1) + backward(params, X, g2)
-        np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-14)
+        _, combined = backward(params, X, weighted_sum(g1 + g2))
+        _, first = backward(params, X, weighted_sum(g1))
+        _, second = backward(params, X, weighted_sum(g2))
+        np.testing.assert_allclose(combined, first + second, rtol=1e-12, atol=1e-14)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -106,17 +112,30 @@ class TestBackward:
         X = rng.standard_normal((5, 4))
         weights = rng.standard_normal(5)
 
-        def weighted_sum(theta):
+        def value(theta):
             return float(weights @ forward(params.with_theta(theta), X))
 
-        analytic = backward(params, X, weights)
-        numeric = finite_difference_gradient(weighted_sum, params.theta)
+        loss, analytic = backward(params, X, weighted_sum(weights))
+        assert loss == value(params.theta)
+        numeric = finite_difference_gradient(value, params.theta)
         assert max_relative_error(analytic, numeric) <= 1e-5
+
+    def test_loss_sees_the_forward_outputs(self):
+        params = init_params((4, 8, 8, 1), seed=12)
+        X = np.random.default_rng(8).standard_normal((9, 4))
+        seen = []
+
+        def loss(probs):
+            seen.append(probs)
+            return 0.0, np.zeros_like(probs)
+
+        backward(params, X, loss)
+        np.testing.assert_array_equal(seen[0], forward(params, X))
 
     def test_shape_mismatch(self):
         params = init_params((3, 4, 1), seed=0)
         with pytest.raises(UsageError):
-            backward(params, np.zeros((5, 3)), np.zeros(4))
+            backward(params, np.zeros((5, 3)), lambda probs: (0.0, np.zeros(4)))
 
 
 class TestOptimizer:

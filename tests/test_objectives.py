@@ -19,18 +19,18 @@ from helpers import (
     em_lower_bound,
     logit,
     pb_dp,
+    through_network,
 )
 from llpkit import objectives
 from llpkit.data import BagDataset, Instances
 from llpkit.errors import NumericalError, UsageError
-from llpkit.network import ClassifierParams, backward, forward, init_params, param_count
+from llpkit.network import ClassifierParams, forward, init_params, param_count
 from llpkit.objectives import (
     amle_batch_loss,
     dllp_batch_loss,
     e_step,
     m_step_loss,
     predict,
-    supervised_loss,
 )
 from llpkit.poisson_binomial import (
     bag_log_likelihood,
@@ -135,14 +135,12 @@ class TestMStepLoss:
     def test_gradient_vanishes_at_targets(self):
         params = init_params((2, 8, 1), seed=4)
         X = np.random.default_rng(3).standard_normal((6, 2))
-        from llpkit.network import forward
-
         targets = forward(params, X)
-        _, grads = m_step_loss(params, X, targets)
+        _, grads = m_step_loss(targets, targets)
         np.testing.assert_allclose(grads, 0.0, atol=1e-9)
 
     def test_log_two_at_half(self):
-        loss, _ = m_step_loss(zero_params(dim=1), np.zeros((1, 1)), np.ones(1))
+        loss, _ = m_step_loss(np.full(1, 0.5), np.ones(1))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_against_finite_differences(self):
@@ -151,53 +149,37 @@ class TestMStepLoss:
             params = init_params((3, 6, 1), seed=20 + trial)
             X = rng.standard_normal((4, 3))
             targets = rng.random(4)
-
-            def loss_fn(p):
-                loss, out_grads = m_step_loss(p, X, targets)
-                return loss, backward(p, X, out_grads)
-
-            check_loss_gradient(loss_fn, params)
+            check_loss_gradient(
+                through_network(X, lambda probs: m_step_loss(probs, targets)), params
+            )
 
     def test_rejects_bad_targets(self):
         with pytest.raises(UsageError):
-            m_step_loss(zero_params(dim=1), np.zeros((1, 1)), [1.5])
+            m_step_loss(np.full(1, 0.5), [1.5])
 
 
 class TestSupervisedLoss:
-    def test_identical_to_soft_targets_bitwise(self):
-        params = init_params((2, 4, 1), seed=6)
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((8, 2))
-        labels = rng.integers(0, 2, size=8)
-        hard_loss, hard_grads = supervised_loss(params, X, labels)
-        soft_loss, soft_grads = m_step_loss(params, X, labels.astype(float))
-        assert hard_loss == soft_loss
-        np.testing.assert_array_equal(hard_grads, soft_grads)
+    """``supervised`` trains :func:`m_step_loss` with the instance labels as
+    hard targets; ``Instances`` has already checked that they are 0 or 1
+    (``test_data.py::TestDomainTypes::test_instance_invariants``)."""
 
     def test_saturated_correct_predictions_cost_nothing(self):
         # Large weight drives sigmoid to the clamp; correct labels then
         # contribute about -log(1 - eps) each.
         params = ClassifierParams((1, 1), np.array([50.0, 0.0]))
         X = np.array([[10.0], [-10.0]])
-        loss, _ = supervised_loss(params, X, [1, 0])
+        loss, _ = m_step_loss(forward(params, X), [1.0, 0.0])
         # Loss bottoms out at -2 log(1 - clamp_eps), about 2e-7.
         assert loss == pytest.approx(0.0, abs=1e-6)
-
-    def test_rejects_non_binary_labels(self):
-        with pytest.raises(UsageError):
-            supervised_loss(zero_params(dim=1), np.zeros((1, 1)), [2])
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(7)
         params = init_params((2, 5, 1), seed=30)
         X = rng.standard_normal((5, 2))
-        labels = rng.integers(0, 2, size=5)
-
-        def loss_fn(p):
-            loss, out_grads = supervised_loss(p, X, labels)
-            return loss, backward(p, X, out_grads)
-
-        check_loss_gradient(loss_fn, params)
+        labels = rng.integers(0, 2, size=5).astype(np.float64)
+        check_loss_gradient(
+            through_network(X, lambda probs: m_step_loss(probs, labels)), params
+        )
 
 
 class TestCountLogLikelihood:
@@ -218,12 +200,12 @@ class TestCountLogLikelihood:
         )
 
 
-def amle_one_bag(params, features, y):
-    return amle_batch_loss(params, features, [len(features)], [y])
+def amle_one_bag(probs, y):
+    return amle_batch_loss(probs, [len(probs)], [y])
 
 
-def dllp_one_bag(params, features, y):
-    return dllp_batch_loss(params, features, [len(features)], [y])
+def dllp_one_bag(probs, y):
+    return dllp_batch_loss(probs, [len(probs)], [y])
 
 
 class TestBagMoments:
@@ -231,25 +213,22 @@ class TestBagMoments:
     floored at VARIANCE_FLOOR: loss = (y - mean)^2 / variance + log(variance)."""
 
     def test_symmetric_pair(self):
-        params, X = zero_params(dim=1), np.zeros((2, 1))
-        assert amle_one_bag(params, X, 1)[0] == pytest.approx(
-            math.log(0.5), abs=1e-12
-        )
-        assert amle_one_bag(params, X, 0)[0] == pytest.approx(
+        probs = np.full(2, 0.5)
+        assert amle_one_bag(probs, 1)[0] == pytest.approx(math.log(0.5), abs=1e-12)
+        assert amle_one_bag(probs, 0)[0] == pytest.approx(
             1.0 / 0.5 + math.log(0.5), abs=1e-12
         )
 
     def test_hand_values(self):
-        features = probs_as_features([0.2, 0.5, 0.7])
+        probs = np.array([0.2, 0.5, 0.7])
         for y in (1, 2):
-            loss, _ = amle_one_bag(identity_params(), features, y)
+            loss, _ = amle_one_bag(probs, y)
             assert loss == pytest.approx(
                 (y - 1.4) ** 2 / 0.62 + math.log(0.62), abs=1e-12
             )
 
     def test_variance_floor(self):
-        features = probs_as_features([1.0 - 1e-9, 1.0 - 1e-9])
-        loss, _ = amle_one_bag(identity_params(), features, 1)
+        loss, _ = amle_one_bag(np.full(2, 1.0 - 1e-9), 1)
         mean = 2.0 * (1.0 - 1e-7)  # both outputs clamped
         assert loss == pytest.approx((1.0 - mean) ** 2 / 1e-4 + math.log(1e-4), rel=1e-12)
 
@@ -257,12 +236,11 @@ class TestBagMoments:
 class TestAmleLoss:
     def test_symmetric_pair_value(self):
         # mu = y = 1, var = 0.5: the residual term vanishes.
-        loss, _ = amle_one_bag(zero_params(dim=1), np.zeros((2, 1)), 1)
+        loss, _ = amle_one_bag(np.full(2, 0.5), 1)
         assert loss == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_zero_residual_leaves_variance_gradient(self):
-        features = probs_as_features([0.3, 0.7])  # mu = 1.0 = y
-        loss, grads = amle_one_bag(identity_params(), features, 1)
+        loss, grads = amle_one_bag(np.array([0.3, 0.7]), 1)  # mu = 1.0 = y
         var = 0.3 * 0.7 + 0.7 * 0.3
         assert loss == pytest.approx(math.log(var), abs=1e-9)
         expected = (1.0 / var) * (1.0 - 2.0 * np.array([0.3, 0.7]))
@@ -275,24 +253,20 @@ class TestAmleLoss:
             n = int(rng.integers(1, 6))
             X = rng.standard_normal((n, 2))
             y = int(rng.integers(0, n + 1))
-
-            def loss_fn(p):
-                loss, out_grads = amle_one_bag(p, X, y)
-                return loss, backward(p, X, out_grads)
-
-            check_loss_gradient(loss_fn, params)
+            check_loss_gradient(
+                through_network(X, lambda probs: amle_one_bag(probs, y)), params
+            )
 
 
 class TestDllpLoss:
     def test_matched_proportion_is_stationary(self):
-        features = probs_as_features([0.25, 0.25, 0.25, 0.25])
-        loss, grads = dllp_one_bag(identity_params(), features, 1)
+        loss, grads = dllp_one_bag(np.full(4, 0.25), 1)
         entropy = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
         assert loss == pytest.approx(entropy, abs=1e-9)
         np.testing.assert_allclose(grads, 0.0, atol=1e-9)
 
     def test_log_two_at_half(self):
-        loss, _ = dllp_one_bag(zero_params(dim=1), np.zeros((2, 1)), 1)
+        loss, _ = dllp_one_bag(np.full(2, 0.5), 1)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_against_finite_differences(self):
@@ -302,12 +276,9 @@ class TestDllpLoss:
             n = int(rng.integers(1, 6))
             X = rng.standard_normal((n, 2))
             y = int(rng.integers(0, n + 1))
-
-            def loss_fn(p):
-                loss, out_grads = dllp_one_bag(p, X, y)
-                return loss, backward(p, X, out_grads)
-
-            check_loss_gradient(loss_fn, params)
+            check_loss_gradient(
+                through_network(X, lambda probs: dllp_one_bag(probs, y)), params
+            )
 
 
 class TestBatchedBagLosses:
@@ -330,11 +301,11 @@ class TestBatchedBagLosses:
         rng = np.random.default_rng(77)
         params = init_params((2, 6, 1), seed=78)
         sizes, counts, blocks = self.make_batch(rng)
-        total_loss, grads = batched(params, np.vstack(blocks), sizes, counts)
+        total_loss, grads = batched(forward(params, np.vstack(blocks)), sizes, counts)
         expected_loss = 0.0
         expected_grads = []
         for block, y in zip(blocks, counts):
-            loss, g = single(params, block, y)
+            loss, g = single(forward(params, block), y)
             expected_loss += loss
             expected_grads.append(g)
         assert total_loss == pytest.approx(expected_loss, rel=1e-12)
@@ -345,18 +316,18 @@ class TestBatchedBagLosses:
     def test_variance_floor_matches(self):
         params = ClassifierParams((1, 1), np.array([60.0, 0.0]))
         X = np.array([[5.0], [5.0], [0.0]])  # first bag saturated, second not
-        total, grads = amle_batch_loss(params, X, [2, 1], [2, 0])
-        loss_a, grads_a = amle_one_bag(params, X[:2], 2)
-        loss_b, grads_b = amle_one_bag(params, X[2:], 0)
+        probs = forward(params, X)
+        total, grads = amle_batch_loss(probs, [2, 1], [2, 0])
+        loss_a, grads_a = amle_one_bag(probs[:2], 2)
+        loss_b, grads_b = amle_one_bag(probs[2:], 0)
         assert total == pytest.approx(loss_a + loss_b, rel=1e-12)
         np.testing.assert_allclose(
             grads, np.concatenate([grads_a, grads_b]), rtol=1e-10
         )
 
     def test_size_mismatch_rejected(self):
-        params = init_params((2, 4, 1), seed=1)
         with pytest.raises(UsageError):
-            amle_batch_loss(params, np.zeros((3, 2)), [2, 2], [1, 1])
+            amle_batch_loss(np.full(3, 0.5), [2, 2], [1, 1])
 
 
 class TestPredict:
@@ -372,8 +343,6 @@ class TestPredict:
         rng = np.random.default_rng(11)
         params = init_params((2, 6, 1), seed=12)
         X = rng.standard_normal((40, 2))
-        from llpkit.network import forward
-
         probs = forward(params, X)
         base = predict(params, X, 0.5)
         # Any strictly monotone map applied to both sides of the comparison
@@ -431,20 +400,20 @@ class TestDegenerateBags:
     def test_zero_count_targets_equal_all_negative_labels(self):
         rng = np.random.default_rng(15)
         params = init_params((2, 6, 1), seed=16)
-        X = rng.standard_normal((4, 2))
+        probs = forward(params, rng.standard_normal((4, 2)))
         phi = instance_posteriors(clamp_probabilities(rng.random(4)), 0)
-        soft = m_step_loss(params, X, phi)
-        hard = supervised_loss(params, X, np.zeros(4, dtype=int))
+        soft = m_step_loss(probs, phi)
+        hard = m_step_loss(probs, np.zeros(4))
         assert soft[0] == hard[0]
         np.testing.assert_array_equal(soft[1], hard[1])
 
     def test_full_count_targets_equal_all_positive_labels(self):
         rng = np.random.default_rng(16)
         params = init_params((2, 6, 1), seed=17)
-        X = rng.standard_normal((3, 2))
+        probs = forward(params, rng.standard_normal((3, 2)))
         phi = instance_posteriors(clamp_probabilities(rng.random(3)), 3)
-        soft = m_step_loss(params, X, phi)
-        hard = supervised_loss(params, X, np.ones(3, dtype=int))
+        soft = m_step_loss(probs, phi)
+        hard = m_step_loss(probs, np.ones(3))
         assert soft[0] == hard[0]
         np.testing.assert_array_equal(soft[1], hard[1])
 
@@ -456,12 +425,10 @@ class TestSingleInstanceConsistency:
         grid = np.concatenate(
             [np.linspace(1e-6, 1 - 1e-6, 201), [1e-7, 1 - 1e-7]]
         )
-        features = probs_as_features(grid)
         for y in (0, 1):
-            for x, f in zip(features, grid):
-                X = x[None, :]
-                _, exact = m_step_loss(identity_params(), X, np.array([float(y)]))
-                _, approx = amle_one_bag(identity_params(), X, y)
+            for f in grid:
+                _, exact = m_step_loss(np.array([f]), np.array([float(y)]))
+                _, approx = amle_one_bag(np.array([f]), y)
                 expected = math.copysign(1.0, f - y)
                 assert math.copysign(1.0, exact[0]) == expected
                 assert math.copysign(1.0, approx[0]) == expected

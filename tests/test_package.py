@@ -1,6 +1,6 @@
 """Package-wide guarantees: outputs are written atomically, the package
-imports nothing at run time beyond numpy and the standard library, and
-the README names only flags the CLI accepts."""
+imports nothing at run time beyond numpy and the standard library, the
+README names only flags the CLI accepts, and its library example runs."""
 
 import argparse
 import ast
@@ -92,3 +92,15 @@ def test_readme_flags_are_accepted():
     prose = re.findall(r"`(--[a-z][a-z0-9-]*)`", text)
     unknown += [flag for flag in prose if flag not in known]
     assert not unknown, f"README names flags the CLI does not accept: {unknown}"
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # One line per print(); a trailing comment on the call states its output.
+    calls = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(calls)
+    for call, out in zip(calls, printed):
+        if "  # " in call:
+            assert out == call.split("  # ", 1)[1], call

@@ -117,6 +117,26 @@ class TestTrain:
         _, record = train(dataset, quick_config("dllp", max_epochs=2))
         assert all(row.log_likelihood is None for row in record.rows)
 
+    @pytest.mark.parametrize(
+        "method,extra_passes", [("amle", 0), ("dllp", 0), ("supervised", 0), ("mle", 1)]
+    )
+    def test_one_network_pass_per_training_row(self, monkeypatch, method, extra_passes):
+        # Each training step runs the network once over its batch; mle adds
+        # one E-step pass over the data before epoch 1 and after each epoch.
+        dataset, _ = blob_bags(n=60)
+        rows = []
+        trace = network._forward_trace
+
+        def counting(params, batch):
+            rows.append(len(batch))
+            return trace(params, batch)
+
+        monkeypatch.setattr(network, "_forward_trace", counting)
+        _, record = train(dataset, quick_config(method, max_epochs=3))
+        epochs, n = len(record.rows), dataset.num_instances
+        assert epochs == 3
+        assert sum(rows) == epochs * n + extra_passes * (epochs + 1) * n
+
     def test_mle_learns_blobs(self):
         # About 200 bags of sizes 1..8; the supervised run on the same data
         # is the oracle that the problem itself is learnable.
@@ -153,8 +173,9 @@ def reference_mle_loop(dataset, config):
         total = 0.0
         for lo in range(0, len(features), config.batch_size):
             sel = order[lo : lo + config.batch_size]
-            loss, out_grads = m_step_loss(params, features[sel], targets[sel])
-            grad = network.backward(params, features[sel], out_grads)
+            loss, grad = network.backward(
+                params, features[sel], lambda probs: m_step_loss(probs, targets[sel])
+            )
             params, opt_state = network.optimizer_step(
                 params, opt_state, grad / sel.size
             )
