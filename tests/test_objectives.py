@@ -160,8 +160,7 @@ class TestMStepLoss:
 
 class TestSupervisedLoss:
     """``supervised`` trains :func:`m_step_loss` with the instance labels as
-    hard targets; ``Instances`` has already checked that they are 0 or 1
-    (``test_data.py::TestDomainTypes::test_instance_invariants``)."""
+    hard targets; ``Instances`` has already checked that they are 0 or 1."""
 
     def test_saturated_correct_predictions_cost_nothing(self):
         # Large weight drives sigmoid to the clamp; correct labels then
@@ -171,6 +170,14 @@ class TestSupervisedLoss:
         loss, _ = m_step_loss(forward(params, X), [1.0, 0.0])
         # Loss bottoms out at -2 log(1 - clamp_eps), about 2e-7.
         assert loss == pytest.approx(0.0, abs=1e-6)
+
+    def test_rejects_non_binary_labels(self):
+        # A label of 2 never reaches the loss: Instances refuses it, and
+        # m_step_loss refuses it as a target outside [0, 1].
+        with pytest.raises(UsageError):
+            Instances(np.zeros((1, 1)), labels=[2])
+        with pytest.raises(UsageError):
+            m_step_loss(np.full(1, 0.5), [2.0])
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(7)
