@@ -4,8 +4,9 @@ Every command is batch-style and reproducible: the train and sweep
 commands write a manifest (resolved config, dataset content hash, seed,
 tool version, output paths) before any training starts, and rerunning with
 the same flags produces identical output files except for wall-clock
-columns.  Exit codes: 0 success, 1 numerical or I/O failure, 2 usage
-error.  Errors print a single ``error: ...`` line on stderr.
+columns.  Exit codes: 0 success, 1 numerical, I/O or out-of-memory
+failure, 2 usage error.  Errors print a single ``error: ...`` line on
+stderr.
 
 Relative output paths resolve against the ``LLPKIT_OUT`` environment
 variable when it is set.
@@ -21,7 +22,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, data, network, training
-from .errors import LlpError, NumericalError, UsageError
+from .errors import LlpError, UsageError
 from .files import write_atomic
 
 
@@ -60,7 +61,6 @@ def _train_config(args, method=None) -> training.TrainConfig:
         patience=args.patience,
         rel_tol=args.rel_tol,
         seed=args.seed,
-        target_refresh_interval=args.refresh,
         threshold=args.threshold,
         hidden_widths=tuple(_parse_int_list(args.hidden, "--hidden")),
     )
@@ -221,10 +221,13 @@ def cmd_sweep(args) -> int:
                 f"unknown method {method!r}, expected one of {training.METHODS}"
             )
 
+    base = _train_config(args, method=methods[0])
+    # Before anything is written: every size must give enough bags.
+    training.check_sweep(len(instances), sizes, args.folds)
+
     out = _out_path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    base = _train_config(args, method=methods[0])
     manifest = _manifest("sweep", base, args.data, {"results": out})
     manifest["sizes"] = sizes
     manifest["methods"] = methods
@@ -258,8 +261,6 @@ def _add_train_flags(parser) -> None:
                         help="early-stop patience in epochs")
     parser.add_argument("--rel-tol", type=float, default=1e-5,
                         help="relative improvement threshold for early stop")
-    parser.add_argument("--refresh", type=int, default=1,
-                        help="epochs between soft-target refreshes (mle)")
     parser.add_argument("--threshold", type=float, default=0.5,
                         help="decision threshold")
     parser.add_argument("--hidden", default="32,32",
@@ -335,14 +336,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = str(exc), 2
     except (LlpError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = str(exc), 1
+    except MemoryError as exc:
+        # str(MemoryError()) is empty.
+        message, code = f"out of memory {exc}".rstrip(), 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -27,6 +27,12 @@ from .files import write_atomic
 CHECKPOINT_FORMAT = "llpkit-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# Adam's decay rates and denominator offset, at the defaults of Kingma and
+# Ba, "Adam: A Method for Stochastic Optimization", ICLR 2015.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class ClassifierParams:
@@ -59,15 +65,12 @@ class ClassifierParams:
 
 @dataclass(frozen=True, eq=False)
 class OptimizerState:
-    """Adam accumulators and hyperparameters for one parameter vector."""
+    """Adam accumulators and learning rate for one parameter vector."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def _validate_sizes(layer_sizes) -> None:
@@ -207,41 +210,29 @@ def optimizer_step(
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericalError(f"non-finite gradient entry at index {bad}")
     t = state.step + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta = params.theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    theta = params.theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     new_state = replace(state, first_moment=m, second_moment=v, step=t)
     return params.with_theta(theta), new_state
 
 
-def save_checkpoint(
-    path, params: ClassifierParams, optimizer: OptimizerState | None = None
-) -> None:
-    """Write a versioned JSON checkpoint.
+def save_checkpoint(path, params: ClassifierParams) -> None:
+    """Write a versioned JSON checkpoint of the parameters.
 
     Floats are serialized with shortest-roundtrip repr, so a save/load
-    cycle reproduces every value bit for bit.
+    cycle reproduces every value bit for bit.  The ``optimizer`` key is
+    always ``null``: nothing resumes training from a checkpoint.
     """
     record = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "layer_sizes": list(params.layer_sizes),
         "theta": params.theta.tolist(),
+        "optimizer": None,
     }
-    if optimizer is not None:
-        record["optimizer"] = {
-            "first_moment": optimizer.first_moment.tolist(),
-            "second_moment": optimizer.second_moment.tolist(),
-            "step": optimizer.step,
-            "learning_rate": optimizer.learning_rate,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-        }
-    else:
-        record["optimizer"] = None
 
     def write(fh):
         json.dump(record, fh)
@@ -250,11 +241,14 @@ def save_checkpoint(
     write_atomic(path, write)
 
 
-def load_checkpoint(path) -> tuple[ClassifierParams, OptimizerState | None]:
+def load_checkpoint(path) -> tuple[ClassifierParams, None]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises FormatError when the file is not a JSON object of the current
-    format and version, or when a field is missing or of the wrong type.
+    Returns ``(params, None)``; the second item is kept so that callers
+    unpacking a pair keep working.  Any ``optimizer`` value is ignored, so
+    checkpoints that carry Adam state still load.  Raises FormatError when
+    the file is not a JSON object of the current format and version, or
+    when ``layer_sizes`` or ``theta`` is missing or of the wrong type.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -270,43 +264,17 @@ def load_checkpoint(path) -> tuple[ClassifierParams, OptimizerState | None]:
 
     # JSON decodes to exact types, so a type() test rejects booleans where
     # numbers are due; set(map(type, ...)) checks a long vector quickly.
-    def field(obj, key, types, items=None):
-        value = obj.get(key)
-        if type(value) not in types or (
-            items is not None and not set(map(type, value)) <= items
-        ):
-            where = "optimizer " if obj is not record else ""
-            raise FormatError(
-                f"checkpoint {path}: {where}{key!r} is missing or malformed"
-            )
+    def field(key, items):
+        value = record.get(key)
+        if type(value) is not list or not set(map(type, value)) <= items:
+            raise FormatError(f"checkpoint {path}: {key!r} is missing or malformed")
         return value
 
-    number = {int, float}
     try:
         params = ClassifierParams(
-            tuple(field(record, "layer_sizes", {list}, {int})),
-            np.asarray(field(record, "theta", {list}, number), dtype=np.float64),
+            tuple(field("layer_sizes", {int})),
+            np.asarray(field("theta", {int, float}), dtype=np.float64),
         )
     except UsageError as exc:
         raise FormatError(f"checkpoint {path}: {exc}") from exc
-    opt = record.get("optimizer")
-    if opt is None:
-        return params, None
-    if not isinstance(opt, dict):
-        raise FormatError(f"checkpoint {path}: 'optimizer' is not an object")
-    moments = [
-        np.asarray(field(opt, key, {list}, number), dtype=np.float64)
-        for key in ("first_moment", "second_moment")
-    ]
-    if any(m.shape != params.theta.shape for m in moments):
-        raise FormatError(f"checkpoint {path}: optimizer moments do not match theta")
-    state = OptimizerState(
-        first_moment=moments[0],
-        second_moment=moments[1],
-        step=field(opt, "step", {int}),
-        learning_rate=float(field(opt, "learning_rate", number)),
-        beta1=float(field(opt, "beta1", number)),
-        beta2=float(field(opt, "beta2", number)),
-        eps=float(field(opt, "eps", number)),
-    )
-    return params, state
+    return params, None

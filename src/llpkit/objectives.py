@@ -7,8 +7,8 @@ Four ways to train the instance classifier:
   (:func:`e_step`) with cross-entropy epochs against the resulting soft
   targets (:func:`m_step_loss`).  One network pass and one batched
   forward-backward kernel give both the targets and the dataset's count
-  log-likelihood at the same parameters, so a trainer that refreshes
-  targets after each epoch gets that epoch's log-likelihood with them;
+  log-likelihood at the same parameters, so the trainer, which refreshes
+  targets after every epoch, gets that epoch's log-likelihood with them;
 * normal approximation ("amle"): replace the count likelihood with a
   moment-matched Gaussian and minimize :func:`amle_batch_loss`;
 * proportion matching ("dllp"): cross-entropy between the true and the

@@ -7,8 +7,7 @@ One :func:`train` call drives any of the four objectives:
   since the soft targets decouple instances inside an epoch; bags never
   need to fit in one batch.  One E-step runs before the first epoch and
   one after each epoch.  The one after epoch e gives that epoch's count
-  log-likelihood and, every ``target_refresh_interval`` epochs (default
-  every epoch), the targets for epoch e + 1.
+  log-likelihood and the targets for epoch e + 1.
 * ``amle`` / ``dllp``: per-bag losses, batched as groups of whole bags.
 * ``supervised``: ordinary instance-level cross-entropy on true labels.
 
@@ -55,7 +54,6 @@ class TrainConfig:
     patience: int = 10
     rel_tol: float = 1e-5
     seed: int = 0
-    target_refresh_interval: int = 1
     threshold: float = 0.5
     hidden_widths: tuple[int, ...] = (32, 32)
 
@@ -70,8 +68,6 @@ class TrainConfig:
             raise UsageError("patience must be at least 1")
         if self.rel_tol < 0:
             raise UsageError("rel_tol must be nonnegative")
-        if self.target_refresh_interval < 1:
-            raise UsageError("target_refresh_interval must be at least 1")
         if not 0.0 < self.threshold < 1.0:
             raise UsageError(f"threshold must be in (0, 1), got {self.threshold}")
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
@@ -205,7 +201,7 @@ def train(
         else:
             targets = objectives.e_step(params, dataset).targets
 
-        # Reads ``targets`` when called, so mle's refreshes below take effect.
+        # Reads ``targets`` when called, so mle's E-steps below take effect.
         def step(params, rows):
             return network.backward(
                 params,
@@ -244,9 +240,7 @@ def train(
         log_likelihood = None
         if config.method == "mle":
             state = objectives.e_step(params, dataset)
-            log_likelihood = state.log_likelihood
-            if epoch % config.target_refresh_interval == 0:
-                targets = state.targets
+            log_likelihood, targets = state.log_likelihood, state.targets
         accuracy = None
         if eval_features is not None:
             preds = objectives.predict(params, eval_features, config.threshold)
@@ -329,6 +323,25 @@ class SweepRow:
     std_accuracy: float
 
 
+def check_sweep(num_instances: int, sizes, k: int) -> None:
+    """Raise UsageError unless ``k``-fold cross-validation can run at every
+    bag size, so that a sweep fails before its first fit."""
+    if not sizes:
+        raise UsageError("no bag sizes given")
+    if k < 2:
+        raise UsageError(f"need at least 2 folds, got {k}")
+    for size in sizes:
+        if size < 1:
+            raise UsageError(f"bag size must be positive, got {size}")
+        available = num_instances // size
+        if available < k:
+            raise UsageError(
+                f"bag size {size}: only {available} bags from "
+                f"{num_instances} instances, need at least {k} for "
+                f"{k}-fold cross-validation"
+            )
+
+
 def bag_size_sweep(
     instances: Instances, sizes, config: TrainConfig, k: int = 10
 ) -> list[SweepRow]:
@@ -337,19 +350,9 @@ def bag_size_sweep(
     Every size uses the same instances and seed, so rows differ only in
     how much the bag structure dilutes the supervision.
     """
-    if not sizes:
-        raise UsageError("no bag sizes given")
+    check_sweep(len(instances), sizes, k)
     rows = []
     for size in sizes:
-        if size < 1:
-            raise UsageError(f"bag size must be positive, got {size}")
-        available = len(instances) // size
-        if available < k:
-            raise UsageError(
-                f"bag size {size}: only {available} bags from "
-                f"{len(instances)} instances, need at least {k} for "
-                f"{k}-fold cross-validation"
-            )
         bagged = make_bags(instances, size, size, config.seed)
         result = cross_validate(bagged, config, k=k)
         rows.append(SweepRow(size, result.mean_accuracy, result.std_accuracy))

@@ -7,8 +7,10 @@ Commands run in-process through main(), which returns the exit code:
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from llpkit import objectives, training
 from llpkit.cli import main
 
 
@@ -211,6 +213,15 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error: cannot split")
         assert not (out_dir / "manifest.json").exists()
 
+    def test_refresh_is_an_unknown_flag(self, tmp_path, bag_csv, capsys):
+        code, _, err = run(
+            capsys, "train", "--method", "mle", "--bags", str(bag_csv),
+            "--refresh", "2", "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "unrecognized arguments: --refresh 2" in err
+        assert not (tmp_path / "run").exists()
+
     def test_identical_reruns_identical_outputs(self, tmp_path, bag_csv, capsys):
         args = [
             "train", "--method", "mle", "--bags", str(bag_csv),
@@ -339,6 +350,29 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "sizes,folds,message",
+        [
+            ("2,1000", "3", "error: bag size 1000: only 0 bags"),
+            ("2", "1", "error: need at least 2 folds, got 1"),
+        ],
+        ids=["size-too-large", "one-fold"],
+    )
+    def test_invalid_sweep_writes_nothing(
+        self, tmp_path, instance_csv, capsys, sizes, folds, message
+    ):
+        out = tmp_path / "sweep" / "s.csv"
+        code, stdout, err = run(
+            capsys, "sweep", "--data", str(instance_csv), "--sizes", sizes,
+            "--methods", "dllp", "--folds", folds, "--epochs", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+        assert not (tmp_path / "sweep").exists()
+
     def test_supervised_upper_bounds_count_methods_on_easy_data(
         self, tmp_path, capsys
     ):
@@ -387,6 +421,40 @@ class TestOutputRoot:
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize(
+        "failure,expected_code",
+        [("usage", 2), ("format", 2), ("numerical", 1), ("io", 1), ("memory", 1)],
+    )
+    def test_every_failure_class_is_one_error_line(
+        self, tmp_path, bag_csv, monkeypatch, capsys, failure, expected_code
+    ):
+        bags, epochs = str(bag_csv), "2"
+        if failure == "usage":
+            epochs = "0"
+        elif failure == "format":
+            bags = str(tmp_path / "bad.csv")
+            (tmp_path / "bad.csv").write_text("bag_id,y,n\n0,1,x\n")
+        elif failure == "numerical":
+            monkeypatch.setattr(
+                objectives, "m_step_loss",
+                lambda probs, targets: (float("nan"), np.zeros_like(probs)),
+            )
+        elif failure == "io":
+            bags = str(tmp_path / "missing.csv")
+        else:
+            def out_of_memory(*args, **kwargs):
+                raise MemoryError()
+
+            monkeypatch.setattr(training, "train", out_of_memory)
+        code, _, err = run(
+            capsys, "train", "--method", "supervised", "--bags", bags,
+            "--epochs", epochs, "--out", str(tmp_path / "run"),
+        )
+        assert code == expected_code
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and len(lines[0]) > len("error: ")
+
     def test_missing_file_is_single_line_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--method", "mle", "--bags", str(tmp_path / "no.csv"),

@@ -181,19 +181,16 @@ class TestOptimizer:
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params((3, 8, 1), seed=13)
-        state = init_optimizer(params, learning_rate=2e-3)
         grad = np.random.default_rng(10).standard_normal(params.theta.size)
-        params, state = optimizer_step(params, state, grad)
+        state = init_optimizer(params, learning_rate=2e-3)
+        params, _ = optimizer_step(params, state, grad)
 
         path = tmp_path / "model.json"
-        save_checkpoint(path, params, state)
-        loaded, loaded_state = load_checkpoint(path)
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path)
         assert loaded.layer_sizes == params.layer_sizes
         assert loaded.theta.tobytes() == params.theta.tobytes()
-        assert loaded_state.first_moment.tobytes() == state.first_moment.tobytes()
-        assert loaded_state.second_moment.tobytes() == state.second_moment.tobytes()
-        assert loaded_state.step == state.step
-        assert loaded_state.learning_rate == state.learning_rate
+        assert path.read_text().endswith('"optimizer": null}\n')
 
     def test_round_trip_without_optimizer(self, tmp_path):
         params = init_params((2, 4, 1), seed=3)
@@ -201,6 +198,34 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         loaded, state = load_checkpoint(path)
         assert state is None
+        assert loaded.theta.tobytes() == params.theta.tobytes()
+
+    def test_checkpoint_with_optimizer_state_still_loads(self, tmp_path):
+        # The layout that checkpoints carrying Adam state were written in.
+        params = init_params((3, 8, 1), seed=13)
+        state = init_optimizer(params, learning_rate=2e-3)
+        grad = np.random.default_rng(10).standard_normal(params.theta.size)
+        params, state = optimizer_step(params, state, grad)
+        record = {
+            "format": "llpkit-checkpoint",
+            "version": 1,
+            "layer_sizes": list(params.layer_sizes),
+            "theta": params.theta.tolist(),
+            "optimizer": {
+                "first_moment": state.first_moment.tolist(),
+                "second_moment": state.second_moment.tolist(),
+                "step": state.step,
+                "learning_rate": state.learning_rate,
+                "beta1": 0.9,
+                "beta2": 0.999,
+                "eps": 1e-8,
+            },
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(record) + "\n")
+        loaded, loaded_state = load_checkpoint(path)
+        assert loaded_state is None
+        assert loaded.layer_sizes == params.layer_sizes
         assert loaded.theta.tobytes() == params.theta.tobytes()
 
     def test_rejects_foreign_files(self, tmp_path):
@@ -227,18 +252,12 @@ class TestCheckpoint:
             lambda r: r.pop("theta"),
             lambda r: r.update(theta={"0": 1.0}),
             lambda r: r.update(theta=r["theta"][:-1]),
-            lambda r: r.update(optimizer=[]),
-            lambda r: r["optimizer"].pop("step"),
-            lambda r: r["optimizer"].update(step="3"),
-            lambda r: r["optimizer"].update(beta1=None),
-            lambda r: r["optimizer"].update(first_moment=[True] * len(r["theta"])),
-            lambda r: r["optimizer"].update(second_moment=[0.0]),
         ],
     )
     def test_missing_or_mistyped_field_is_format_error(self, tmp_path, edit):
         params = init_params((2, 4, 1), seed=3)
         path = tmp_path / "model.json"
-        save_checkpoint(path, params, init_optimizer(params))
+        save_checkpoint(path, params)
         record = json.loads(path.read_text())
         edit(record)
         path.write_text(json.dumps(record))

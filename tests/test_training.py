@@ -156,8 +156,8 @@ class TestTrain:
 
 def reference_mle_loop(dataset, config):
     """The mle epoch loop with separate passes: an E-step at the start of
-    every ``target_refresh_interval``-th epoch and the count log-likelihood
-    after each epoch.  No early stopping."""
+    every epoch and the count log-likelihood after each epoch.  No early
+    stopping."""
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
@@ -167,8 +167,7 @@ def reference_mle_loop(dataset, config):
     features = dataset.instances.features
     rows = []
     for epoch in range(1, config.max_epochs + 1):
-        if (epoch - 1) % config.target_refresh_interval == 0:
-            targets = e_step(params, dataset).targets
+        targets = e_step(params, dataset).targets
         order = rng.permutation(len(features))
         total = 0.0
         for lo in range(0, len(features), config.batch_size):
@@ -198,7 +197,9 @@ class TestFusedEStep:
 
     def test_refresh_interval_matches_reference_loop(self, tmp_path):
         dataset, _ = blob_bags(n=60)
-        config = quick_config("mle", max_epochs=7, target_refresh_interval=3)
+        # train refreshes the targets after every epoch, with the E-step
+        # that gives the epoch's log-likelihood.
+        config = quick_config("mle", max_epochs=7)
         params, record = train(dataset, config)
         ref_params, ref_rows = reference_mle_loop(dataset, config)
         assert [(r.epoch, r.loss, r.log_likelihood) for r in record.rows] == ref_rows
