@@ -6,10 +6,14 @@ probability.  Forward and backward passes are written directly in numpy with
 analytic gradients; the test suite checks them against central finite
 differences.
 
-Dense products go through ``np.einsum`` rather than the ``@`` operator on
-purpose: BLAS matmul picks different summation orders depending on the batch
-size, while einsum's fixed-order reduction makes a row's output bit-identical
-whether the instance is scored alone or inside a batch.
+A row's output is bit-identical whether the instance is scored alone or
+inside a batch, of any size, at any position.  BLAS picks its summation
+order from the shape of the product, so the forward pass never hands BLAS
+the batch itself: :func:`_dense` multiplies blocks of exactly
+``BLOCK_ROWS`` rows, padding the last block with zero rows, and every call
+for a layer has one shape.  The backward pass uses plain BLAS products;
+gradients promise no row invariance, and the same batch shape gives the
+same sums, so reruns stay byte-identical.
 
 Parameters live in one flat float64 vector with layout
 ``W0, b0, W1, b1, ...`` where each weight matrix is stored row-major with
@@ -17,7 +21,8 @@ shape (fan_in, fan_out).
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +37,10 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Rows per BLAS call in the forward pass; every call for a layer has this
+# shape, which is what makes outputs independent of the batch.
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +91,17 @@ def _validate_sizes(layer_sizes) -> None:
         raise UsageError("output layer must have width 1")
 
 
-def _layers(layer_sizes):
-    """Yield (weight_slice, bias_slice, (fan_in, fan_out)) per layer."""
+@cache
+def _layers(layer_sizes: tuple[int, ...]):
+    """(weight_slice, bias_slice, (fan_in, fan_out)) per layer."""
+    layers = []
     offset = 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         w = slice(offset, offset + fan_in * fan_out)
         b = slice(w.stop, w.stop + fan_out)
         offset = b.stop
-        yield w, b, (fan_in, fan_out)
+        layers.append((w, b, (fan_in, fan_out)))
+    return tuple(layers)
 
 
 def param_count(layer_sizes) -> int:
@@ -129,25 +141,57 @@ def _check_batch(params: ClassifierParams, batch) -> np.ndarray:
     return batch
 
 
+def _dense(a: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``a @ weight`` as one BLAS call per block of ``BLOCK_ROWS`` rows.
+
+    Full blocks are a view of a C-ordered ``a``; only the last
+    ``n % BLOCK_ROWS`` rows are copied, into one zero-padded block.  Each
+    output row therefore depends on its input row and ``weight`` alone.
+    """
+    n, fan_in = a.shape
+    fan_out = weight.shape[1]
+    full = n - n % BLOCK_ROWS
+    out = np.empty((n, fan_out))
+    if full:
+        np.matmul(
+            a[:full].reshape(-1, BLOCK_ROWS, fan_in),
+            weight,
+            out=out[:full].reshape(-1, BLOCK_ROWS, fan_out),
+        )
+    if full < n:
+        tail = np.zeros((BLOCK_ROWS, fan_in))
+        tail[: n - full] = a[full:]
+        out[full:] = (tail @ weight)[: n - full]
+    return out
+
+
 def _forward_trace(params: ClassifierParams, batch: np.ndarray):
-    """Run the network, keeping pre-activations for the backward pass."""
+    """Run the network, keeping pre-activations for the backward pass.
+
+    Raises NumericalError when an output is not finite; overflow on the
+    way there is not warned about, since the result is reported anyway.
+    """
     theta = params.theta
     activations = [batch]
     pre = []
     a = batch
     last = len(params.layer_sizes) - 2
-    for idx, (w, b, (fan_in, fan_out)) in enumerate(_layers(params.layer_sizes)):
-        weight = theta[w].reshape(fan_in, fan_out)
-        z = np.einsum("ni,io->no", a, weight) + theta[b]
-        pre.append(z)
-        a = _sigmoid(z) if idx == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return activations[-1][:, 0], pre, activations
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (w, b, (fan_in, fan_out)) in enumerate(_layers(params.layer_sizes)):
+            z = _dense(a, theta[w].reshape(fan_in, fan_out))
+            z += theta[b]
+            pre.append(z)
+            a = _sigmoid(z) if idx == last else np.maximum(z, 0.0)
+            activations.append(a)
+    probs = a[:, 0]
+    if not np.isfinite(probs).all():
+        raise NumericalError("network output is not finite")
+    return probs, pre, activations
 
 
 def forward(params: ClassifierParams, batch) -> np.ndarray:
     """Positive-class probability per batch row, each strictly in (0, 1)
-    up to float64 saturation."""
+    up to float64 saturation.  Raises NumericalError if one is not finite."""
     batch = _check_batch(params, batch)
     probs, _, _ = _forward_trace(params, batch)
     return probs
@@ -170,19 +214,18 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
             f"loss gradient has shape {g.shape}, expected {probs.shape}"
         )
 
-    grad = np.zeros_like(params.theta)
-    layers = list(_layers(params.layer_sizes))
-    # Sigmoid output layer: dz = dLoss/dprob * prob * (1 - prob).
-    dz = (g * probs * (1.0 - probs))[:, None]
-    for idx in range(len(layers) - 1, -1, -1):
-        w, b, (fan_in, fan_out) = layers[idx]
-        a_prev = activations[idx]
-        grad[w] = np.einsum("ni,no->io", a_prev, dz).reshape(-1)
-        grad[b] = dz.sum(axis=0)
-        if idx > 0:
-            weight = params.theta[w].reshape(fan_in, fan_out)
-            da = np.einsum("no,io->ni", dz, weight)
-            dz = da * (pre[idx - 1] > 0.0)
+    grad = np.empty_like(params.theta)
+    layers = _layers(params.layer_sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Sigmoid output layer: dz = dLoss/dprob * prob * (1 - prob).
+        dz = (g * probs * (1.0 - probs))[:, None]
+        for idx in range(len(layers) - 1, -1, -1):
+            w, b, (fan_in, fan_out) = layers[idx]
+            grad[w] = (activations[idx].T @ dz).reshape(-1)
+            grad[b] = dz.sum(axis=0)
+            if idx > 0:
+                da = dz @ params.theta[w].reshape(fan_in, fan_out).T
+                dz = da * (pre[idx - 1] > 0.0)
     return value, grad
 
 
@@ -199,7 +242,13 @@ def init_optimizer(
 def optimizer_step(
     params: ClassifierParams, state: OptimizerState, grad
 ) -> tuple[ClassifierParams, OptimizerState]:
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update; returns new params and state.
+
+    ``params`` and ``state`` are trusted to be valid, as their constructors
+    and :func:`init_optimizer` leave them, so the new parameters skip
+    ClassifierParams' validation.  Raises NumericalError for a non-finite
+    gradient or a non-finite result.
+    """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.theta.shape:
         raise UsageError(
@@ -210,13 +259,18 @@ def optimizer_step(
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericalError(f"non-finite gradient entry at index {bad}")
     t = state.step + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    theta = params.theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    new_state = replace(state, first_moment=m, second_moment=v, step=t)
-    return params.with_theta(theta), new_state
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        theta = params.theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not np.isfinite(theta).all():
+        raise NumericalError("parameter update is not finite")
+    updated = object.__new__(ClassifierParams)
+    object.__setattr__(updated, "layer_sizes", params.layer_sizes)
+    object.__setattr__(updated, "theta", theta)
+    return updated, OptimizerState(m, v, t, state.learning_rate)
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:

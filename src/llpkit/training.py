@@ -64,6 +64,10 @@ class TrainConfig:
             raise UsageError("max_epochs must be at least 1")
         if self.batch_size < 1:
             raise UsageError("batch_size must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.patience < 1:
             raise UsageError("patience must be at least 1")
         if self.rel_tol < 0:
@@ -199,7 +203,10 @@ def train(
                 raise UsageError("supervised training requires instance labels")
             targets = dataset.instances.labels.astype(np.float64)
         else:
-            targets = objectives.e_step(params, dataset).targets
+            try:
+                targets = objectives.e_step(params, dataset).targets
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} in the E-step before epoch 1") from exc
 
         # Reads ``targets`` when called, so mle's E-steps below take effect.
         def step(params, rows):
@@ -237,14 +244,16 @@ def train(
             total += loss
         epoch_loss = total / num_items
 
-        log_likelihood = None
-        if config.method == "mle":
-            state = objectives.e_step(params, dataset)
-            log_likelihood, targets = state.log_likelihood, state.targets
-        accuracy = None
-        if eval_features is not None:
-            preds = objectives.predict(params, eval_features, config.threshold)
-            accuracy = float(np.mean(preds == eval_labels))
+        log_likelihood = accuracy = None
+        try:
+            if config.method == "mle":
+                state = objectives.e_step(params, dataset)
+                log_likelihood, targets = state.log_likelihood, state.targets
+            if eval_features is not None:
+                preds = objectives.predict(params, eval_features, config.threshold)
+                accuracy = float(np.mean(preds == eval_labels))
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} after epoch {epoch}") from exc
         record.rows.append(
             EpochRow(
                 epoch=epoch,

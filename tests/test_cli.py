@@ -222,6 +222,29 @@ class TestTrain:
         assert "unrecognized arguments: --refresh 2" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf"])
+    def test_invalid_learning_rate_writes_nothing(self, tmp_path, bag_csv, capsys, lr):
+        out_dir = tmp_path / "run"
+        code, _, err = run(
+            capsys, "train", "--method", "mle", "--bags", str(bag_csv),
+            "--lr", lr, "--out", str(out_dir),
+        )
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: learning_rate")
+        assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_fit_is_a_numerical_error(self, tmp_path, bag_csv, capsys):
+        code, _, err = run(
+            capsys, "train", "--method", "mle", "--bags", str(bag_csv),
+            "--lr", "1e200", "--epochs", "3", "--out", str(tmp_path / "run"),
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "epoch" in lines[0]
+
     def test_identical_reruns_identical_outputs(self, tmp_path, bag_csv, capsys):
         args = [
             "train", "--method", "mle", "--bags", str(bag_csv),

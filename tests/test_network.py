@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import finite_difference_gradient, max_relative_error
 from llpkit.errors import FormatError, NumericalError, UsageError
 from llpkit.network import (
+    BLOCK_ROWS,
     ClassifierParams,
     backward,
     forward,
@@ -65,11 +68,48 @@ class TestForward:
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_single_vs_batched_bitwise(self):
+        # Past two full blocks, so rows come from full blocks and the tail.
+        n = 2 * BLOCK_ROWS + 33
         params = init_params((4, 16, 16, 1), seed=5)
-        X = np.random.default_rng(2).standard_normal((33, 4))
+        X = np.random.default_rng(2).standard_normal((n, 4))
         full = forward(params, X)
-        singles = np.array([forward(params, X[i : i + 1])[0] for i in range(33)])
+        singles = np.array([forward(params, X[i : i + 1])[0] for i in range(n)])
         np.testing.assert_array_equal(full, singles)
+
+    @given(
+        layer_sizes=st.sampled_from(
+            [(2, 32, 32, 1), (3, 64, 64, 1), (5, 8, 1), (2, 1)]
+        ),
+        n=st.sampled_from([1, 63, 64, 65, 1000]),
+        layout=st.sampled_from(["contiguous", "offset", "fortran"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_the_full_batch_bitwise(self, layer_sizes, n, layout, seed):
+        """Any subset of rows, in any order and at any position, scores
+        exactly as in the full batch, whatever the batch's memory layout."""
+        rng = np.random.default_rng(seed)
+        params = init_params(layer_sizes, seed=seed)
+        base = 3.0 * rng.standard_normal((n + 1, layer_sizes[0]))
+        X = {
+            "contiguous": base[:n],
+            "offset": base[1:],
+            "fortran": np.asfortranarray(base[:n]),
+        }[layout]
+        full = forward(params, X)
+        rows = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        np.testing.assert_array_equal(forward(params, X[rows]), full[rows])
+        i = int(rng.integers(n))
+        assert forward(params, X[i : i + 1])[0] == full[i]
+        assert forward(params, X[i:])[0] == full[i]
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_output_is_numerical_error(self):
+        # Both hidden units overflow to +inf; the output adds inf and -inf.
+        theta = np.array([1e200, 1e200, 1e200, 1e200, 0.0, 0.0, 1e200, -1e200, 0.0])
+        params = ClassifierParams((2, 2, 1), theta)
+        with pytest.raises(NumericalError, match="not finite"):
+            forward(params, np.array([[1e200, 1.0]]))
 
     def test_row_permutation_permutes_outputs(self):
         params = init_params((2, 8, 1), seed=9)
@@ -162,6 +202,13 @@ class TestOptimizer:
         state = init_optimizer(params)
         grad = np.zeros_like(params.theta)
         grad[3] = np.nan
+        with pytest.raises(NumericalError):
+            optimizer_step(params, state, grad)
+
+    def test_rejects_non_finite_update(self):
+        params = init_params((2, 4, 1), seed=0)
+        state = init_optimizer(params, learning_rate=float("inf"))
+        grad = np.ones_like(params.theta)
         with pytest.raises(NumericalError):
             optimizer_step(params, state, grad)
 

@@ -14,8 +14,8 @@ from llpkit.data import (
     generate_synthetic,
     make_bags,
 )
-from llpkit import network
-from llpkit.errors import UsageError
+from llpkit import network, objectives
+from llpkit.errors import NumericalError, UsageError
 from llpkit.objectives import e_step, m_step_loss, predict
 from llpkit.training import (
     RECORD_HEADER,
@@ -182,6 +182,31 @@ def reference_mle_loop(dataset, config):
         log_likelihood = e_step(params, dataset).log_likelihood
         rows.append((epoch, total / len(features), log_likelihood))
     return params, rows
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize(
+        "failing_call,where", [(1, "before epoch 1"), (3, "after epoch 2")]
+    )
+    def test_e_step_failure_names_the_epoch(self, monkeypatch, failing_call, where):
+        dataset, _ = blob_bags(n=60)
+        real_e_step = objectives.e_step
+        calls = []
+
+        def e_step(params, data):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise NumericalError("network output is not finite")
+            return real_e_step(params, data)
+
+        monkeypatch.setattr(objectives, "e_step", e_step)
+        with pytest.raises(NumericalError, match=where):
+            train(dataset, quick_config("mle", max_epochs=5))
+
+    def test_diverging_step_names_epoch_and_batch(self):
+        dataset, _ = blob_bags(n=60)
+        with pytest.raises(NumericalError, match=r"epoch 1, batch \d"):
+            train(dataset, quick_config("supervised", learning_rate=1e200))
 
 
 class TestFusedEStep:
@@ -376,3 +401,6 @@ class TestConfigValidation:
             TrainConfig(method="mle", patience=0)
         with pytest.raises(UsageError):
             TrainConfig(method="mle", threshold=1.5)
+        for lr in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="learning_rate"):
+                TrainConfig(method="mle", learning_rate=lr)
