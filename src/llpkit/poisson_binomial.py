@@ -8,11 +8,13 @@ per-instance posterior probabilities given that count (the soft
 cross-entropy targets).
 
 Both come from one kernel, :func:`batch_posteriors`.  It runs a
-forward-backward pass over count distributions in log space, O(n * y) per
-bag, for many bags at once, and holds at any bag size: a bag whose pmf
-underflows float64 still gets finite log-likelihoods and posteriors that
-sum to its count.  :func:`instance_posteriors` and
-:func:`bag_log_likelihood` are its one-bag forms.
+forward-backward pass over count distributions, O(n * y) per bag, for many
+bags at once: in linear space for every bag whose terms cannot leave the
+normal float64 range, in log space for the rest.  It holds at any bag
+size: a bag whose pmf underflows float64 still gets finite
+log-likelihoods and posteriors that sum to its count.
+:func:`instance_posteriors` and :func:`bag_log_likelihood` are its one-bag
+forms.
 
 All entry points clamp probabilities into ``[CLAMP_EPS, 1 - CLAMP_EPS]`` so
 that every consistent count has strictly positive probability and logs stay
@@ -30,6 +32,14 @@ CLAMP_EPS = 1e-7
 # Floats in one chunk's forward table in batch_posteriors (1 MiB), so the
 # kernel's working memory does not grow with the number of bags.
 _TABLE_BUDGET = 1 << 17
+
+# Lowest bag floor, sum_i log min(p_i, 1 - p_i) over the bag's instances,
+# at which batch_posteriors runs the bag in linear space.  Every nonzero
+# count probability, prefix, suffix and product in the sweep is a sum of
+# assignment probabilities, each at least exp(floor); this bound keeps them
+# above the smallest normal float64, exp(-708.4).  Clamped bags of up to 43
+# instances always pass.
+_LINEAR_FLOOR = -700.0
 
 
 def clamp_probabilities(p) -> np.ndarray:
@@ -76,15 +86,19 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
     P(instance i positive | its bag's count) and ``log_pb[j]`` is
     log pb(p_j, y_j).
 
-    Bags are grouped by the power of two at or above their size and padded
-    to it with p = 0 instances, which leave every count distribution
-    unchanged.  Per group, a forward sweep tabulates the log distribution
-    of the count among each prefix of the bag; a backward sweep carries
-    the suffix distribution and combines the two into the leave-one-out
-    count probabilities LOO_i(y - 1) and LOO_i(y).  The posterior is
-    a / (a + r) with a = p_i LOO_i(y - 1) and r = (1 - p_i) LOO_i(y), which
-    is exactly 0 for y = 0 and exactly 1 for y = n.  Bags are processed in
-    chunks whose forward table fits a fixed float budget.
+    Bags are grouped by the power of two at or above their size and by
+    route, and padded to that width with p = 0 instances, which leave
+    every count distribution unchanged.  Per group, a forward sweep
+    tabulates the distribution of the count among each prefix of the bag;
+    a backward sweep carries the suffix distribution and combines the two
+    into the leave-one-out count probabilities LOO_i(y - 1) and LOO_i(y).
+    The posterior is a / (a + r) with a = p_i LOO_i(y - 1) and
+    r = (1 - p_i) LOO_i(y), which is exactly 0 for y = 0 and exactly 1 for
+    y = n.  Bags are processed in chunks whose forward table fits a fixed
+    float budget.
+
+    The route: a bag whose floor, sum_i log min(p_i, 1 - p_i), is at least
+    ``_LINEAR_FLOOR`` is swept in linear space, any other in log space.
 
     A result that is not finite is returned as is; callers that need
     finite values check for it.
@@ -114,11 +128,26 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(probs)
         log_q = np.log1p(-probs)
-        for width in np.unique(widths).tolist():
+        # Each bag's floor (see _LINEAR_FLOOR); NaN for a NaN input, which
+        # routes the bag to log space.
+        floor = np.bincount(
+            np.repeat(np.arange(sizes.size), sizes),
+            weights=np.minimum(log_p, log_q),
+            minlength=sizes.size,
+        )
+        linear = floor >= _LINEAR_FLOOR
+        # Per route: the sweep, its inputs for p and 1 - p, and their
+        # values on padding (p = 0).
+        routes = {
+            True: (_linear_sweep, probs, 1.0 - probs, 0.0, 1.0),
+            False: (_log_sweep, log_p, log_q, -np.inf, 0.0),
+        }
+        for width, route in sorted(set(zip(widths.tolist(), linear.tolist()))):
+            sweep, p_rows, q_rows, p_pad, q_pad = routes[route]
             # Sizing chunks by the group's largest count keeps every table
             # within the budget; sorting by count keeps each table only as
             # wide as the largest count in its own chunk.
-            members = np.flatnonzero(widths == width)
+            members = np.flatnonzero((widths == width) & (linear == route))
             members = members[np.argsort(counts[members], kind="stable")]
             top = int(counts[members[-1]])
             per_chunk = max(1, _TABLE_BUDGET // (width * (top + 2)))
@@ -127,16 +156,55 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
                 chunk = members[lo : lo + per_chunk]
                 real = cols < sizes[chunk, None]
                 rows = (offsets[chunk, None] + cols)[real]
-                lp = np.full(real.shape, -np.inf)
-                lq = np.zeros(real.shape)
-                lp[real] = log_p[rows]
-                lq[real] = log_q[rows]
-                chunk_phi, log_pb[chunk] = _forward_backward(lp, lq, counts[chunk])
+                p = np.full(real.shape, p_pad)
+                q = np.full(real.shape, q_pad)
+                p[real] = p_rows[rows]
+                q[real] = q_rows[rows]
+                chunk_phi, log_pb[chunk] = sweep(p, q, counts[chunk])
                 phi[rows] = chunk_phi[real]
     return phi, log_pb
 
 
-def _forward_backward(lp, lq, counts) -> tuple[np.ndarray, np.ndarray]:
+def _linear_sweep(p, q, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors and log pmf for bags padded to a common width, in linear
+    space.
+
+    The sweep of :func:`_log_sweep` with multiply-adds for ``logaddexp``
+    and row dot products for ``_logsumexp``.  Only for bags whose floor is at least
+    ``_LINEAR_FLOOR``, whose every nonzero term is then a normal float.
+    """
+    b, width = p.shape
+    k = max(int(counts.max()), 1) + 1
+    bags = np.arange(b)
+
+    # prefix[:, i, c] = P(c positives among instances 0..i-1).
+    prefix = np.empty((b, width, k))
+    dist = np.zeros((b, k))
+    dist[:, 0] = 1.0
+    for i in range(width):
+        prefix[:, i] = dist
+        dist = dist * q[:, i, None]
+        dist[:, 1:] += prefix[:, i, :-1] * p[:, i, None]
+    pb = dist[bags, counts]
+
+    # rev[:, t] = P(y - t positives among instances i+1..width-1).
+    rev = np.zeros((b, k))
+    rev[bags, counts] = 1.0
+    a = np.empty((b, width))
+    r = np.empty((b, width))
+    for i in range(width - 1, -1, -1):
+        pre = prefix[:, i]
+        r[:, i] = np.einsum("bk,bk->b", pre, rev)
+        a[:, i] = np.einsum("bk,bk->b", pre[:, :-1], rev[:, 1:])
+        shifted = rev * q[:, i, None]
+        shifted[:, :-1] += rev[:, 1:] * p[:, i, None]
+        rev = shifted
+    a *= p
+    r *= q
+    return a / (a + r), np.log(pb)
+
+
+def _log_sweep(lp, lq, counts) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors and log pmf for bags padded to a common width.
 
     ``lp`` and ``lq`` hold log p and log(1 - p) per bag row.  Count

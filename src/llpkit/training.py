@@ -70,11 +70,17 @@ class TrainConfig:
             )
         if self.patience < 1:
             raise UsageError("patience must be at least 1")
-        if self.rel_tol < 0:
-            raise UsageError("rel_tol must be nonnegative")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise UsageError(
+                f"rel_tol must be finite and nonnegative, got {self.rel_tol}"
+            )
         if not 0.0 < self.threshold < 1.0:
             raise UsageError(f"threshold must be in (0, 1), got {self.threshold}")
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
+        if any(w < 1 for w in self.hidden_widths):
+            raise UsageError(
+                f"hidden layer widths must be at least 1, got {self.hidden_widths}"
+            )
 
 
 @dataclass(frozen=True)

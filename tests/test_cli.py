@@ -234,6 +234,32 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error: learning_rate")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_rel_tol_writes_nothing(self, tmp_path, bag_csv, capsys, tol):
+        out_dir = tmp_path / "run"
+        code, _, err = run(
+            capsys, "train", "--method", "amle", "--bags", str(bag_csv),
+            "--rel-tol", tol, "--patience", "2", "--out", str(out_dir),
+        )
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: rel_tol")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("hidden", ["0", "32,0", "-3"])
+    def test_zero_width_hidden_layer_writes_nothing(
+        self, tmp_path, bag_csv, capsys, hidden
+    ):
+        out_dir = tmp_path / "run"
+        code, _, err = run(
+            capsys, "train", "--method", "amle", "--bags", str(bag_csv),
+            f"--hidden={hidden}", "--out", str(out_dir),
+        )
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: hidden layer widths")
+        assert not out_dir.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_diverging_fit_is_a_numerical_error(self, tmp_path, bag_csv, capsys):
         code, _, err = run(

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -25,7 +25,10 @@ from helpers import (
 from llpkit import poisson_binomial
 from llpkit.errors import UsageError
 from llpkit.poisson_binomial import (
+    _LINEAR_FLOOR,
     CLAMP_EPS,
+    _linear_sweep,
+    _log_sweep,
     bag_log_likelihood,
     batch_posteriors,
     clamp_probabilities,
@@ -284,6 +287,122 @@ class TestUnderflow:
         assert phi[0] == pytest.approx(math.exp(log_with - log_total), abs=1e-12)
         np.testing.assert_allclose(phi[1:], (y - phi[0]) / (n - 1), rtol=0, atol=1e-12)
         assert log_pb == pytest.approx(log_total, rel=1e-12)
+
+
+def two_level_log_pmf(a, size_a, b, size_b, y):
+    """log P(y positives) among size_a instances at p = a and size_b at
+    p = b, by summing over the count among the first group."""
+    terms = [
+        math.lgamma(size_a + 1) - math.lgamma(j + 1) - math.lgamma(size_a - j + 1)
+        + j * math.log(a) + (size_a - j) * math.log1p(-a)
+        + math.lgamma(size_b + 1) - math.lgamma(y - j + 1)
+        - math.lgamma(size_b - y + j + 1)
+        + (y - j) * math.log(b) + (size_b - y + j) * math.log1p(-b)
+        for j in range(max(0, y - size_b), min(size_a, y) + 1)
+    ]
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def bag_floor(p):
+    """The routing floor: sum_i log min(p_i, 1 - p_i)."""
+    return float(np.minimum(np.log(p), np.log1p(-p)).sum())
+
+
+@st.composite
+def padded_bags(draw):
+    """Up to four bags padded with p = 0 columns to one width in 1..64;
+    clamped probabilities that often sit on either clamp edge."""
+    width = draw(st.integers(min_value=1, max_value=64))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    p = np.zeros((rows, width))
+    counts = []
+    for j in range(rows):
+        n = draw(st.integers(min_value=1, max_value=width))
+        values = draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, 1.0]),
+                    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        p[j, :n] = clamp_probabilities(values)
+        counts.append(draw(st.integers(min_value=0, max_value=n)))
+    return p, np.array(counts)
+
+
+class TestLinearRoute:
+    """Bags whose floor is at least _LINEAR_FLOOR run in linear space, the
+    rest in log space."""
+
+    @given(padded_bags())
+    @settings(max_examples=80, deadline=None)
+    def test_linear_sweep_matches_log_sweep(self, case):
+        p, counts = case
+        # Bags below the floor may underflow in the linear sweep; only the
+        # routed ones are compared.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp, lq = np.log(p), np.log1p(-p)
+            phi, log_pb = _linear_sweep(p, 1.0 - p, counts)
+            phi_log, log_pb_log = _log_sweep(lp, lq, counts)
+        floors = [bag_floor(row[row > 0]) for row in p]
+        routed = [j for j, floor in enumerate(floors) if floor >= _LINEAR_FLOOR]
+        assume(routed)
+        for j in routed:
+            # Past 1e-14, the log sweep's own rounding: its terms are as
+            # large as |floor|, each rounded to a relative eps.
+            atol = 1e-14 + abs(floors[j]) * np.finfo(float).eps
+            np.testing.assert_allclose(phi[j], phi_log[j], rtol=0, atol=atol)
+            # Relative, except where log pb is near 0: there pb is near 1
+            # and the linear sweep holds it to an absolute eps.
+            assert abs(log_pb[j] - log_pb_log[j]) <= 1e-13 * max(1.0, -log_pb_log[j])
+
+    def test_routes_share_a_bucket(self):
+        rng = np.random.default_rng(3)
+        linear_bag = clamp_probabilities(rng.uniform(0.2, 0.8, size=50))
+        # Alternating clamp edges: floor 64 log(1e-7), about -1031.6,
+        # although the count 32 is the most likely one.
+        edge_bag = np.tile([CLAMP_EPS, 1.0 - CLAMP_EPS], 32)
+        assert bag_floor(linear_bag) >= _LINEAR_FLOOR > bag_floor(edge_bag)
+        bags, sizes, counts = [linear_bag, edge_bag], [50, 64], [23, 32]
+        phi, log_pb = batch_posteriors(np.concatenate(bags), sizes, counts)
+        for j, (p, got) in enumerate(zip(bags, split_rows(phi, sizes))):
+            alone, alone_log = batch_posteriors(p, [p.size], [counts[j]])
+            np.testing.assert_array_equal(got, alone)
+            assert log_pb[j] == alone_log[0]
+
+        s = CLAMP_EPS
+        log_total = two_level_log_pmf(1.0 - s, 32, s, 32, 32)
+        assert log_pb[1] == pytest.approx(log_total, rel=1e-12)
+        log_high = two_level_log_pmf(1.0 - s, 31, s, 32, 31) - log_total
+        high = (1.0 - s) * math.exp(log_high)
+        got = split_rows(phi, sizes)[1]
+        np.testing.assert_allclose(got[1::2], high, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[0::2], 1.0 - high, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, expected", [(32, -222.25), (43, -295.40), (64, None)]
+    )
+    def test_worst_case_bag(self, n, expected):
+        # One instance at 1 - 1e-7 and n - 1 at 1e-7, y = n/2: floor
+        # n log(1e-7), linear at n = 32 and 43, log space at 64.
+        s = CLAMP_EPS
+        p = np.full(n, s)
+        p[0] = 1.0 - s
+        y = n // 2
+        assert (bag_floor(p) >= _LINEAR_FLOOR) == (n <= 43)
+        phi, log_pb = batch_posteriors(p, [n], [y])
+        log_total = two_level_log_pmf(1.0 - s, 1, s, n - 1, y)
+        if expected is not None:
+            assert log_total == pytest.approx(expected, abs=5e-3)
+        assert log_pb[0] == pytest.approx(log_total, rel=1e-12)
+        log_first = two_level_log_pmf(1.0 - s, 0, s, n - 1, y - 1) - log_total
+        first = (1.0 - s) * math.exp(log_first)
+        assert phi[0] == pytest.approx(first, abs=1e-12)
+        np.testing.assert_allclose(phi[1:], (y - first) / (n - 1), rtol=0, atol=1e-12)
 
 
 class TestBagLogLikelihood:

@@ -404,3 +404,12 @@ class TestConfigValidation:
         for lr in (0.0, -1e-3, float("nan"), float("inf")):
             with pytest.raises(UsageError, match="learning_rate"):
                 TrainConfig(method="mle", learning_rate=lr)
+        for tol in (-1e-5, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="rel_tol"):
+                TrainConfig(method="mle", rel_tol=tol)
+        for widths in ((0,), (32, 0), (-3,)):
+            with pytest.raises(UsageError, match="hidden layer widths"):
+                TrainConfig(method="mle", hidden_widths=widths)
+
+    def test_no_hidden_layer_is_valid(self):
+        assert TrainConfig(method="mle", hidden_widths=()).hidden_widths == ()
