@@ -136,9 +136,14 @@ def cmd_train(args) -> int:
         )
     dataset = data.load_bags_csv(args.bags)
     config = _train_config(args)
+    eval_instances = (
+        data.load_instances_csv(args.eval_data) if args.eval_data else None
+    )
+    # Before anything is written: fails on fewer bags than folds, and on
+    # data the run cannot use.
     if args.folds is not None:
-        # Before anything is written: fails on fewer bags than folds.
         dataset = data.assign_folds(dataset, args.folds, config.seed)
+    training.check_train(dataset, config, eval_instances)
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -165,9 +170,6 @@ def cmd_train(args) -> int:
         )
         return 0
 
-    eval_instances = (
-        data.load_instances_csv(args.eval_data) if args.eval_data else None
-    )
     params, record = training.train(dataset, config, eval_instances=eval_instances)
     network.save_checkpoint(outputs["checkpoint"], params)
     record.write_csv(outputs["curve"])

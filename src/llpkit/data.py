@@ -173,6 +173,8 @@ class SyntheticSpec:
             raise UsageError("class separation must be nonnegative")
         if not 0.0 < self.positive_prior < 1.0:
             raise UsageError("positive prior must lie strictly inside (0, 1)")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Instances:
@@ -320,6 +322,8 @@ def make_bags(
         raise UsageError(
             f"need 1 <= min_size <= max_size <= {n}, got [{min_size}, {max_size}]"
         )
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     offsets = [0]
@@ -340,6 +344,8 @@ def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
         raise UsageError(
             f"cannot split {dataset.num_bags} bags into {k} folds"
         )
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.num_bags)
     assignment = {int(bag): i % k for i, bag in enumerate(order)}

@@ -329,6 +329,7 @@ def load_checkpoint(path) -> tuple[ClassifierParams, None]:
             tuple(field("layer_sizes", {int})),
             np.asarray(field("theta", {int, float}), dtype=np.float64),
         )
-    except UsageError as exc:
+    except (UsageError, OverflowError) as exc:
+        # OverflowError: an integer in theta beyond float range.
         raise FormatError(f"checkpoint {path}: {exc}") from exc
     return params, None

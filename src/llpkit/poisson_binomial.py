@@ -8,11 +8,13 @@ per-instance posterior probabilities given that count (the soft
 cross-entropy targets).
 
 Both come from one kernel, :func:`batch_posteriors`.  It runs a
-forward-backward pass over count distributions, O(n * y) per bag, for many
-bags at once: in linear space for every bag whose terms cannot leave the
-normal float64 range, in log space for the rest.  It holds at any bag
-size: a bag whose pmf underflows float64 still gets finite
-log-likelihoods and posteriors that sum to its count.
+forward-backward pass over count distributions in linear space, O(n * y)
+per bag, for many bags at once.  A bag whose terms could leave the normal
+float64 range is first tilted: its odds are scaled until its count is
+typical, which leaves its posteriors unchanged and shifts its log pmf by a
+known amount.  So the kernel holds at any bag size: a bag whose pmf
+underflows float64 still gets finite log-likelihoods and posteriors that
+sum to its count.
 :func:`instance_posteriors` and :func:`bag_log_likelihood` are its one-bag
 forms.
 
@@ -34,8 +36,8 @@ CLAMP_EPS = 1e-7
 _TABLE_BUDGET = 1 << 17
 
 # Lowest bag floor, sum_i log min(p_i, 1 - p_i) over the bag's instances,
-# at which batch_posteriors runs the bag in linear space.  Every nonzero
-# count probability, prefix, suffix and product in the sweep is a sum of
+# at which batch_posteriors sweeps the bag untilted.  Every nonzero count
+# probability, prefix, suffix and product in the sweep is a sum of
 # assignment probabilities, each at least exp(floor); this bound keeps them
 # above the smallest normal float64, exp(-708.4).  Clamped bags of up to 43
 # instances always pass.
@@ -87,18 +89,13 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
     log pb(p_j, y_j).
 
     Bags are grouped by the power of two at or above their size and by
-    route, and padded to that width with p = 0 instances, which leave
-    every count distribution unchanged.  Per group, a forward sweep
-    tabulates the distribution of the count among each prefix of the bag;
-    a backward sweep carries the suffix distribution and combines the two
-    into the leave-one-out count probabilities LOO_i(y - 1) and LOO_i(y).
-    The posterior is a / (a + r) with a = p_i LOO_i(y - 1) and
-    r = (1 - p_i) LOO_i(y), which is exactly 0 for y = 0 and exactly 1 for
-    y = n.  Bags are processed in chunks whose forward table fits a fixed
-    float budget.
-
-    The route: a bag whose floor, sum_i log min(p_i, 1 - p_i), is at least
-    ``_LINEAR_FLOOR`` is swept in linear space, any other in log space.
+    whether their floor, sum_i log min(p_i, 1 - p_i), lies below
+    ``_LINEAR_FLOOR``, and padded to that width with p = 0 instances,
+    which leave every count distribution unchanged.  Each chunk of a group
+    goes through one linear-space sweep, :func:`_sweep`; a chunk below the
+    floor is first tilted by :func:`_tilt`, so that its count
+    probabilities cannot underflow.  Chunks are sized so that their
+    forward table fits a fixed float budget.
 
     A result that is not finite is returned as is; callers that need
     finite values check for it.
@@ -126,28 +123,18 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     widths = 1 << np.ceil(np.log2(np.maximum(sizes, 1))).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(probs)
-        log_q = np.log1p(-probs)
-        # Each bag's floor (see _LINEAR_FLOOR); NaN for a NaN input, which
-        # routes the bag to log space.
         floor = np.bincount(
             np.repeat(np.arange(sizes.size), sizes),
-            weights=np.minimum(log_p, log_q),
+            weights=np.minimum(np.log(probs), np.log1p(-probs)),
             minlength=sizes.size,
         )
-        linear = floor >= _LINEAR_FLOOR
-        # Per route: the sweep, its inputs for p and 1 - p, and their
-        # values on padding (p = 0).
-        routes = {
-            True: (_linear_sweep, probs, 1.0 - probs, 0.0, 1.0),
-            False: (_log_sweep, log_p, log_q, -np.inf, 0.0),
-        }
-        for width, route in sorted(set(zip(widths.tolist(), linear.tolist()))):
-            sweep, p_rows, q_rows, p_pad, q_pad = routes[route]
+        # A NaN floor (NaN input) counts as below.
+        below = ~(floor >= _LINEAR_FLOOR)
+        for width, tilt in sorted(set(zip(widths.tolist(), below.tolist()))):
             # Sizing chunks by the group's largest count keeps every table
             # within the budget; sorting by count keeps each table only as
             # wide as the largest count in its own chunk.
-            members = np.flatnonzero((widths == width) & (linear == route))
+            members = np.flatnonzero((widths == width) & (below == tilt))
             members = members[np.argsort(counts[members], kind="stable")]
             top = int(counts[members[-1]])
             per_chunk = max(1, _TABLE_BUDGET // (width * (top + 2)))
@@ -156,22 +143,54 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
                 chunk = members[lo : lo + per_chunk]
                 real = cols < sizes[chunk, None]
                 rows = (offsets[chunk, None] + cols)[real]
-                p = np.full(real.shape, p_pad)
-                q = np.full(real.shape, q_pad)
-                p[real] = p_rows[rows]
-                q[real] = q_rows[rows]
-                chunk_phi, log_pb[chunk] = sweep(p, q, counts[chunk])
+                p = np.zeros(real.shape)
+                p[real] = probs[rows]
+                q = 1.0 - p
+                if tilt:
+                    p, q, shift = _tilt(p, sizes[chunk], counts[chunk])
+                chunk_phi, log_pb[chunk] = _sweep(p, q, counts[chunk])
+                if tilt:
+                    log_pb[chunk] += shift
                 phi[rows] = chunk_phi[real]
     return phi, log_pb
 
 
-def _linear_sweep(p, q, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Posteriors and log pmf for bags padded to a common width, in linear
-    space.
+def _tilt(p, sizes, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tilt bags padded to a common width until their counts are typical.
 
-    The sweep of :func:`_log_sweep` with multiply-adds for ``logaddexp``
-    and row dot products for ``_logsumexp``.  Only for bags whose floor is at least
-    ``_LINEAR_FLOOR``, whose every nonzero term is then a normal float.
+    Scaling every odds p_i / (1 - p_i) of a bag by e^theta leaves the
+    distribution of its labels given their sum, so its posteriors, unchanged
+    and gives log pb(y) = log pb'(y) + sum_i log(1 - p_i + p_i e^theta) -
+    theta y.  Theta takes 40 bisection steps towards a tilted expected count
+    of clip(y, 1/2, n - 1/2), where pb'(y) is far from underflow; as
+    clamping keeps |logit p| below 16.2, [-40, 40] brackets it for any bag.
+    Returns the tilted p and 1 - p, and log pb(y) - log pb'(y) per bag.
+    """
+    log_p, log_q = np.log(p), np.log1p(-p)
+    target = np.clip(counts, 0.5, sizes - 0.5)[:, None]
+    lo, hi = np.full(target.shape, -40.0), np.full(target.shape, 40.0)
+    for _ in range(40):
+        theta = (lo + hi) / 2
+        mean = (1.0 / (1.0 + np.exp(log_q - log_p - theta))).sum(axis=1, keepdims=True)
+        lo, hi = np.where(mean > target, lo, theta), np.where(mean > target, theta, hi)
+    theta = (lo + hi) / 2
+    z = log_p - log_q + theta
+    shift = np.logaddexp(log_q, log_p + theta).sum(axis=1) - theta[:, 0] * counts
+    return 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)), shift
+
+
+def _sweep(p, q, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors and log pmf for bags padded to a common width.
+
+    ``p`` and ``q`` hold p and 1 - p per bag row.  A forward sweep
+    tabulates the distribution of the count among each prefix of the bag;
+    a backward sweep carries the suffix distribution and combines the two
+    into the leave-one-out count probabilities LOO_i(y - 1) and LOO_i(y).
+    The posterior is a / (a + r) with a = p_i LOO_i(y - 1) and
+    r = (1 - p_i) LOO_i(y), which is exactly 0 for y = 0 and exactly 1 for
+    y = n.  Count distributions are cut off above the largest count,
+    which no lower count depends on.  The bags must not underflow: see
+    ``_LINEAR_FLOOR`` and :func:`_tilt`.
     """
     b, width = p.shape
     k = max(int(counts.max()), 1) + 1
@@ -202,52 +221,3 @@ def _linear_sweep(p, q, counts) -> tuple[np.ndarray, np.ndarray]:
     a *= p
     r *= q
     return a / (a + r), np.log(pb)
-
-
-def _log_sweep(lp, lq, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Posteriors and log pmf for bags padded to a common width.
-
-    ``lp`` and ``lq`` hold log p and log(1 - p) per bag row.  Count
-    distributions are kept in log space and cut off above the largest
-    count, which no lower count depends on.
-    """
-    b, width = lp.shape
-    # Counts 0..max; at least two columns, so the y - 1 sums have a term.
-    k = max(int(counts.max()), 1) + 1
-    bags = np.arange(b)
-
-    # prefix[:, i, c] = log P(c positives among instances 0..i-1).
-    prefix = np.empty((b, width, k))
-    dist = np.full((b, k), -np.inf)
-    dist[:, 0] = 0.0
-    for i in range(width):
-        prefix[:, i] = dist
-        shifted = np.full((b, k), -np.inf)
-        shifted[:, 1:] = dist[:, :-1] + lp[:, i, None]
-        dist = np.logaddexp(dist + lq[:, i, None], shifted)
-    log_pb = dist[bags, counts]
-
-    # rev[:, t] = log P(y - t positives among instances i+1..width-1): the
-    # suffix distribution indexed down from each bag's own count, so the
-    # leave-one-out sums over t pair prefix[t] with rev[t] (count y) and
-    # with rev[t + 1] (count y - 1) without a gather.
-    rev = np.full((b, k), -np.inf)
-    rev[bags, counts] = 0.0
-    log_a = np.empty((b, width))
-    log_r = np.empty((b, width))
-    for i in range(width - 1, -1, -1):
-        pre = prefix[:, i]
-        log_r[:, i] = _logsumexp(pre + rev) + lq[:, i]
-        log_a[:, i] = _logsumexp(pre[:, :-1] + rev[:, 1:]) + lp[:, i]
-        shifted = np.full((b, k), -np.inf)
-        shifted[:, :-1] = rev[:, 1:] + lp[:, i, None]
-        rev = np.logaddexp(rev + lq[:, i, None], shifted)
-    phi = np.exp(log_a - np.logaddexp(log_a, log_r))
-    return phi, log_pb
-
-
-def _logsumexp(x) -> np.ndarray:
-    """Row-wise log(sum(exp(x))); rows of all -inf give -inf."""
-    top = x.max(axis=1)
-    top = np.where(np.isfinite(top), top, 0.0)
-    return np.log(np.exp(x - top[:, None]).sum(axis=1)) + top

@@ -74,6 +74,8 @@ class TrainConfig:
             raise UsageError(
                 f"rel_tol must be finite and nonnegative, got {self.rel_tol}"
             )
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
             raise UsageError(f"threshold must be in (0, 1), got {self.threshold}")
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
@@ -175,6 +177,7 @@ def train(
     recorded every epoch.  Returns the final parameters and the per-epoch
     record (one row per completed epoch).
     """
+    check_train(dataset, config, eval_instances)
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
@@ -205,8 +208,6 @@ def train(
     else:
         num_items = dataset.num_instances
         if config.method == "supervised":
-            if dataset.instances.labels is None:
-                raise UsageError("supervised training requires instance labels")
             targets = dataset.instances.labels.astype(np.float64)
         else:
             try:
@@ -282,6 +283,23 @@ def train(
             if stale >= config.patience:
                 break
     return params, record
+
+
+def check_train(
+    dataset: BagDataset, config: TrainConfig, eval_instances: Instances | None = None
+) -> None:
+    """Raise UsageError unless :func:`train` can run ``config`` on
+    ``dataset`` and score ``eval_instances``, so that a run fails before
+    its first epoch."""
+    if config.method == "supervised" and dataset.instances.labels is None:
+        raise UsageError("supervised training requires instance labels")
+    if eval_instances is not None:
+        _labeled(eval_instances)
+        if eval_instances.dim != dataset.feature_dim:
+            raise UsageError(
+                f"evaluation set has {eval_instances.dim} features, the bags "
+                f"have {dataset.feature_dim}"
+            )
 
 
 @dataclass(frozen=True)

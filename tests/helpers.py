@@ -4,8 +4,9 @@ the oracles the library is checked against.
 The oracles compute the same quantities as the library by independent,
 slower routes: the Poisson binomial pmf by enumerating label
 configurations and by a linear-space convolution DP, instance posteriors
-by leave-one-out DPs and configuration marginals, the EM lower bound, a
-textbook full-batch EM loop, and the per-bag losses in Python floats.
+by leave-one-out DPs, configuration marginals and a log-space
+forward-backward sweep, the EM lower bound, a textbook full-batch EM loop,
+and the per-bag losses in Python floats.
 """
 
 import itertools
@@ -260,6 +261,59 @@ def loo_posteriors(p, y):
         rest = probs[:i] + probs[i + 1 :]
         phi[i] = probs[i] * count_probability(rest, y - 1) / total
     return np.clip(phi, 0.0, 1.0)
+
+
+def log_sweep(lp, lq, counts):
+    """Posteriors and log pmf for bags padded to a common width, with every
+    count distribution in log space: the library's forward-backward sweep
+    with ``logaddexp`` for its multiply-adds, which never underflows.
+
+    ``lp`` and ``lq`` hold log p and log(1 - p) per bag row; padding
+    columns hold -inf and 0.  Count distributions are cut off above the
+    largest count, which no lower count depends on.
+    """
+    # Empty sums (y = 0 for a) are log 0 = -inf.
+    with np.errstate(divide="ignore"):
+        b, width = lp.shape
+        # Counts 0..max; at least two columns, so the y - 1 sums have a term.
+        k = max(int(counts.max()), 1) + 1
+        bags = np.arange(b)
+
+        # prefix[:, i, c] = log P(c positives among instances 0..i-1).
+        prefix = np.empty((b, width, k))
+        dist = np.full((b, k), -np.inf)
+        dist[:, 0] = 0.0
+        for i in range(width):
+            prefix[:, i] = dist
+            shifted = np.full((b, k), -np.inf)
+            shifted[:, 1:] = dist[:, :-1] + lp[:, i, None]
+            dist = np.logaddexp(dist + lq[:, i, None], shifted)
+        log_pb = dist[bags, counts]
+
+        # rev[:, t] = log P(y - t positives among instances i+1..width-1): the
+        # suffix distribution indexed down from each bag's own count, so the
+        # leave-one-out sums over t pair prefix[t] with rev[t] (count y) and
+        # with rev[t + 1] (count y - 1) without a gather.
+        rev = np.full((b, k), -np.inf)
+        rev[bags, counts] = 0.0
+        log_a = np.empty((b, width))
+        log_r = np.empty((b, width))
+        for i in range(width - 1, -1, -1):
+            pre = prefix[:, i]
+            log_r[:, i] = _logsumexp(pre + rev) + lq[:, i]
+            log_a[:, i] = _logsumexp(pre[:, :-1] + rev[:, 1:]) + lp[:, i]
+            shifted = np.full((b, k), -np.inf)
+            shifted[:, :-1] = rev[:, 1:] + lp[:, i, None]
+            rev = np.logaddexp(rev + lq[:, i, None], shifted)
+        phi = np.exp(log_a - np.logaddexp(log_a, log_r))
+    return phi, log_pb
+
+
+def _logsumexp(x):
+    """Row-wise log(sum(exp(x))); rows of all -inf give -inf."""
+    top = x.max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.log(np.exp(x - top[:, None]).sum(axis=1)) + top
 
 
 def amle_loss(probs, positive_count):

@@ -44,6 +44,17 @@ def bag_csv(tmp_path, instance_csv, capsys):
     return path
 
 
+@pytest.fixture
+def unlabeled_csv(tmp_path, instance_csv):
+    """The instance file without its label column."""
+    path = tmp_path / "unlabeled.csv"
+    with open(instance_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:-1] for row in rows)
+    return path
+
+
 class TestSynth:
     def test_writes_requested_rows(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
@@ -146,13 +157,6 @@ class TestTrain:
             assert (out_dir / f"curve_fold{fold}.csv").exists()
 
     def test_supervised_needs_labels(self, tmp_path, instance_csv, capsys):
-        stripped = tmp_path / "unlabeled.csv"
-        with open(instance_csv, newline="") as fh:
-            rows = list(csv.reader(fh))
-        with open(stripped, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow(row[:-1])
         bags = tmp_path / "unlabeled_bags.csv"
         code, _, _ = run(
             capsys, "bag", "--in", str(instance_csv), "--min", "2", "--max", "3",
@@ -179,6 +183,37 @@ class TestTrain:
         )
         assert code == 2
         assert err.startswith("error: ")
+        assert not (tmp_path / "run2").exists()
+
+    @pytest.mark.parametrize(
+        "eval_file, expected_code, message",
+        [
+            ("missing", 1, "error: "),
+            ("unlabeled", 2, "error: evaluation requires instance labels"),
+            ("wide", 2, "error: evaluation set has 3 features, the bags have 2"),
+        ],
+        ids=["missing", "unlabeled", "wide"],
+    )
+    def test_unusable_eval_file_writes_nothing(
+        self, tmp_path, bag_csv, unlabeled_csv, capsys, eval_file, expected_code,
+        message,
+    ):
+        path = {"missing": tmp_path / "missing.csv", "unlabeled": unlabeled_csv,
+                "wide": tmp_path / "wide.csv"}[eval_file]
+        if eval_file == "wide":
+            assert run(
+                capsys, "synth", "--n", "20", "--dim", "3", "--out", str(path)
+            )[0] == 0
+        out_dir = tmp_path / "run"
+        code, stdout, err = run(
+            capsys, "train", "--method", "amle", "--bags", str(bag_csv),
+            "--eval", str(path), "--epochs", "1", "--out", str(out_dir),
+        )
+        assert code == expected_code
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+        assert not out_dir.exists()
 
     def test_bad_method_is_usage_error(self, tmp_path, bag_csv, capsys):
         code, _, _ = run(
@@ -517,6 +552,27 @@ class TestErrorContract:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["synth", "bag", "train", "sweep"])
+    def test_negative_seed_writes_nothing(
+        self, tmp_path, instance_csv, bag_csv, capsys, command
+    ):
+        argv = {
+            "synth": ["--n", "10"],
+            "bag": ["--in", str(instance_csv)],
+            "train": ["--method", "mle", "--bags", str(bag_csv)],
+            "sweep": [
+                "--data", str(instance_csv), "--sizes", "2", "--methods", "dllp",
+            ],
+        }[command]
+        out = tmp_path / "out" / "result"
+        code, stdout, err = run(
+            capsys, command, *argv, "--seed", "-1", "--out", str(out)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == ["error: seed must be nonnegative, got -1"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestBagCsvErrors:

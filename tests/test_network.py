@@ -299,6 +299,8 @@ class TestCheckpoint:
             lambda r: r.pop("theta"),
             lambda r: r.update(theta={"0": 1.0}),
             lambda r: r.update(theta=r["theta"][:-1]),
+            # An integer beyond float range.
+            lambda r: r["theta"].__setitem__(0, 10**400),
         ],
     )
     def test_missing_or_mistyped_field_is_format_error(self, tmp_path, edit):

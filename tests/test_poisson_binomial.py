@@ -3,7 +3,8 @@
 The library's pmf and posteriors come from the batched forward-backward
 kernel.  The oracles in ``helpers`` check it: enumeration and the
 convolution DP (which are checked against each other) for the pmf, the
-configuration posterior and the leave-one-out DP for the posteriors.
+configuration posterior and the leave-one-out DP for the posteriors, and
+the log-space sweep for both wherever the linear-space oracles underflow.
 Hand-checkable values are frozen in the assertions.
 """
 
@@ -12,12 +13,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     configuration_posterior,
     enumerate_configurations,
+    log_sweep,
     loo_posteriors,
     pb_dp,
     pb_enumerated,
@@ -27,8 +29,6 @@ from llpkit.errors import UsageError
 from llpkit.poisson_binomial import (
     _LINEAR_FLOOR,
     CLAMP_EPS,
-    _linear_sweep,
-    _log_sweep,
     bag_log_likelihood,
     batch_posteriors,
     clamp_probabilities,
@@ -259,7 +259,7 @@ class TestUnderflow:
     """One confident instance among near-certain negatives, y = n/2: pb(y)
     lies far below the smallest float64 at these sizes."""
 
-    @pytest.mark.parametrize("n", [100, 128, 200])
+    @pytest.mark.parametrize("n", [100, 128, 200, 1000])
     def test_saturated_bag(self, n):
         p = np.full(n, 1e-9)
         p[0] = 0.9
@@ -310,55 +310,58 @@ def bag_floor(p):
 
 
 @st.composite
-def padded_bags(draw):
-    """Up to four bags padded with p = 0 columns to one width in 1..64;
-    clamped probabilities that often sit on either clamp edge."""
-    width = draw(st.integers(min_value=1, max_value=64))
-    rows = draw(st.integers(min_value=1, max_value=4))
-    p = np.zeros((rows, width))
-    counts = []
-    for j in range(rows):
-        n = draw(st.integers(min_value=1, max_value=width))
-        values = draw(
-            st.lists(
-                st.one_of(
-                    st.sampled_from([0.0, 1.0]),
-                    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-                ),
-                min_size=n,
-                max_size=n,
-            )
-        )
-        p[j, :n] = clamp_probabilities(values)
-        counts.append(draw(st.integers(min_value=0, max_value=n)))
-    return p, np.array(counts)
+def straddling_bags(draw):
+    """Up to four bags of 1..256 instances, each with a drawn share of its
+    probabilities on either clamp edge and the rest uniform, so that bag
+    floors fall on both sides of _LINEAR_FLOOR; counts often at 0 or n."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    bags = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        n = draw(st.integers(min_value=1, max_value=256))
+        p = rng.random(n)
+        edge = rng.random(n) < draw(st.floats(min_value=0.0, max_value=1.0))
+        p[edge] = rng.integers(0, 2, size=int(edge.sum()))
+        y = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+        bags.append((clamp_probabilities(p), y))
+    return bags
 
 
 class TestLinearRoute:
-    """Bags whose floor is at least _LINEAR_FLOOR run in linear space, the
-    rest in log space."""
+    """Every bag runs through one linear-space sweep; a bag whose floor is
+    below _LINEAR_FLOOR is tilted first.  The log-space sweep in helpers
+    is the oracle on both sides of the floor."""
 
-    @given(padded_bags())
+    @given(straddling_bags())
     @settings(max_examples=80, deadline=None)
-    def test_linear_sweep_matches_log_sweep(self, case):
-        p, counts = case
-        # Bags below the floor may underflow in the linear sweep; only the
-        # routed ones are compared.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lp, lq = np.log(p), np.log1p(-p)
-            phi, log_pb = _linear_sweep(p, 1.0 - p, counts)
-            phi_log, log_pb_log = _log_sweep(lp, lq, counts)
-        floors = [bag_floor(row[row > 0]) for row in p]
-        routed = [j for j, floor in enumerate(floors) if floor >= _LINEAR_FLOOR]
-        assume(routed)
-        for j in routed:
+    def test_linear_sweep_matches_log_sweep(self, bags):
+        sizes = [p.size for p, _ in bags]
+        counts = [y for _, y in bags]
+        # A small table budget splits every bucket above width 8 into
+        # chunks of one bag.
+        with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 512):
+            phi, log_pb = batch_posteriors(
+                np.concatenate([p for p, _ in bags]), sizes, counts
+            )
+        for (p, y), got, got_log in zip(bags, split_rows(phi, sizes), log_pb):
+            want, want_log = log_sweep(
+                np.log(p)[None], np.log1p(-p)[None], np.array([y])
+            )
             # Past 1e-14, the log sweep's own rounding: its terms are as
             # large as |floor|, each rounded to a relative eps.
-            atol = 1e-14 + abs(floors[j]) * np.finfo(float).eps
-            np.testing.assert_allclose(phi[j], phi_log[j], rtol=0, atol=atol)
+            atol = 1e-14 + abs(bag_floor(p)) * np.finfo(float).eps
+            np.testing.assert_allclose(got, want[0], rtol=0, atol=atol)
             # Relative, except where log pb is near 0: there pb is near 1
             # and the linear sweep holds it to an absolute eps.
-            assert abs(log_pb[j] - log_pb_log[j]) <= 1e-13 * max(1.0, -log_pb_log[j])
+            assert abs(got_log - want_log[0]) <= 1e-13 * max(1.0, -want_log[0])
+
+    @pytest.mark.parametrize("y", [0, 64])
+    def test_tilted_bag_degenerate_counts(self, y):
+        p = np.tile([CLAMP_EPS, 1.0 - CLAMP_EPS], 32)
+        assert bag_floor(p) < _LINEAR_FLOOR
+        phi, log_pb = batch_posteriors(p, [64], [y])
+        np.testing.assert_array_equal(phi, np.full(64, y / 64))
+        expected = np.log(p).sum() if y else np.log1p(-p).sum()
+        assert log_pb[0] == pytest.approx(expected, rel=1e-12)
 
     def test_routes_share_a_bucket(self):
         rng = np.random.default_rng(3)
@@ -388,7 +391,7 @@ class TestLinearRoute:
     )
     def test_worst_case_bag(self, n, expected):
         # One instance at 1 - 1e-7 and n - 1 at 1e-7, y = n/2: floor
-        # n log(1e-7), linear at n = 32 and 43, log space at 64.
+        # n log(1e-7), untilted at n = 32 and 43, tilted at 64.
         s = CLAMP_EPS
         p = np.full(n, s)
         p[0] = 1.0 - s

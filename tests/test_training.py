@@ -410,6 +410,8 @@ class TestConfigValidation:
         for widths in ((0,), (32, 0), (-3,)):
             with pytest.raises(UsageError, match="hidden layer widths"):
                 TrainConfig(method="mle", hidden_widths=widths)
+        with pytest.raises(UsageError, match="seed"):
+            TrainConfig(method="mle", seed=-1)
 
     def test_no_hidden_layer_is_valid(self):
         assert TrainConfig(method="mle", hidden_widths=()).hidden_widths == ()
