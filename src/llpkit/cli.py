@@ -27,6 +27,8 @@ from .files import write_atomic
 
 
 def _out_path(raw) -> Path:
+    if raw == "":
+        raise UsageError("--out is empty")
     path = Path(raw)
     root = os.environ.get("LLPKIT_OUT")
     if root and not path.is_absolute():
@@ -185,6 +187,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _out_path(args.out) if args.out is not None else None
     params, _ = network.load_checkpoint(args.checkpoint)
     instances = data.load_instances_csv(args.data)
     if instances.labels is None:
@@ -202,8 +205,7 @@ def cmd_eval(args) -> int:
         f"confusion: tp={metrics.true_positive} fp={metrics.false_positive} "
         f"tn={metrics.true_negative} fn={metrics.false_negative}"
     )
-    if args.out:
-        out = _out_path(args.out)
+    if out is not None:
         _write_json(out, payload)
         print(f"wrote {out}")
     return 0

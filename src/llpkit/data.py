@@ -169,8 +169,11 @@ class SyntheticSpec:
             raise UsageError("need at least 2 instances")
         if self.feature_dim < 1:
             raise UsageError("feature dimension must be positive")
-        if self.class_separation < 0:
-            raise UsageError("class separation must be nonnegative")
+        if not (np.isfinite(self.class_separation) and self.class_separation >= 0):
+            raise UsageError(
+                "class separation must be finite and nonnegative, got "
+                f"{self.class_separation}"
+            )
         if not 0.0 < self.positive_prior < 1.0:
             raise UsageError("positive prior must lie strictly inside (0, 1)")
         if self.seed < 0:

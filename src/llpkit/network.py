@@ -11,9 +11,13 @@ inside a batch, of any size, at any position.  BLAS picks its summation
 order from the shape of the product, so the forward pass never hands BLAS
 the batch itself: :func:`_dense` multiplies blocks of exactly
 ``BLOCK_ROWS`` rows, padding the last block with zero rows, and every call
-for a layer has one shape.  The backward pass uses plain BLAS products;
-gradients promise no row invariance, and the same batch shape gives the
-same sums, so reruns stay byte-identical.
+for a layer has one shape.  :func:`forward` streams the batch through the
+network in chunks of whole blocks, so a pass allocates memory in
+proportion to the widest layer, not to the batch, and the blocks and
+their outputs are the same as in one pass over the whole batch.  The
+backward pass uses plain BLAS products; gradients promise no row
+invariance, and the same batch shape gives the same sums, so reruns stay
+byte-identical.
 
 Parameters live in one flat float64 vector with layout
 ``W0, b0, W1, b1, ...`` where each weight matrix is stored row-major with
@@ -41,6 +45,10 @@ ADAM_EPS = 1e-8
 # Rows per BLAS call in the forward pass; every call for a layer has this
 # shape, which is what makes outputs independent of the batch.
 BLOCK_ROWS = 64
+
+# Floats in one layer's activations for one chunk of forward's stream
+# (64 KiB), rounded down to whole blocks and at least one block.
+_STREAM_FLOATS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +97,12 @@ def _validate_sizes(layer_sizes) -> None:
         raise UsageError(f"zero-width layer in architecture {tuple(layer_sizes)}")
     if layer_sizes[-1] != 1:
         raise UsageError("output layer must have width 1")
+
+
+@cache
+def _chunk_rows(layer_sizes: tuple[int, ...]) -> int:
+    """Rows per chunk of :func:`forward`'s stream: whole blocks."""
+    return BLOCK_ROWS * max(1, _STREAM_FLOATS // (BLOCK_ROWS * max(layer_sizes)))
 
 
 @cache
@@ -193,7 +207,10 @@ def forward(params: ClassifierParams, batch) -> np.ndarray:
     """Positive-class probability per batch row, each strictly in (0, 1)
     up to float64 saturation.  Raises NumericalError if one is not finite."""
     batch = _check_batch(params, batch)
-    probs, _, _ = _forward_trace(params, batch)
+    chunk = _chunk_rows(params.layer_sizes)
+    probs = np.empty(len(batch))
+    for lo in range(0, len(batch), chunk):
+        probs[lo : lo + chunk] = _forward_trace(params, batch[lo : lo + chunk])[0]
     return probs
 
 

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from llpkit import objectives, training
+from llpkit import network, objectives, training
 from llpkit.cli import main
 
 
@@ -83,12 +83,21 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
 
     def test_invalid_flags_are_usage_errors(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "synth", "--n", "10", "--prior", "1.5",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
-        assert err.startswith("error: ")
+        for flag, value, message in [
+            ("--prior", "1.5", "positive prior"),
+            ("--sep", "-1", "class separation"),
+            ("--sep", "nan", "class separation"),
+            ("--sep", "inf", "class separation"),
+        ]:
+            code, stdout, err = run(
+                capsys, "synth", "--n", "10", flag, value,
+                "--out", str(tmp_path / "x.csv"),
+            )
+            assert code == 2
+            assert stdout == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: " + message)
+            assert not (tmp_path / "x.csv").exists()
 
 
 class TestBag:
@@ -573,6 +582,33 @@ class TestErrorContract:
         assert stdout == ""
         assert err.splitlines() == ["error: seed must be nonnegative, got -1"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "bag", "train", "eval", "sweep"])
+    def test_empty_out_writes_nothing(
+        self, tmp_path, instance_csv, bag_csv, monkeypatch, capsys, command
+    ):
+        checkpoint = tmp_path / "checkpoint.json"
+        network.save_checkpoint(checkpoint, network.init_params((2, 4, 1), seed=0))
+        argv = {
+            "synth": ["--n", "10"],
+            "bag": ["--in", str(instance_csv)],
+            "train": ["--method", "amle", "--bags", str(bag_csv), "--epochs", "1"],
+            "eval": ["--checkpoint", str(checkpoint), "--data", str(instance_csv)],
+            "sweep": [
+                "--data", str(instance_csv), "--sizes", "2", "--methods", "dllp",
+                "--epochs", "1",
+            ],
+        }[command]
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        monkeypatch.delenv("LLPKIT_OUT", raising=False)
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(capsys, command, *argv, "--out", "")
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == ["error: --out is empty"]
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestBagCsvErrors:

@@ -118,8 +118,9 @@ class TestGenerateSynthetic:
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             SyntheticSpec(1, 2, 1.0, 0.5, seed=0)
-        with pytest.raises(UsageError):
-            SyntheticSpec(10, 2, -1.0, 0.5, seed=0)
+        for separation in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="class separation"):
+                SyntheticSpec(10, 2, separation, 0.5, seed=0)
         with pytest.raises(UsageError):
             SyntheticSpec(10, 2, 1.0, 1.0, seed=0)
 

@@ -1,6 +1,7 @@
 """Tests for the dense network, its analytic gradients, Adam, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from llpkit.errors import FormatError, NumericalError, UsageError
 from llpkit.network import (
     BLOCK_ROWS,
     ClassifierParams,
+    _chunk_rows,
     backward,
     forward,
     init_optimizer,
@@ -78,13 +80,15 @@ class TestForward:
 
     @given(
         layer_sizes=st.sampled_from(
-            [(2, 32, 32, 1), (3, 64, 64, 1), (5, 8, 1), (2, 1)]
+            [(2, 32, 32, 1), (3, 64, 64, 1), (5, 8, 1), (2, 1), (3, 300, 1)]
         ),
-        n=st.sampled_from([1, 63, 64, 65, 1000]),
+        # Around one 256-row chunk of (2, 32, 32, 1), and four chunks plus
+        # a tail; (3, 300, 1) streams one block per chunk.
+        n=st.sampled_from([1, 63, 64, 65, 255, 256, 257, 1000, 4 * 256 + 77]),
         layout=st.sampled_from(["contiguous", "offset", "fortran"]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_rows_match_the_full_batch_bitwise(self, layer_sizes, n, layout, seed):
         """Any subset of rows, in any order and at any position, scores
         exactly as in the full batch, whatever the batch's memory layout."""
@@ -110,6 +114,32 @@ class TestForward:
         params = ClassifierParams((2, 2, 1), theta)
         with pytest.raises(NumericalError, match="not finite"):
             forward(params, np.array([[1e200, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_output_in_the_last_chunk(self):
+        # The network of the test above: zero rows score 0.5, and only the
+        # last row, in the tail of the stream, overflows.
+        theta = np.array([1e200, 1e200, 1e200, 1e200, 0.0, 0.0, 1e200, -1e200, 0.0])
+        params = ClassifierParams((2, 2, 1), theta)
+        X = np.zeros((3 * _chunk_rows(params.layer_sizes) + 5, 2))
+        X[-1] = [1e200, 1.0]
+        np.testing.assert_array_equal(forward(params, X[:-1]), 0.5)
+        with pytest.raises(NumericalError, match="not finite"):
+            forward(params, X)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        """Scoring 50 000 rows allocates a chunk's activations and the
+        output vector, not every layer's activations for the batch."""
+        params = init_params((2, 32, 32, 1), seed=0)
+        X = np.random.default_rng(0).standard_normal((50_000, 2))
+        forward(params, X[:10])
+        tracemalloc.start()
+        try:
+            forward(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_row_permutation_permutes_outputs(self):
         params = init_params((2, 8, 1), seed=9)
