@@ -18,9 +18,19 @@ row's ``n`` says how many instance rows follow, so the two row kinds never
 need to be distinguished by shape.  ``instance_id`` is an integer on every
 row or empty on every row.
 
-Parse errors name the file, the 1-based line and the 1-based column.
+Accepted cell text: a feature is any text Python's ``float()`` reads as a
+finite number, an instance id any text ``int()`` reads as an int64, and a
+label exactly ``0`` or ``1``.  Cells may be quoted as CSV quotes them.  A
+file that is printable ASCII without double quotes (plus tabs and line
+ends) is parsed by numpy's C reader; any file or cell that reader declines
+goes through the exact ``csv.reader`` parse, which accepts the same files
+and names the bad cell of a rejected one.  Parse errors name the file, the
+1-based line and the 1-based column.  Writers stream one line at a time,
+floats in round-trip ``repr``, with ``\r\n`` line ends as ``csv.writer``
+ends them.
 """
 
+import codecs
 import csv
 import itertools
 from dataclasses import dataclass, replace
@@ -194,6 +204,39 @@ def generate_synthetic(spec: SyntheticSpec) -> Instances:
     return Instances(feats, labels)
 
 
+# Bytes of a file that numpy's C reader parses: printable ASCII without the
+# double quote, plus tab and line ends.  On such text str.splitlines() breaks
+# lines where csv.reader does (it would also break them at \x0b, \x0c and
+# \x1c-\x1e), str.split(",") gives csv.reader's cells, and np.loadtxt strips
+# the padding that float() and int() strip (it would also strip \x1c-\x1f).
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n\r"
+
+
+def _plain_lines(path) -> list[str]:
+    """The nonblank lines of a file of ``_PLAIN`` bytes after an optional
+    byte-order mark; ValueError for any other file or one under two lines."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    if raw.translate(None, _PLAIN):
+        raise ValueError(f"{path}: not plain ASCII text")
+    lines = list(filter(None, raw.decode("ascii").splitlines()))
+    if len(lines) < 2:
+        raise ValueError(f"{path}: fewer than two lines")
+    return lines
+
+
+def _loadtxt(lines, fields):
+    """One record of ``fields`` per comma-separated line, parsed by numpy's C
+    reader; ValueError unless every line has exactly the fields' cells."""
+    return np.loadtxt(lines, np.dtype(fields), delimiter=",", comments=None, ndmin=1)
+
+
+def _exact_labels(lines) -> bool:
+    """Whether the last cell of every line (of two or more cells) reads
+    exactly 0 or 1."""
+    return all(line[-2:] in (",0", ",1") for line in lines)
+
+
 def _read_rows(path) -> list[list[str]]:
     """The nonblank CSV rows of a file; FormatError if it is empty or not
     UTF-8 text.  A leading byte-order mark, as spreadsheets write, is
@@ -246,10 +289,10 @@ def _parse_cells(path, rows, first_col, width, file_rows, parse):
     )
 
 
-def load_instances_csv(path) -> Instances:
-    """Read an instance CSV; labels are parsed when the column exists."""
-    rows = _read_rows(path)
-    header = [name.strip() for name in rows[0]]
+def _instance_header(path, cells) -> tuple[int, bool]:
+    """(feature count, whether a label column follows) of an instance CSV
+    header row."""
+    header = [name.strip() for name in cells]
     has_label = header[-1] == "label"
     feature_names = header[:-1] if has_label else header
     expected = [f"f{i}" for i in range(len(feature_names))]
@@ -257,16 +300,44 @@ def load_instances_csv(path) -> Instances:
         raise FormatError(
             f"{path}: header must be f0,...,f{{d-1}}[,label], got {header}"
         )
+    return len(feature_names), has_label
+
+
+def load_instances_csv(path) -> Instances:
+    """Read an instance CSV; labels are parsed when the column exists."""
+    try:
+        return _load_plain_instances(path)
+    except Exception:  # the exact parse loads the file or names its fault
+        pass
+    return _load_csv_instances(path)
+
+
+def _load_plain_instances(path) -> Instances:
+    lines = _plain_lines(path)
+    dim, has_label = _instance_header(path, lines[0].split(","))
+    values = _loadtxt(lines[1:], [("values", np.float64, (dim + has_label,))])["values"]
+    labels = None
+    if has_label:
+        if not _exact_labels(lines[1:]):
+            raise ValueError(f"{path}: a label is not 0 or 1")
+        labels = values[:, dim].astype(np.int64)
+    # Instances rejects non-finite features, which the exact parse names.
+    return Instances(np.ascontiguousarray(values[:, :dim]), labels)
+
+
+def _load_csv_instances(path) -> Instances:
+    rows = _read_rows(path)
+    dim, has_label = _instance_header(path, rows[0])
+    width = dim + has_label
     body = rows[1:]
     if not body:
         raise FormatError(f"{path}: no instance rows")
-    if set(map(len, body)) != {len(header)}:
-        k = next(k for k, row in enumerate(body) if len(row) != len(header))
+    if set(map(len, body)) != {width}:
+        k = next(k for k, row in enumerate(body) if len(row) != width)
         raise FormatError(
             f"{path}: line {_line_number(path, k + 1)} has {len(body[k])} "
-            f"columns, header declares {len(header)}"
+            f"columns, header declares {width}"
         )
-    dim = len(feature_names)
     feats = _parse_cells(path, body, 0, dim, range(1, len(rows)), float)
     labels = None
     if has_label:
@@ -282,6 +353,29 @@ def load_instances_csv(path) -> Instances:
     return Instances(feats, labels)
 
 
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` one at a time, each ended by ``\r\n`` as csv.writer
+    ends its rows."""
+    write_atomic(path, lambda fh: fh.writelines(f"{line}\r\n" for line in lines))
+
+
+def _python_rows(array):
+    """The rows of ``array`` as Python objects, converted 1024 at a time so
+    that no whole-array list is built."""
+    return itertools.chain.from_iterable(
+        array[start : start + 1024].tolist() for start in range(0, len(array), 1024)
+    )
+
+
+def _instance_cells(instances: Instances):
+    """Each instance's cells as one CSV text: its features in round-trip
+    ``repr``, then its label if known."""
+    rows = (",".join(map(repr, row)) for row in _python_rows(instances.features))
+    if instances.labels is None:
+        return rows
+    return map("{},{}".format, rows, _python_rows(instances.labels))
+
+
 def save_instances_csv(path, instances: Instances) -> None:
     """Write instances in the loadable CSV format, with labels if known."""
     if len(instances) == 0:
@@ -289,18 +383,7 @@ def save_instances_csv(path, instances: Instances) -> None:
     header = [f"f{i}" for i in range(instances.dim)]
     if instances.labels is not None:
         header.append("label")
-    labels = instances.labels.tolist() if instances.labels is not None else None
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, feats in enumerate(instances.features.tolist()):
-            row = [repr(v) for v in feats]
-            if labels is not None:
-                row.append(labels[i])
-            writer.writerow(row)
-
-    write_atomic(path, write)
+    _write_lines(path, itertools.chain([",".join(header)], _instance_cells(instances)))
 
 
 def make_bags(
@@ -357,46 +440,30 @@ def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
 
 def save_bags_csv(path, dataset: BagDataset) -> None:
     """Write a bag CSV; the label column is kept when labels are known."""
-    feats = dataset.instances.features.tolist()
-    labels = dataset.instances.labels
-    labels = None if labels is None else labels.tolist()
     ids = dataset.instance_ids
-    ids = [""] * len(feats) if ids is None else ids.tolist()
-    offsets = dataset.offsets.tolist()
-    counts = dataset.counts.tolist()
+    ids = itertools.repeat("") if ids is None else _python_rows(ids)
+    members = zip(ids, _instance_cells(dataset.instances))
 
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["bag_id", "y", "n"])
-        for j, y in enumerate(counts):
-            lo, hi = offsets[j], offsets[j + 1]
-            writer.writerow([j, y, hi - lo])
-            for i in range(lo, hi):
-                row = [j, ids[i]] + [repr(v) for v in feats[i]]
-                if labels is not None:
-                    row.append(labels[i])
-                writer.writerow(row)
+    def lines():
+        yield "bag_id,y,n"
+        for j, (y, n) in enumerate(zip(dataset.counts.tolist(), dataset.sizes.tolist())):
+            yield f"{j},{y},{n}"
+            for i, cells in itertools.islice(members, n):
+                yield f"{j},{i},{cells}"
 
-    write_atomic(path, write)
+    _write_lines(path, lines())
 
 
-def load_bags_csv(path) -> BagDataset:
-    """Read a bag CSV back into a dataset.
-
-    The trailing instance-row column is treated as the label column when
-    every value is 0/1 and each bag's column sum equals its declared count;
-    otherwise it is a feature.  Files written by :func:`save_bags_csv` from
-    labeled data always satisfy the first case.
-    """
-    rows = _read_rows(path)
-    if [c.strip() for c in rows[0]] != ["bag_id", "y", "n"]:
-        raise FormatError(f"{path}: header must be bag_id,y,n, got {rows[0]}")
-
+def _bag_members(path, rows, cells):
+    """Walk a bag file's summary rows by their ``n``: (the instance rows,
+    the bag offsets, the counts).  ``cells(row)`` splits a row into cells."""
+    if [c.strip() for c in cells(rows[0])] != ["bag_id", "y", "n"]:
+        raise FormatError(f"{path}: header must be bag_id,y,n, got {cells(rows[0])}")
     members, offsets, counts = [], [0], []
     idx = 1
     while idx < len(rows):
         try:
-            bag_id, y, n = map(int, rows[idx])
+            bag_id, y, n = map(int, cells(rows[idx]))
         except ValueError:
             raise FormatError(
                 f"{path}: line {_line_number(path, idx)}: expected bag summary "
@@ -410,13 +477,52 @@ def load_bags_csv(path) -> BagDataset:
         offsets.append(offsets[-1] + n)
         counts.append(y)
         idx += 1 + n
+    return members, np.array(offsets), np.array(counts)
 
+
+def load_bags_csv(path) -> BagDataset:
+    """Read a bag CSV back into a dataset.
+
+    The trailing instance-row column is treated as the label column when
+    every value is 0/1 and each bag's column sum equals its declared count;
+    otherwise it is a feature.  Files written by :func:`save_bags_csv` from
+    labeled data always satisfy the first case.
+    """
+    try:
+        return _load_plain_bags(path)
+    except Exception:  # the exact parse loads the file or names its fault
+        pass
+    return _load_csv_bags(path)
+
+
+def _load_plain_bags(path) -> BagDataset:
+    lines = _plain_lines(path)
+    members, offsets, counts = _bag_members(path, lines, lambda line: line.split(","))
+    width = members[0].count(",") + 1
+    cells = _loadtxt(
+        members, [("bag", np.int64), ("id", np.int64), ("values", np.float64, (width - 2,))]
+    )
+    values = cells["values"]
+    is_label = values[:, -1] == 1
+    labeled = np.array_equal(
+        np.add.reduceat(is_label.astype(np.int64), offsets[:-1]), counts
+    ) and _exact_labels(members)
+    dim = values.shape[1] - labeled
+    if dim < 1:
+        raise ValueError(f"{path}: no feature column")
+    labels = is_label.astype(np.int64) if labeled else None
+    # Instances rejects non-finite features, which the exact parse names.
+    instances = Instances(np.ascontiguousarray(values[:, :dim]), labels)
+    return BagDataset(instances, offsets, counts, np.ascontiguousarray(cells["id"]))
+
+
+def _load_csv_bags(path) -> BagDataset:
+    rows = _read_rows(path)
+    members, offsets, counts = _bag_members(path, rows, list)
     widths = set(map(len, members))
     if len(widths) != 1:
         raise FormatError(f"{path}: instance rows have mixed column counts")
     width = widths.pop()
-    offsets = np.array(offsets)
-    counts = np.array(counts)
     # Member k of bag j comes after the header and j + 1 summary rows.
     file_rows = np.arange(len(members))
     file_rows += np.repeat(np.arange(2, counts.size + 2), np.diff(offsets))

@@ -1,12 +1,16 @@
 """Tests for CSV ingestion, bagging, fold assignment, and synthetic data."""
 
 import codecs
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import csv_load_bags, csv_load_instances, csv_write_bags, csv_write_instances
+from llpkit import data
 from llpkit.data import (
     BagDataset,
     Instances,
@@ -359,6 +363,258 @@ class TestByteOrderMark:
         path = write(tmp_path / "bags.csv", text)
         with pytest.raises(FormatError, match="line 5, column 4: 'nan'"):
             load_bags_csv(path)
+
+
+# Cells on both sides of every known difference between numpy's C reader
+# and float()/int() on csv.reader cells: underscores, Unicode digits and
+# spaces, quotes, padding, comment marks, the characters str.splitlines()
+# breaks lines at and csv.reader does not, ids beyond int64, and labels
+# that are 0/1 in value but not in text.
+TRICKY_CELLS = [
+    "1_0", "\u0661\u0662", "\u0661.5", '"1.5"', '"0"', '"1"', " 2.5", "2.5 ", "\t3", "3\t",
+    "#4", "1.0", "0.0", "0", "1", " 1", "1 ", "+1", "01", "", " ", "nan", "inf", "-inf",
+    "1e400", "5e-324", "-0.0", "1.7976931348623157e308", "0.1", "99999999999999999999",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808", "+7", "007",
+    "0x1f", "1.5\x0c", "\x0c1.5", "1\x0c2", "\x1c1.5", "1.5\x1d", "1\x1e2", "1.5\x1f",
+    "1.5\x0b", "\xa01.5", "1.5\x85", "1\u20282", "\u2029", "1\x002", "abc", "1,5",
+]
+cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(TRICKY_CELLS),
+    st.text(st.sampled_from('01.e-+_ \t"#\x0c\x1c\u0661,'), max_size=4),
+)
+
+
+@st.composite
+def _rarely(draw, common, rare, one_in):
+    """Mostly ``common``, ``rare`` once in ``one_in`` draws: most files are
+    valid and take numpy's reader, the rest probe its edges."""
+    return draw(rare if draw(st.integers(1, one_in)) == one_in else common)
+
+
+feature_cells = _rarely(st.floats(allow_nan=False, allow_infinity=False).map(repr), cells, 16)
+label_cells = _rarely(st.sampled_from(["0", "1"]), cells, 12)
+id_cells = _rarely(st.integers(0, 2**63 - 1).map(str), cells, 12)
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+# Lines that are not rows: blank, or looking blank or commented.
+stray_lines = _rarely(
+    st.just([]),
+    st.lists(_rarely(st.just(""), st.sampled_from(["#", "# f0", " ", "\t", "\x0c", "\x1c"]), 4),
+             min_size=1, max_size=2),
+    6,
+)
+
+
+@st.composite
+def _file_text(draw, lines):
+    """``lines`` with stray lines mixed in, each ended by a drawn line end
+    (the last one possibly by none)."""
+    text = []
+    for line in lines:
+        text += [stray + draw(line_ends) for stray in draw(stray_lines)]
+        text.append(line + draw(line_ends))
+    if draw(st.booleans()):
+        text[-1] = lines[-1]
+    return "".join(text)
+
+
+@st.composite
+def instance_csv_text(draw):
+    dim = draw(st.integers(1, 3))
+    has_label = draw(st.booleans())
+    header = [f"f{i}" for i in range(dim)] + ["label"] * has_label
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(feature_cells) for _ in range(dim)]
+        row += [draw(label_cells)] * has_label
+        row = draw(_rarely(st.just(row), st.sampled_from([row[:-1], row + row[-1:]]), 30))
+        lines.append(",".join(row))
+    return draw(_file_text(lines))
+
+
+@st.composite
+def bag_csv_text(draw):
+    dim = draw(st.integers(1, 2))
+    labeled = draw(st.booleans())
+    with_ids = draw(_rarely(st.just(True), st.just(False), 4))
+    lines = ["bag_id,y,n"]
+    for j in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        rows, ones = [], 0
+        for _ in range(n):
+            row = [str(j), draw(id_cells) if with_ids else ""]
+            row += [draw(feature_cells) for _ in range(dim)]
+            if labeled:
+                row.append(draw(label_cells))
+                ones += row[-1].strip(' "') in ("1", "1.0", "+1", "01")
+            rows.append(",".join(draw(_rarely(st.just(row), st.just(row[:-1]), 40))))
+        summary = [str(j), str(ones if labeled else draw(st.integers(0, n))), str(n)]
+        summary[0] = draw(_rarely(st.just(summary[0]), cells, 20))
+        lines += [",".join(summary)] + rows
+    return draw(_file_text(lines))
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    """Both raised FormatError with one message, or both loaded the same
+    arrays bit for bit."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    if isinstance(want, BagDataset):
+        for name in ("offsets", "counts", "instance_ids"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        got, want = got.instances, want.instances
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert (got.labels is None) == (want.labels is None)
+    if want.labels is not None:
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def _compare(load, oracle, text: str, bom: bool):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "data.csv"
+        path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
+        _assert_same(_outcome(load, path), _outcome(oracle, path))
+
+
+class TestCsvDifferential:
+    """The readers against the csv.reader parse in ``helpers``: on every
+    file, the same arrays bit for bit or the same FormatError message."""
+
+    @given(instance_csv_text(), st.booleans())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_instance_csv(self, text, bom):
+        _compare(load_instances_csv, csv_load_instances, text, bom)
+
+    @given(bag_csv_text(), st.booleans())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_bag_csv(self, text, bom):
+        _compare(load_bags_csv, csv_load_bags, text, bom)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # str.splitlines() breaks these lines at \x0c, \x1c and \u2028;
+            # csv.reader does not, so each has 3 columns and is rejected.
+            "f0,f1\n1.0,2.0\x0c3.0,4.0\n",
+            "f0,f1\n1.0,2.0\x1c3.0,4.0\n",
+            "f0,f1\n1.0,2.0\u20283.0,4.0\n",
+            # float() does not strip \x1c-\x1f from ASCII text; loadtxt would.
+            "f0,f1\n1.0,\x1c2.0\n",
+            # loadtxt would skip neither, and "#" starts no comment.
+            "f0,f1\n#1.0,2.0\n",
+            "f0,f1\n1.0,2.0\n \n",
+            # Python's float() reads these; numpy's reader does not.
+            "f0,f1\n1_0,2.0\n",
+            "f0,f1\n\u0661,2.0\n",
+            'f0,f1\n"1.5",2.0\n',
+            # Lone CR line ends around a blank line.
+            "f0,f1\r1.0,2.0\r\r3.0,4.0\r",
+        ],
+    )
+    def test_edge_cases(self, text):
+        _compare(load_instances_csv, csv_load_instances, text, bom=False)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,99999999999999999999,1.0,1\n",  # an id beyond int64
+            "0,9223372036854775807,1.0,1\n",
+            "0,+7,1.0,1\n",
+            "0, 7 ,1.0,1\n",
+            "0,1_0,1.0,1\n",
+            "0,,1.0,1\n",  # no ids at all
+            "0,1.0,1.0,1\n",
+        ],
+    )
+    def test_instance_ids_as_int(self, rows):
+        _compare(load_bags_csv, csv_load_bags, "bag_id,y,n\n0,1,1\n" + rows, bom=False)
+
+    def test_program_files_take_numpy_reader(self, tmp_path, monkeypatch):
+        """Files the writers produce, labeled or not, and such files with a
+        byte-order mark or LF line ends, never need the csv.reader parse."""
+        instances = generate_synthetic(SyntheticSpec(40, 2, 2.0, 0.5, seed=9))
+        dataset = make_bags(instances, 1, 5, seed=3)
+        save_instances_csv(tmp_path / "labeled.csv", instances)
+        save_instances_csv(tmp_path / "unlabeled.csv", Instances(instances.features))
+        save_bags_csv(tmp_path / "bags.csv", dataset)
+        save_bags_csv(tmp_path / "stripped.csv", dataset.strip_labels())
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + (tmp_path / "bags.csv").read_bytes())
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes((tmp_path / "labeled.csv").read_bytes().replace(b"\r\n", b"\n"))
+
+        def fallback(path):
+            raise AssertionError(f"{path} took the csv.reader parse")
+
+        monkeypatch.setattr(data, "_load_csv_instances", fallback)
+        monkeypatch.setattr(data, "_load_csv_bags", fallback)
+        for name in ("labeled.csv", "unlabeled.csv", "lf.csv"):
+            _assert_same(load_instances_csv(tmp_path / name), csv_load_instances(tmp_path / name))
+        for name in ("bags.csv", "stripped.csv", "bom.csv"):
+            _assert_same(load_bags_csv(tmp_path / name), csv_load_bags(tmp_path / name))
+
+
+class TestLabelColumn:
+    """How the label column is told apart; the rule itself is unchanged."""
+
+    def test_bag_column_of_float_zeros_and_ones_is_a_feature(self, tmp_path):
+        # Its values are 0/1 and each bag's sum equals y, but the text is
+        # not exactly 0 or 1, so it is read as a feature.
+        text = "bag_id,y,n\n0,1,2\n0,0,0.5,1.0\n0,1,0.25,0.0\n1,0,1\n1,2,0.75,0.0\n"
+        loaded = load_bags_csv(write(tmp_path / "bags.csv", text))
+        assert loaded.instances.labels is None
+        np.testing.assert_array_equal(
+            loaded.instances.features, [[0.5, 1.0], [0.25, 0.0], [0.75, 0.0]]
+        )
+
+    def test_bag_column_of_zeros_and_ones_is_labels(self, tmp_path):
+        text = "bag_id,y,n\n0,1,2\n0,0,0.5,1\n0,1,0.25,0\n1,0,1\n1,2,0.75,0\n"
+        loaded = load_bags_csv(write(tmp_path / "bags.csv", text))
+        assert loaded.instances.labels.tolist() == [1, 0, 0]
+        np.testing.assert_array_equal(loaded.instances.features, [[0.5], [0.25], [0.75]])
+
+    @pytest.mark.parametrize("label", ["1.0", " 1", "1 ", "01", "+1"])
+    def test_instance_label_must_read_0_or_1(self, tmp_path, label):
+        path = write(tmp_path / "data.csv", f"f0,label\n0.5,0\n\n0.5,{label}\n")
+        with pytest.raises(FormatError, match="line 4, column 2: label must be 0 or 1"):
+            load_instances_csv(path)
+
+
+class TestWriters:
+    """Both writers produce the bytes csv.writer produced."""
+
+    FEATURES = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [0.1, -2.5e-8]])
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_instance_csv_bytes(self, tmp_path, labeled):
+        instances = Instances(self.FEATURES, [1, 0, 1] if labeled else None)
+        save_instances_csv(tmp_path / "new.csv", instances)
+        csv_write_instances(tmp_path / "ref.csv", instances)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    @pytest.mark.parametrize("with_ids", [True, False])
+    def test_bag_csv_bytes(self, tmp_path, labeled, with_ids):
+        instances = Instances(self.FEATURES, [1, 0, 1] if labeled else None)
+        ids = [7, 0, 2**62] if with_ids else None
+        dataset = BagDataset(instances, [0, 2, 3], [1, 1], instance_ids=ids)
+        save_bags_csv(tmp_path / "new.csv", dataset)
+        csv_write_bags(tmp_path / "ref.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDomainTypes:
