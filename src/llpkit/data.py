@@ -33,6 +33,7 @@ ends them.
 import codecs
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,8 +228,15 @@ def _plain_lines(path) -> list[str]:
 
 def _loadtxt(lines, fields):
     """One record of ``fields`` per comma-separated line, parsed by numpy's C
-    reader; ValueError unless every line has exactly the fields' cells."""
-    return np.loadtxt(lines, np.dtype(fields), delimiter=",", comments=None, ndmin=1)
+    reader; ValueError unless every line has exactly the fields' cells.
+
+    Any warning is raised as an error, whatever the caller's filters: older
+    numpy releases read an int field's ``1.0``, ``nan`` or ``1e20`` as a
+    float cast to int64, with only a DeprecationWarning, where ``int()``
+    rejects the text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, np.dtype(fields), delimiter=",", comments=None, ndmin=1)
 
 
 def _exact_labels(lines) -> bool:
@@ -497,6 +505,10 @@ def load_bags_csv(path) -> BagDataset:
 
 def _load_plain_bags(path) -> BagDataset:
     lines = _plain_lines(path)
+    if len(lines) < 3 or lines[2].split(",")[1:2] == [""]:
+        # No instance rows, or no instance ids: numpy's reader rejects an
+        # empty id cell, but only after the walk, so skip to the exact parse.
+        raise ValueError(f"{path}: no instance rows or ids")
     members, offsets, counts = _bag_members(path, lines, lambda line: line.split(","))
     width = members[0].count(",") + 1
     cells = _loadtxt(

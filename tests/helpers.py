@@ -6,8 +6,8 @@ slower routes: the Poisson binomial pmf by enumerating label
 configurations and by a linear-space convolution DP, instance posteriors
 by leave-one-out DPs, configuration marginals and a log-space
 forward-backward sweep, the EM lower bound, a textbook full-batch EM loop,
-the per-bag losses in Python floats, and the CSV readers as one
-``csv.reader`` parse with one ``float()`` or ``int()`` per cell.
+the per-bag losses in Python floats, and the CSV writers as ``csv.writer``
+rows.
 """
 
 import csv
@@ -19,7 +19,7 @@ import numpy as np
 
 from llpkit import network, objectives
 from llpkit.data import BagDataset, Instances
-from llpkit.errors import FormatError, UsageError
+from llpkit.errors import UsageError
 from llpkit.network import ClassifierParams, forward
 from llpkit.objectives import VARIANCE_FLOOR
 from llpkit.poisson_binomial import CLAMP_EPS, bag_log_likelihood, clamp_probabilities
@@ -354,129 +354,9 @@ def dllp_loss(probs, positive_count):
 
 
 # ---------------------------------------------------------------------------
-# CSV readers: csv.reader rows, one float() or int() per cell.  Every file
-# they load, the library must load to the same arrays; every file they
-# reject, it must reject with the same message.
+# CSV writers: the csv.writer rows the library wrote before it streamed its
+# own lines.  The library's files must be these bytes.
 # ---------------------------------------------------------------------------
-
-
-def _csv_rows(path):
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not UTF-8 text") from None
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    return rows
-
-
-def _csv_line(path, index):
-    """1-based file line of nonblank row ``index``."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        lines = (reader.line_num for row in reader if row)
-        return next(itertools.islice(lines, index, None))
-
-
-def _csv_cells(path, rows, first_col, width, file_rows, parse):
-    """The first cell that does not parse names the error; if all parse,
-    the first non-finite one does."""
-    cells = [row[first_col + c] for row in rows for c in range(width)]
-    values, bad = [], None
-    for k, cell in enumerate(cells):
-        try:
-            value = parse(cell)
-        except ValueError:
-            bad = k
-            break
-        if parse is int and not -(2**63) <= value < 2**63:
-            bad = k
-            break
-        values.append(value)
-    else:
-        bad = next((k for k, v in enumerate(values) if not math.isfinite(v)), None)
-    if bad is None:
-        dtype = np.float64 if parse is float else np.int64
-        return np.array(values, dtype).reshape(len(rows), width)
-    row, col = divmod(bad, width)
-    kind = "a finite number" if parse is float else "an integer"
-    raise FormatError(
-        f"{path}: line {_csv_line(path, file_rows[row])}, column "
-        f"{first_col + col + 1}: {cells[bad]!r} is not {kind}"
-    )
-
-
-def csv_load_instances(path) -> Instances:
-    rows = _csv_rows(path)
-    header = [name.strip() for name in rows[0]]
-    has_label = header[-1] == "label"
-    names = header[:-1] if has_label else header
-    if not names or names != [f"f{i}" for i in range(len(names))]:
-        raise FormatError(f"{path}: header must be f0,...,f{{d-1}}[,label], got {header}")
-    body = rows[1:]
-    if not body:
-        raise FormatError(f"{path}: no instance rows")
-    for k, row in enumerate(body):
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}: line {_csv_line(path, k + 1)} has {len(row)} "
-                f"columns, header declares {len(header)}"
-            )
-    dim = len(names)
-    features = _csv_cells(path, body, 0, dim, range(1, len(rows)), float)
-    labels = None
-    if has_label:
-        for k, row in enumerate(body):
-            if row[dim] not in ("0", "1"):
-                raise FormatError(
-                    f"{path}: line {_csv_line(path, k + 1)}, column {dim + 1}: "
-                    f"label must be 0 or 1, got {row[dim]!r}"
-                )
-        labels = [int(row[dim]) for row in body]
-    return Instances(features, labels)
-
-
-def csv_load_bags(path) -> BagDataset:
-    rows = _csv_rows(path)
-    if [c.strip() for c in rows[0]] != ["bag_id", "y", "n"]:
-        raise FormatError(f"{path}: header must be bag_id,y,n, got {rows[0]}")
-    members, file_rows, offsets, counts = [], [], [0], []
-    idx = 1
-    while idx < len(rows):
-        try:
-            bag_id, y, n = map(int, rows[idx])
-        except ValueError:
-            raise FormatError(
-                f"{path}: line {_csv_line(path, idx)}: expected bag summary "
-                f"bag_id,y,n of integers"
-            ) from None
-        if n < 1 or not 0 <= y <= n:
-            raise FormatError(f"{path}: bag {bag_id}: invalid counts y={y}, n={n}")
-        if idx + 1 + n > len(rows):
-            raise FormatError(f"{path}: bag {bag_id}: file ends mid-bag")
-        members += rows[idx + 1 : idx + 1 + n]
-        file_rows += range(idx + 1, idx + 1 + n)
-        offsets.append(offsets[-1] + n)
-        counts.append(y)
-        idx += 1 + n
-    if len({len(row) for row in members}) != 1:
-        raise FormatError(f"{path}: instance rows have mixed column counts")
-    width = len(members[0])
-    last = [row[-1] for row in members]
-    labeled = all(cell in ("0", "1") for cell in last) and all(
-        sum(cell == "1" for cell in last[lo:hi]) == y
-        for lo, hi, y in zip(offsets, offsets[1:], counts)
-    )
-    dim = width - 3 if labeled else width - 2
-    if dim < 1:
-        raise FormatError(f"{path}: instance rows need at least one feature")
-    ids = None
-    if any(row[1] != "" for row in members):
-        ids = _csv_cells(path, members, 1, 1, file_rows, int)[:, 0]
-    features = _csv_cells(path, members, 2, dim, file_rows, float)
-    labels = [int(cell) for cell in last] if labeled else None
-    return BagDataset(Instances(features, labels), offsets, counts, instance_ids=ids)
 
 
 def csv_write_instances(path, instances: Instances) -> None:

@@ -2,6 +2,7 @@
 
 import codecs
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import csv_load_bags, csv_load_instances, csv_write_bags, csv_write_instances
+from helpers import csv_write_bags, csv_write_instances
 from llpkit import data
 from llpkit.data import (
     BagDataset,
@@ -490,19 +491,22 @@ def _compare(load, oracle, text: str, bom: bool):
         _assert_same(_outcome(load, path), _outcome(oracle, path))
 
 
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestCsvDifferential:
-    """The readers against the csv.reader parse in ``helpers``: on every
-    file, the same arrays bit for bit or the same FormatError message."""
+    """The readers against their exact csv.reader parse, the fallback
+    ``data._load_csv_*``: on every file, the same arrays bit for bit or the
+    same FormatError message.  Deprecation warnings are ignored, as they are
+    outside the tests."""
 
     @given(instance_csv_text(), st.booleans())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_instance_csv(self, text, bom):
-        _compare(load_instances_csv, csv_load_instances, text, bom)
+        _compare(load_instances_csv, data._load_csv_instances, text, bom)
 
     @given(bag_csv_text(), st.booleans())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_bag_csv(self, text, bom):
-        _compare(load_bags_csv, csv_load_bags, text, bom)
+        _compare(load_bags_csv, data._load_csv_bags, text, bom)
 
     @pytest.mark.parametrize(
         "text",
@@ -526,7 +530,7 @@ class TestCsvDifferential:
         ],
     )
     def test_edge_cases(self, text):
-        _compare(load_instances_csv, csv_load_instances, text, bom=False)
+        _compare(load_instances_csv, data._load_csv_instances, text, bom=False)
 
     @pytest.mark.parametrize(
         "rows",
@@ -541,7 +545,43 @@ class TestCsvDifferential:
         ],
     )
     def test_instance_ids_as_int(self, rows):
-        _compare(load_bags_csv, csv_load_bags, "bag_id,y,n\n0,1,1\n" + rows, bom=False)
+        _compare(load_bags_csv, data._load_csv_bags, "bag_id,y,n\n0,1,1\n" + rows, bom=False)
+
+    @pytest.mark.parametrize("id_text", ["1.0", "1e3", "nan", "99999999999999999999"])
+    def test_float_ids_rejected_whatever_the_warning_filters(self, tmp_path, monkeypatch, id_text):
+        """Older numpy releases read an int field's float text through a
+        float, with only a DeprecationWarning; ignoring that warning must
+        not let such an id load."""
+        path = write(tmp_path / "bags.csv", f"bag_id,y,n\n0,1,1\n0,{id_text},1.5,1\n")
+        message = f"{path}: line 3, column 2: {id_text!r} is not an integer"
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_via_float(lines, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            as_float = np.dtype([(name, np.float64, dtype[name].shape) for name in dtype.names])
+            with np.errstate(invalid="ignore"):
+                return real_loadtxt(lines, as_float, **kwargs).astype(dtype)
+
+        with pytest.raises(FormatError) as exc:
+            load_bags_csv(path)
+        assert str(exc.value) == message
+        monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+        with pytest.raises(FormatError) as exc:
+            load_bags_csv(path)
+        assert str(exc.value) == message
+
+    def test_file_without_ids_is_walked_once(self, tmp_path, monkeypatch):
+        """A bag file without instance ids goes to the exact parse before
+        numpy's reader walks it."""
+        instances = Instances(np.array([[0.5], [1.5], [2.5]]), [1, 0, 1])
+        save_bags_csv(tmp_path / "bags.csv", BagDataset(instances, [0, 2, 3], [1, 1]))
+        walks = []
+        bag_members = data._bag_members
+        monkeypatch.setattr(data, "_bag_members", lambda *a: walks.append(1) or bag_members(*a))
+        loaded = load_bags_csv(tmp_path / "bags.csv")
+        assert loaded.instance_ids is None and loaded.instances.labels.tolist() == [1, 0, 1]
+        assert len(walks) == 1
 
     def test_program_files_take_numpy_reader(self, tmp_path, monkeypatch):
         """Files the writers produce, labeled or not, and such files with a
@@ -557,15 +597,20 @@ class TestCsvDifferential:
         lf = tmp_path / "lf.csv"
         lf.write_bytes((tmp_path / "labeled.csv").read_bytes().replace(b"\r\n", b"\n"))
 
+        instance_files = ("labeled.csv", "unlabeled.csv", "lf.csv")
+        bag_files = ("bags.csv", "stripped.csv", "bom.csv")
+        exact = {name: data._load_csv_instances(tmp_path / name) for name in instance_files}
+        exact |= {name: data._load_csv_bags(tmp_path / name) for name in bag_files}
+
         def fallback(path):
             raise AssertionError(f"{path} took the csv.reader parse")
 
         monkeypatch.setattr(data, "_load_csv_instances", fallback)
         monkeypatch.setattr(data, "_load_csv_bags", fallback)
-        for name in ("labeled.csv", "unlabeled.csv", "lf.csv"):
-            _assert_same(load_instances_csv(tmp_path / name), csv_load_instances(tmp_path / name))
-        for name in ("bags.csv", "stripped.csv", "bom.csv"):
-            _assert_same(load_bags_csv(tmp_path / name), csv_load_bags(tmp_path / name))
+        for name in instance_files:
+            _assert_same(load_instances_csv(tmp_path / name), exact[name])
+        for name in bag_files:
+            _assert_same(load_bags_csv(tmp_path / name), exact[name])
 
 
 class TestLabelColumn:
