@@ -24,13 +24,10 @@ from .data import (
 from .errors import FormatError, LlpError, NumericalError, UsageError
 from .network import (
     ClassifierParams,
-    OptimizerState,
     backward,
     forward,
-    init_optimizer,
     init_params,
     load_checkpoint,
-    optimizer_step,
     save_checkpoint,
 )
 from .objectives import EmState, e_step, m_step_loss, predict

@@ -246,14 +246,18 @@ def _exact_labels(lines) -> bool:
 
 
 def _read_rows(path) -> list[list[str]]:
-    """The nonblank CSV rows of a file; FormatError if it is empty or not
-    UTF-8 text.  A leading byte-order mark, as spreadsheets write, is
+    """The nonblank CSV rows of a file; FormatError if it is empty, not
+    UTF-8 text, or not CSV that ``csv.reader`` reads (a cell over its field
+    size limit).  A leading byte-order mark, as spreadsheets write, is
     skipped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows = [row for row in reader if row]
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: empty file")
     return rows

@@ -22,6 +22,11 @@ byte-identical.
 Parameters live in one flat float64 vector with layout
 ``W0, b0, W1, b1, ...`` where each weight matrix is stored row-major with
 shape (fan_in, fan_out).
+
+:func:`optimizer_step` is one Adam step, written in place into that
+vector and its two moment vectors.  The moments are not part of
+:class:`ClassifierParams`: the trainer allocates them once per run and
+counts the steps.
 """
 
 import json
@@ -80,16 +85,6 @@ class ClassifierParams:
         return ClassifierParams(self.layer_sizes, theta)
 
 
-@dataclass(frozen=True, eq=False)
-class OptimizerState:
-    """Adam accumulators and learning rate for one parameter vector."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step: int = 0
-    learning_rate: float = 1e-3
-
-
 def _validate_sizes(layer_sizes) -> None:
     if len(layer_sizes) < 2:
         raise UsageError("architecture needs at least an input and an output layer")
@@ -134,13 +129,10 @@ def init_params(layer_sizes, seed: int) -> ClassifierParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Piecewise-stable form; never exponentiates a positive argument.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Stable in both tails: never exponentiates a positive argument.  The
+    # exponent is -|z| as min(z, -z), which keeps a NaN's sign.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_batch(params: ClassifierParams, batch) -> np.ndarray:
@@ -246,48 +238,31 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def init_optimizer(
-    params: ClassifierParams, learning_rate: float = 1e-3
-) -> OptimizerState:
-    return OptimizerState(
-        first_moment=np.zeros_like(params.theta),
-        second_moment=np.zeros_like(params.theta),
-        learning_rate=learning_rate,
-    )
-
-
 def optimizer_step(
-    params: ClassifierParams, state: OptimizerState, grad
-) -> tuple[ClassifierParams, OptimizerState]:
-    """One bias-corrected Adam update; returns new params and state.
+    theta, first_moment, second_moment, step: int, learning_rate: float, grad
+) -> None:
+    """Adam step number ``step`` (from 1), bias-corrected, in place on
+    ``theta`` and its two moment vectors.
 
-    ``params`` and ``state`` are trusted to be valid, as their constructors
-    and :func:`init_optimizer` leave them, so the new parameters skip
-    ClassifierParams' validation.  Raises NumericalError for a non-finite
-    gradient or a non-finite result.
+    Raises NumericalError, before anything is written, for a non-finite
+    gradient entry; and, leaving ``theta`` as it was, for a non-finite
+    update.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.theta.shape:
-        raise UsageError(
-            f"gradient shape {grad.shape} does not match parameters "
-            f"{params.theta.shape}"
-        )
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericalError(f"non-finite gradient entry at index {bad}")
-    t = state.step + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        theta = params.theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if not np.isfinite(theta).all():
+        first_moment *= ADAM_BETA1
+        first_moment += (1.0 - ADAM_BETA1) * grad
+        second_moment *= ADAM_BETA2
+        # Multiplied left to right: (1 - beta2) * (g * g) rounds differently.
+        second_moment += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = first_moment / (1.0 - ADAM_BETA1**step)
+        v_hat = second_moment / (1.0 - ADAM_BETA2**step)
+        updated = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not np.isfinite(updated).all():
         raise NumericalError("parameter update is not finite")
-    updated = object.__new__(ClassifierParams)
-    object.__setattr__(updated, "layer_sizes", params.layer_sizes)
-    object.__setattr__(updated, "theta", theta)
-    return updated, OptimizerState(m, v, t, state.learning_rate)
+    theta[:] = updated
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:

@@ -14,7 +14,9 @@ One :func:`train` call drives any of the four objectives:
 All four share one minibatch loop; a method only decides what a batch
 indexes (instances or bags) and how the network's outputs on it turn into
 a loss.  Each step runs the network once over the batch, in
-:func:`network.backward`.
+:func:`network.backward`, then takes one Adam step,
+:func:`network.optimizer_step`, in place on the parameter vector and on
+two moment vectors that :func:`train` allocates once per run.
 
 Early stopping watches the training objective (count log-likelihood for
 ``mle``, mean epoch loss otherwise), never test data: it stops after
@@ -175,19 +177,21 @@ def train(
 
     ``eval_instances``, when given, must be labeled; test accuracy is then
     recorded every epoch.  Returns the final parameters and the per-epoch
-    record (one row per completed epoch).
+    record (one row per completed epoch).  The returned parameters'
+    ``theta`` is the vector that every Adam step updated in place.
     """
     check_train(dataset, config, eval_instances)
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
     )
-    opt_state = network.init_optimizer(params, config.learning_rate)
+    first_moment = np.zeros_like(params.theta)
+    second_moment = np.zeros_like(params.theta)
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
 
-    # step(params, batch) -> (summed loss, dloss/dtheta), where a batch
-    # indexes instances or bags.
+    # step(batch) -> (summed loss, dloss/dtheta), where a batch indexes
+    # instances or bags.
     bag_level = config.method in ("amle", "dllp")
     if bag_level:
         num_items = dataset.num_bags
@@ -198,7 +202,7 @@ def train(
         )
         sizes, counts = dataset.sizes, dataset.counts
 
-        def step(params, bags):
+        def step(bags):
             return network.backward(
                 params,
                 features[dataset.bag_rows(bags)],
@@ -216,7 +220,7 @@ def train(
                 raise NumericalError(f"{exc} in the E-step before epoch 1") from exc
 
         # Reads ``targets`` when called, so mle's E-steps below take effect.
-        def step(params, rows):
+        def step(rows):
             return network.backward(
                 params,
                 features[rows],
@@ -231,17 +235,26 @@ def train(
     start = time.perf_counter()
     best = None
     stale = 0
+    steps = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(num_items)
         total = 0.0
         for bi, lo in enumerate(range(0, num_items, config.batch_size)):
             batch = order[lo : lo + config.batch_size]
             try:
-                loss, grad = step(params, batch)
+                loss, grad = step(batch)
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite loss")
-                params, opt_state = network.optimizer_step(
-                    params, opt_state, grad / batch.size
+                # backward returns a fresh gradient, so it is scaled in place.
+                grad /= batch.size
+                steps += 1
+                network.optimizer_step(
+                    params.theta,
+                    first_moment,
+                    second_moment,
+                    steps,
+                    config.learning_rate,
+                    grad,
                 )
             except NumericalError as exc:
                 where = f"epoch {epoch}, batch {bi}"

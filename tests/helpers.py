@@ -6,8 +6,8 @@ slower routes: the Poisson binomial pmf by enumerating label
 configurations and by a linear-space convolution DP, instance posteriors
 by leave-one-out DPs, configuration marginals and a log-space
 forward-backward sweep, the EM lower bound, a textbook full-batch EM loop,
-the per-bag losses in Python floats, and the CSV writers as ``csv.writer``
-rows.
+the per-bag losses in Python floats, Adam out of place, the logistic
+function on masked halves, and the CSV writers as ``csv.writer`` rows.
 """
 
 import csv
@@ -351,6 +351,29 @@ def dllp_loss(probs, positive_count):
     loss = -(rho * math.log(rho_hat) + (1.0 - rho) * math.log1p(-rho_hat))
     grad = (rho_hat - rho) / (rho_hat * (1.0 - rho_hat) * n)
     return loss, np.full(n, grad)
+
+
+def adam_step(theta, first_moment, second_moment, step, learning_rate, grad):
+    """One bias-corrected Adam step (Kingma and Ba, ICLR 2015) as new arrays
+    ``(theta, first_moment, second_moment)``: the oracle for the in-place
+    ``network.optimizer_step``, which must give the same bits."""
+    m = 0.9 * first_moment + (1.0 - 0.9) * grad
+    v = 0.999 * second_moment + (1.0 - 0.999) * grad * grad
+    m_hat = m / (1.0 - 0.9**step)
+    v_hat = v / (1.0 - 0.999**step)
+    return theta - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
+def sigmoid_masked(z):
+    """The logistic function, evaluated apart on ``z >= 0`` and the rest so
+    that no positive argument is exponentiated: the oracle for the
+    branch-free ``network._sigmoid``."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 # ---------------------------------------------------------------------------

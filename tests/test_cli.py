@@ -610,6 +610,20 @@ class TestErrorContract:
         assert err.splitlines() == ["error: --out is empty"]
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_cell_over_csv_field_limit_writes_nothing(self, tmp_path, capsys):
+        # The quote sends the file past numpy's reader to csv.reader, whose
+        # default field size limit is 131 072 characters.
+        data = tmp_path / "big.csv"
+        data.write_text(f'f0,f1,label\n"{"0" * 200_000}1.5",2.0,1\n3.0,4.0,0\n')
+        out = tmp_path / "out" / "bags.csv"
+        code, stdout, err = run(capsys, "bag", "--in", str(data), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [
+            f"error: {data}: line 2: field larger than field limit (131072)"
+        ]
+        assert not (tmp_path / "out").exists()
+
 
 class TestBagCsvErrors:
     """A malformed bag file is a format error: one ``error:`` line naming

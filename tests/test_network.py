@@ -8,15 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference_gradient, max_relative_error
+from helpers import (
+    adam_step,
+    finite_difference_gradient,
+    max_relative_error,
+    sigmoid_masked,
+)
 from llpkit.errors import FormatError, NumericalError, UsageError
 from llpkit.network import (
     BLOCK_ROWS,
     ClassifierParams,
     _chunk_rows,
+    _sigmoid,
     backward,
     forward,
-    init_optimizer,
     init_params,
     load_checkpoint,
     optimizer_step,
@@ -62,6 +67,17 @@ class TestForward:
         params = ClassifierParams((3, 4, 1), np.zeros(param_count((3, 4, 1))))
         X = np.random.default_rng(0).standard_normal((6, 3))
         np.testing.assert_array_equal(forward(params, X), np.full(6, 0.5))
+
+    def test_sigmoid_is_the_masked_form_bit_for_bit(self):
+        # Signed zeros, both infinities, NaN of either sign, exp(-36.8) near
+        # half an ulp of 1.0, exp(-745) at the smallest subnormal, and tiny
+        # arguments.
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 36.8, -36.8]
+        edges += [745.0, -745.0, 1e-300, -1e-300]
+        rng = np.random.default_rng(11)
+        draws = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-3, 3, 10_000)
+        z = np.concatenate([edges, draws])
+        assert _sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
 
     def test_outputs_strictly_inside_unit_interval(self):
         params = init_params((3, 8, 1), seed=3)
@@ -208,59 +224,83 @@ class TestBackward:
             backward(params, np.zeros((5, 3)), lambda probs: (0.0, np.zeros(4)))
 
 
+def adam_buffers(params):
+    """A copy of ``params.theta`` and two zero moment vectors: the buffers
+    that ``train`` owns."""
+    theta = params.theta.copy()
+    return theta, np.zeros_like(theta), np.zeros_like(theta)
+
+
 class TestOptimizer:
     def test_zero_gradient_leaves_parameters(self):
         params = init_params((2, 4, 1), seed=0)
-        state = init_optimizer(params)
-        updated, new_state = optimizer_step(params, state, np.zeros_like(params.theta))
-        np.testing.assert_array_equal(updated.theta, params.theta)
-        assert new_state.step == 1
+        theta, m, v = adam_buffers(params)
+        optimizer_step(theta, m, v, 1, 1e-3, np.zeros_like(theta))
+        assert theta.tobytes() == params.theta.tobytes()
+        assert not m.any() and not v.any()
 
     def test_first_step_is_bounded_by_learning_rate(self):
         params = init_params((2, 4, 1), seed=0)
-        state = init_optimizer(params, learning_rate=1e-3)
-        grad = np.random.default_rng(8).standard_normal(params.theta.size)
-        updated, _ = optimizer_step(params, state, grad)
-        delta = updated.theta - params.theta
+        theta, m, v = adam_buffers(params)
+        grad = np.random.default_rng(8).standard_normal(theta.size)
+        optimizer_step(theta, m, v, 1, 1e-3, grad)
+        delta = theta - params.theta
         # At step one bias corrections cancel: delta = -lr * g / (|g| + eps).
         assert np.all(np.abs(delta) <= 1e-3 * (1.0 + 1e-9))
         moved = np.abs(grad) > 1e-12
         assert np.all(np.sign(delta[moved]) == -np.sign(grad[moved]))
 
     def test_rejects_non_finite_gradient(self):
-        params = init_params((2, 4, 1), seed=0)
-        state = init_optimizer(params)
-        grad = np.zeros_like(params.theta)
+        theta, m, v = adam_buffers(init_params((2, 4, 1), seed=0))
+        rng = np.random.default_rng(4)
+        optimizer_step(theta, m, v, 1, 1e-3, rng.standard_normal(theta.size))
+        before = [a.tobytes() for a in (theta, m, v)]
+        grad = rng.standard_normal(theta.size)
         grad[3] = np.nan
-        with pytest.raises(NumericalError):
-            optimizer_step(params, state, grad)
+        with pytest.raises(NumericalError, match="index 3"):
+            optimizer_step(theta, m, v, 2, 1e-3, grad)
+        assert [a.tobytes() for a in (theta, m, v)] == before
 
     def test_rejects_non_finite_update(self):
         params = init_params((2, 4, 1), seed=0)
-        state = init_optimizer(params, learning_rate=float("inf"))
-        grad = np.ones_like(params.theta)
-        with pytest.raises(NumericalError):
-            optimizer_step(params, state, grad)
+        theta, m, v = adam_buffers(params)
+        with pytest.raises(NumericalError, match="update is not finite"):
+            optimizer_step(theta, m, v, 1, float("inf"), np.ones_like(theta))
+        assert theta.tobytes() == params.theta.tobytes()
 
     def test_trajectory_is_deterministic(self):
         def run():
-            params = init_params((2, 4, 1), seed=1)
-            state = init_optimizer(params, learning_rate=1e-2)
+            theta, m, v = adam_buffers(init_params((2, 4, 1), seed=1))
             rng = np.random.default_rng(9)
-            for _ in range(25):
-                grad = rng.standard_normal(params.theta.size)
-                params, state = optimizer_step(params, state, grad)
-            return params.theta
+            for step in range(1, 26):
+                grad = rng.standard_normal(theta.size)
+                optimizer_step(theta, m, v, step, 1e-2, grad)
+            return theta
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_in_place_step_is_the_out_of_place_formula(self):
+        # Gradients over 12 decades, so that a reassociated product rounds
+        # differently somewhere.
+        theta, m, v = adam_buffers(init_params((3, 8, 1), seed=5))
+        expected = (theta.copy(), m.copy(), v.copy())
+        rng = np.random.default_rng(6)
+        for step in range(1, 41):
+            scale = 10.0 ** rng.uniform(-6, 6, theta.size)
+            grad = rng.standard_normal(theta.size) * scale
+            optimizer_step(theta, m, v, step, 2e-3, grad)
+            expected = adam_step(*expected, step, 2e-3, grad)
+            assert [a.tobytes() for a in (theta, m, v)] == [
+                a.tobytes() for a in expected
+            ]
 
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params((3, 8, 1), seed=13)
         grad = np.random.default_rng(10).standard_normal(params.theta.size)
-        state = init_optimizer(params, learning_rate=2e-3)
-        params, _ = optimizer_step(params, state, grad)
+        _, m, v = adam_buffers(params)
+        optimizer_step(params.theta, m, v, 1, 2e-3, grad)
 
         path = tmp_path / "model.json"
         save_checkpoint(path, params)
@@ -280,19 +320,17 @@ class TestCheckpoint:
     def test_checkpoint_with_optimizer_state_still_loads(self, tmp_path):
         # The layout that checkpoints carrying Adam state were written in.
         params = init_params((3, 8, 1), seed=13)
-        state = init_optimizer(params, learning_rate=2e-3)
-        grad = np.random.default_rng(10).standard_normal(params.theta.size)
-        params, state = optimizer_step(params, state, grad)
+        size = params.theta.size
         record = {
             "format": "llpkit-checkpoint",
             "version": 1,
             "layer_sizes": list(params.layer_sizes),
             "theta": params.theta.tolist(),
             "optimizer": {
-                "first_moment": state.first_moment.tolist(),
-                "second_moment": state.second_moment.tolist(),
-                "step": state.step,
-                "learning_rate": state.learning_rate,
+                "first_moment": [-0.0125] * size,
+                "second_moment": [3.5e-4] * size,
+                "step": 1,
+                "learning_rate": 2e-3,
                 "beta1": 0.9,
                 "beta2": 0.999,
                 "eps": 1e-8,

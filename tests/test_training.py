@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from helpers import run_em_full_batch
+from helpers import adam_step, run_em_full_batch
 from llpkit.data import (
     BagDataset,
     Instances,
@@ -18,6 +18,7 @@ from llpkit import network, objectives
 from llpkit.errors import NumericalError, UsageError
 from llpkit.objectives import e_step, m_step_loss, predict
 from llpkit.training import (
+    METHODS,
     RECORD_HEADER,
     TrainConfig,
     bag_size_sweep,
@@ -154,33 +155,57 @@ class TestTrain:
         assert evaluate(mle_params, holdout).accuracy >= 0.9
 
 
-def reference_mle_loop(dataset, config):
-    """The mle epoch loop with separate passes: an E-step at the start of
-    every epoch and the count log-likelihood after each epoch.  No early
-    stopping."""
+def reference_loop(dataset, config):
+    """The epoch loop of any method with separate passes and the
+    out-of-place Adam formula (``helpers.adam_step``): for mle, an E-step at
+    the start of every epoch and the count log-likelihood after each
+    epoch.  No early stopping."""
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
     )
-    opt_state = network.init_optimizer(params, config.learning_rate)
+    theta = params.theta
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
+    bag_level = config.method in ("amle", "dllp")
+    num_items = dataset.num_bags if bag_level else len(features)
+    if bag_level:
+        batch_loss = getattr(objectives, f"{config.method}_batch_loss")
+    elif config.method == "supervised":
+        targets = dataset.instances.labels.astype(np.float64)
     rows = []
+    step = 0
     for epoch in range(1, config.max_epochs + 1):
-        targets = e_step(params, dataset).targets
-        order = rng.permutation(len(features))
+        if config.method == "mle":
+            targets = e_step(params, dataset).targets
+        order = rng.permutation(num_items)
         total = 0.0
-        for lo in range(0, len(features), config.batch_size):
+        for lo in range(0, num_items, config.batch_size):
             sel = order[lo : lo + config.batch_size]
-            loss, grad = network.backward(
-                params, features[sel], lambda probs: m_step_loss(probs, targets[sel])
+            if bag_level:
+                sizes, counts = dataset.sizes[sel], dataset.counts[sel]
+                loss, grad = network.backward(
+                    params,
+                    features[dataset.bag_rows(sel)],
+                    lambda probs: batch_loss(probs, sizes, counts),
+                )
+            else:
+                loss, grad = network.backward(
+                    params,
+                    features[sel],
+                    lambda probs: m_step_loss(probs, targets[sel]),
+                )
+            step += 1
+            theta, m, v = adam_step(
+                theta, m, v, step, config.learning_rate, grad / sel.size
             )
-            params, opt_state = network.optimizer_step(
-                params, opt_state, grad / sel.size
-            )
+            params = params.with_theta(theta)
             total += loss
-        log_likelihood = e_step(params, dataset).log_likelihood
-        rows.append((epoch, total / len(features), log_likelihood))
+        log_likelihood = None
+        if config.method == "mle":
+            log_likelihood = e_step(params, dataset).log_likelihood
+        rows.append((epoch, total / num_items, log_likelihood))
     return params, rows
 
 
@@ -222,17 +247,20 @@ class TestFusedEStep:
 
     def test_refresh_interval_matches_reference_loop(self, tmp_path):
         dataset, _ = blob_bags(n=60)
-        # train refreshes the targets after every epoch, with the E-step
-        # that gives the epoch's log-likelihood.
-        config = quick_config("mle", max_epochs=7)
-        params, record = train(dataset, config)
-        ref_params, ref_rows = reference_mle_loop(dataset, config)
-        assert [(r.epoch, r.loss, r.log_likelihood) for r in record.rows] == ref_rows
-        network.save_checkpoint(tmp_path / "train.json", params)
-        network.save_checkpoint(tmp_path / "reference.json", ref_params)
-        assert (tmp_path / "train.json").read_bytes() == (
-            tmp_path / "reference.json"
-        ).read_bytes()
+        # train refreshes mle's targets after every epoch, with the E-step
+        # that gives the epoch's log-likelihood, and every method's Adam
+        # step is the reference formula, bit for bit.
+        for method in METHODS:
+            config = quick_config(method, max_epochs=7)
+            params, record = train(dataset, config)
+            ref_params, ref_rows = reference_loop(dataset, config)
+            curve = [(r.epoch, r.loss, r.log_likelihood) for r in record.rows]
+            assert curve == ref_rows, method
+            network.save_checkpoint(tmp_path / "train.json", params)
+            network.save_checkpoint(tmp_path / "reference.json", ref_params)
+            assert (tmp_path / "train.json").read_bytes() == (
+                tmp_path / "reference.json"
+            ).read_bytes(), method
 
 
 class TestEvaluate:
