@@ -215,7 +215,9 @@ _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n\r"
 
 def _plain_lines(path) -> list[str]:
     """The nonblank lines of a file of ``_PLAIN`` bytes after an optional
-    byte-order mark; ValueError for any other file or one under two lines."""
+    byte-order mark; ValueError for any other file, one under two lines, or
+    one with a line longer than ``csv.field_size_limit()``, whose cells the
+    exact parse may reject."""
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(codecs.BOM_UTF8)
     if raw.translate(None, _PLAIN):
@@ -223,6 +225,8 @@ def _plain_lines(path) -> list[str]:
     lines = list(filter(None, raw.decode("ascii").splitlines()))
     if len(lines) < 2:
         raise ValueError(f"{path}: fewer than two lines")
+    if max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError(f"{path}: a line longer than the CSV field size limit")
     return lines
 
 

@@ -7,17 +7,19 @@ analytic gradients; the test suite checks them against central finite
 differences.
 
 A row's output is bit-identical whether the instance is scored alone or
-inside a batch, of any size, at any position.  BLAS picks its summation
-order from the shape of the product, so the forward pass never hands BLAS
-the batch itself: :func:`_dense` multiplies blocks of exactly
-``BLOCK_ROWS`` rows, padding the last block with zero rows, and every call
-for a layer has one shape.  :func:`forward` streams the batch through the
-network in chunks of whole blocks, so a pass allocates memory in
-proportion to the widest layer, not to the batch, and the blocks and
-their outputs are the same as in one pass over the whole batch.  The
-backward pass uses plain BLAS products; gradients promise no row
-invariance, and the same batch shape gives the same sums, so reruns stay
-byte-identical.
+inside a batch, of any size, at any position, in any memory layout.  BLAS
+picks its summation order from the shape and layout of the product, so the
+forward pass never hands BLAS the batch itself: it pads the batch once to
+whole blocks of exactly ``BLOCK_ROWS`` rows, as one C-ordered copy, and
+runs each layer as one matmul over those blocks, so every block of a
+layer is multiplied alike.  The pad rows are cut off the outputs.
+:func:`forward` streams the batch through the network in chunks of whole
+blocks, so a pass allocates memory in proportion to the widest layer, not
+to the batch, and the blocks and their outputs are the same as in one pass
+over the whole batch.  The backward pass uses the batch's rows of each
+stored activation in plain BLAS products, and a broadcast product for a
+width-1 layer; gradients promise no row invariance, and the same batch
+shape gives the same sums, so reruns stay byte-identical.
 
 Parameters live in one flat float64 vector with layout
 ``W0, b0, W1, b1, ...`` where each weight matrix is stored row-major with
@@ -147,49 +149,39 @@ def _check_batch(params: ClassifierParams, batch) -> np.ndarray:
     return batch
 
 
-def _dense(a: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``a @ weight`` as one BLAS call per block of ``BLOCK_ROWS`` rows.
-
-    Full blocks are a view of a C-ordered ``a``; only the last
-    ``n % BLOCK_ROWS`` rows are copied, into one zero-padded block.  Each
-    output row therefore depends on its input row and ``weight`` alone.
-    """
-    n, fan_in = a.shape
-    fan_out = weight.shape[1]
-    full = n - n % BLOCK_ROWS
-    out = np.empty((n, fan_out))
-    if full:
-        np.matmul(
-            a[:full].reshape(-1, BLOCK_ROWS, fan_in),
-            weight,
-            out=out[:full].reshape(-1, BLOCK_ROWS, fan_out),
-        )
-    if full < n:
-        tail = np.zeros((BLOCK_ROWS, fan_in))
-        tail[: n - full] = a[full:]
-        out[full:] = (tail @ weight)[: n - full]
-    return out
-
-
 def _forward_trace(params: ClassifierParams, batch: np.ndarray):
     """Run the network, keeping pre-activations for the backward pass.
+
+    The batch is padded once to whole blocks of ``BLOCK_ROWS`` rows, as one
+    C-ordered copy (or taken as it is when it already is that), and each
+    layer is one matmul over its ``(blocks, BLOCK_ROWS, fan_in)`` view.  The
+    pre-activations and activations keep the pad rows; only the first
+    ``len(batch)`` rows of each belong to the batch.
 
     Raises NumericalError when an output is not finite; overflow on the
     way there is not warned about, since the result is reported anyway.
     """
     theta = params.theta
-    activations = [batch]
-    pre = []
+    n = len(batch)
+    blocks = -(-n // BLOCK_ROWS)
     a = batch
+    if n % BLOCK_ROWS or not batch.flags.c_contiguous:
+        a = np.zeros((blocks * BLOCK_ROWS, batch.shape[1]))
+        a[:n] = batch
+    activations = [a]
+    pre = []
     last = len(params.layer_sizes) - 2
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (w, b, (fan_in, fan_out)) in enumerate(_layers(params.layer_sizes)):
-            z = _dense(a, theta[w].reshape(fan_in, fan_out))
+            z = np.matmul(
+                a.reshape(blocks, BLOCK_ROWS, fan_in),
+                theta[w].reshape(fan_in, fan_out),
+            ).reshape(-1, fan_out)
             z += theta[b]
             pre.append(z)
             a = _sigmoid(z) if idx == last else np.maximum(z, 0.0)
             activations.append(a)
-    probs = a[:, 0]
+    probs = a[:n, 0]
     if not np.isfinite(probs).all():
         raise NumericalError("network output is not finite")
     return probs, pre, activations
@@ -215,6 +207,7 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
     gradient in the layout of ``params.theta``.
     """
     batch = _check_batch(params, batch)
+    n = len(batch)
     probs, pre, activations = _forward_trace(params, batch)
     value, g = loss(probs)
     g = np.asarray(g, dtype=np.float64)
@@ -223,18 +216,23 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
             f"loss gradient has shape {g.shape}, expected {probs.shape}"
         )
 
-    grad = np.empty_like(params.theta)
+    theta = params.theta
+    grad = np.empty_like(theta)
     layers = _layers(params.layer_sizes)
     with np.errstate(over="ignore", invalid="ignore"):
         # Sigmoid output layer: dz = dLoss/dprob * prob * (1 - prob).
         dz = (g * probs * (1.0 - probs))[:, None]
         for idx in range(len(layers) - 1, -1, -1):
             w, b, (fan_in, fan_out) = layers[idx]
-            grad[w] = (activations[idx].T @ dz).reshape(-1)
+            grad[w] = (activations[idx][:n].T @ dz).reshape(-1)
             grad[b] = dz.sum(axis=0)
             if idx > 0:
-                da = dz @ params.theta[w].reshape(fan_in, fan_out).T
-                dz = da * (pre[idx - 1] > 0.0)
+                # A width-1 layer's product has one term per entry, so the
+                # broadcast gives BLAS's bits, bar a zero's sign, which the
+                # sums into the gradient drop.
+                weight = theta[w].reshape(fan_in, fan_out).T
+                dz = dz * weight if fan_out == 1 else dz @ weight
+                dz *= pre[idx - 1][:n] > 0.0
     return value, grad
 
 

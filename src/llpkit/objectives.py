@@ -84,6 +84,12 @@ def m_step_loss(probs, soft_targets) -> tuple[float, np.ndarray]:
         raise UsageError(f"{t.shape} targets for {f.shape} outputs")
     if t.size and (t.min() < 0.0 or t.max() > 1.0):
         raise UsageError("soft targets must lie in [0, 1]")
+    return _m_step_loss(f, t)
+
+
+def _m_step_loss(f, t) -> tuple[float, np.ndarray]:
+    """:func:`m_step_loss` without its checks: ``f`` clamped outputs and
+    ``t`` float64 targets in [0, 1] of the same shape."""
     loss = -float(np.sum(t * np.log(f) + (1.0 - t) * np.log1p(-f)))
     grads = (f - t) / (f * (1.0 - f))
     return loss, grads
@@ -102,12 +108,14 @@ def amle_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
     floor is active the variance is locally constant, so its gradient
     path is zero.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    ys = np.asarray(positive_counts, dtype=np.float64)
+    sizes, ys, f = _bag_loss_args(probs, sizes, positive_counts)
+    return _amle_loss(f, sizes, ys)
+
+
+def _amle_loss(f, sizes, ys) -> tuple[float, np.ndarray]:
+    """:func:`amle_batch_loss` without its checks: ``f`` clamped outputs,
+    ``sizes`` int64 bag sizes that sum to ``f.size``, ``ys`` float64 counts."""
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    f = clamp_probabilities(probs)
-    if f.size != int(sizes.sum()):
-        raise UsageError("bag sizes do not cover the outputs")
     mu = np.add.reduceat(f, starts)
     raw_var = np.add.reduceat(f * (1.0 - f), starts)
     floored = raw_var < VARIANCE_FLOOR
@@ -130,17 +138,30 @@ def dllp_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
     log(1 - rho_hat)], and every instance shares the gradient
     (rho_hat - rho) / (rho_hat (1 - rho_hat) n).
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    ys = np.asarray(positive_counts, dtype=np.float64)
+    sizes, ys, f = _bag_loss_args(probs, sizes, positive_counts)
+    return _dllp_loss(f, sizes, ys)
+
+
+def _dllp_loss(f, sizes, ys) -> tuple[float, np.ndarray]:
+    """:func:`dllp_batch_loss` without its checks, on the arguments of
+    :func:`_amle_loss`."""
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    f = clamp_probabilities(probs)
-    if f.size != int(sizes.sum()):
-        raise UsageError("bag sizes do not cover the outputs")
     rho = ys / sizes
     rho_hat = np.clip(np.add.reduceat(f, starts) / sizes, CLAMP_EPS, 1.0 - CLAMP_EPS)
     loss = float(-np.sum(rho * np.log(rho_hat) + (1.0 - rho) * np.log1p(-rho_hat)))
     per_bag = (rho_hat - rho) / (rho_hat * (1.0 - rho_hat) * sizes)
     return loss, np.repeat(per_bag, sizes)
+
+
+def _bag_loss_args(probs, sizes, positive_counts):
+    """(sizes, counts, clamped outputs) as the per-bag loss cores take them;
+    UsageError unless the sizes cover the outputs."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ys = np.asarray(positive_counts, dtype=np.float64)
+    f = clamp_probabilities(probs)
+    if f.size != int(sizes.sum()):
+        raise UsageError("bag sizes do not cover the outputs")
+    return sizes, ys, f
 
 
 def predict(params, features, threshold: float = 0.5) -> np.ndarray:

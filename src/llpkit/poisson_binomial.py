@@ -57,6 +57,13 @@ def clamp_probabilities(p) -> np.ndarray:
         raise UsageError("probability vector contains non-finite entries")
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise UsageError("probability vector entries must lie in [0, 1]")
+    return _clamp(p)
+
+
+def _clamp(p: np.ndarray) -> np.ndarray:
+    """:func:`clamp_probabilities` without its checks, for a float64 vector
+    already known to be finite, 1-d and in [0, 1], such as the outputs of
+    ``network.forward``."""
     return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 

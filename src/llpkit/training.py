@@ -13,7 +13,9 @@ One :func:`train` call drives any of the four objectives:
 
 All four share one minibatch loop; a method only decides what a batch
 indexes (instances or bags) and how the network's outputs on it turn into
-a loss.  Each step runs the network once over the batch, in
+a loss.  Each epoch gathers the shuffled features (with the bags' sizes
+and counts, or the instances' targets) once, and each batch is a slice of
+that gather.  Each step runs the network once over the batch, in
 :func:`network.backward`, then takes one Adam step,
 :func:`network.optimizer_step`, in place on the parameter vector and on
 two moment vectors that :func:`train` allocates once per run.
@@ -36,6 +38,7 @@ from . import network, objectives
 from .data import BagDataset, Instances, assign_folds, make_bags
 from .errors import NumericalError, UsageError
 from .files import write_atomic
+from .poisson_binomial import _clamp
 
 METHODS = ("mle", "amle", "dllp", "supervised")
 RECORD_HEADER = ["epoch", "loss", "log_likelihood", "test_accuracy", "seconds"]
@@ -190,27 +193,19 @@ def train(
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
 
-    # step(batch) -> (summed loss, dloss/dtheta), where a batch indexes
-    # instances or bags.
+    # The losses' unchecked cores: the outputs come from forward, which
+    # rejects non-finite ones, and each batch's sizes, counts or targets are
+    # slices of checked arrays that match its rows by construction.
     bag_level = config.method in ("amle", "dllp")
     if bag_level:
         num_items = dataset.num_bags
-        batch_loss = (
-            objectives.amle_batch_loss
-            if config.method == "amle"
-            else objectives.dllp_batch_loss
+        loss_core = (
+            objectives._amle_loss if config.method == "amle" else objectives._dllp_loss
         )
-        sizes, counts = dataset.sizes, dataset.counts
-
-        def step(bags):
-            return network.backward(
-                params,
-                features[dataset.bag_rows(bags)],
-                lambda probs: batch_loss(probs, sizes[bags], counts[bags]),
-            )
-
+        sizes, counts = dataset.sizes, dataset.counts.astype(np.float64)
     else:
         num_items = dataset.num_instances
+        loss_core = objectives._m_step_loss
         if config.method == "supervised":
             targets = dataset.instances.labels.astype(np.float64)
         else:
@@ -218,14 +213,6 @@ def train(
                 targets = objectives.e_step(params, dataset).targets
             except NumericalError as exc:
                 raise NumericalError(f"{exc} in the E-step before epoch 1") from exc
-
-        # Reads ``targets`` when called, so mle's E-steps below take effect.
-        def step(rows):
-            return network.backward(
-                params,
-                features[rows],
-                lambda probs: objectives.m_step_loss(probs, targets[rows]),
-            )
 
     eval_features = eval_labels = None
     if eval_instances is not None:
@@ -237,16 +224,34 @@ def train(
     stale = 0
     steps = 0
     for epoch in range(1, config.max_epochs + 1):
+        # One gather per epoch, in shuffled order; a batch is a slice of it:
+        # items lo:hi are feature rows bounds[lo]:bounds[hi].  Targets only
+        # change between epochs, after mle's E-step.
         order = rng.permutation(num_items)
+        if bag_level:
+            epoch_features = features[dataset.bag_rows(order)]
+            epoch_items = (sizes[order], counts[order])
+            bounds = np.concatenate(([0], np.cumsum(epoch_items[0])))
+        else:
+            epoch_features = features[order]
+            epoch_items = (targets[order],)
+            bounds = range(num_items + 1)
         total = 0.0
         for bi, lo in enumerate(range(0, num_items, config.batch_size)):
-            batch = order[lo : lo + config.batch_size]
+            hi = min(lo + config.batch_size, num_items)
+            items = [a[lo:hi] for a in epoch_items]
+
+            def loss_fn(probs):
+                return loss_core(_clamp(probs), *items)
+
             try:
-                loss, grad = step(batch)
+                loss, grad = network.backward(
+                    params, epoch_features[bounds[lo] : bounds[hi]], loss_fn
+                )
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite loss")
                 # backward returns a fresh gradient, so it is scaled in place.
-                grad /= batch.size
+                grad /= hi - lo
                 steps += 1
                 network.optimizer_step(
                     params.theta,
@@ -259,7 +264,7 @@ def train(
             except NumericalError as exc:
                 where = f"epoch {epoch}, batch {bi}"
                 if bag_level:
-                    where += f", bags {batch.tolist()}"
+                    where += f", bags {order[lo:hi].tolist()}"
                 raise NumericalError(f"{exc} at {where}") from exc
             total += loss
         epoch_loss = total / num_items

@@ -7,7 +7,8 @@ configurations and by a linear-space convolution DP, instance posteriors
 by leave-one-out DPs, configuration marginals and a log-space
 forward-backward sweep, the EM lower bound, a textbook full-batch EM loop,
 the per-bag losses in Python floats, Adam out of place, the logistic
-function on masked halves, and the CSV writers as ``csv.writer`` rows.
+function on masked halves, the network pass on one BLAS call per block
+with a zero-padded tail, and the CSV writers as ``csv.writer`` rows.
 """
 
 import csv
@@ -19,8 +20,8 @@ import numpy as np
 
 from llpkit import network, objectives
 from llpkit.data import BagDataset, Instances
-from llpkit.errors import UsageError
-from llpkit.network import ClassifierParams, forward
+from llpkit.errors import NumericalError, UsageError
+from llpkit.network import BLOCK_ROWS, ClassifierParams, forward
 from llpkit.objectives import VARIANCE_FLOOR
 from llpkit.poisson_binomial import CLAMP_EPS, bag_log_likelihood, clamp_probabilities
 
@@ -374,6 +375,77 @@ def sigmoid_masked(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The network pass and its chain rule as separate products per block: full
+# blocks as views of the batch, the tail copied into one zero-padded block.
+# ``network.backward`` must give the same value and gradient bytes on a
+# C-ordered batch.
+# ---------------------------------------------------------------------------
+
+
+def dense_blocks(a, weight):
+    """``a @ weight`` as one BLAS call per block of ``BLOCK_ROWS`` rows."""
+    n, fan_in = a.shape
+    fan_out = weight.shape[1]
+    full = n - n % BLOCK_ROWS
+    out = np.empty((n, fan_out))
+    if full:
+        np.matmul(
+            a[:full].reshape(-1, BLOCK_ROWS, fan_in),
+            weight,
+            out=out[:full].reshape(-1, BLOCK_ROWS, fan_out),
+        )
+    if full < n:
+        tail = np.zeros((BLOCK_ROWS, fan_in))
+        tail[: n - full] = a[full:]
+        out[full:] = (tail @ weight)[: n - full]
+    return out
+
+
+def forward_trace_blocks(params: ClassifierParams, batch):
+    """(outputs, pre-activations, activations) of the network on ``batch``,
+    layer by layer through :func:`dense_blocks`."""
+    theta = params.theta
+    activations = [batch]
+    pre = []
+    a = batch
+    last = len(params.layer_sizes) - 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (w, b, (fan_in, fan_out)) in enumerate(
+            network._layers(params.layer_sizes)
+        ):
+            z = dense_blocks(a, theta[w].reshape(fan_in, fan_out))
+            z += theta[b]
+            pre.append(z)
+            a = network._sigmoid(z) if idx == last else np.maximum(z, 0.0)
+            activations.append(a)
+    probs = a[:, 0]
+    if not np.isfinite(probs).all():
+        raise NumericalError("network output is not finite")
+    return probs, pre, activations
+
+
+def backward_blocks(params: ClassifierParams, batch, loss):
+    """(loss value, dvalue/dtheta) through :func:`forward_trace_blocks`:
+    the oracle for ``network.backward``."""
+    batch = np.asarray(batch, dtype=np.float64)
+    probs, pre, activations = forward_trace_blocks(params, batch)
+    value, g = loss(probs)
+    g = np.asarray(g, dtype=np.float64)
+    grad = np.empty_like(params.theta)
+    layers = network._layers(params.layer_sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dz = (g * probs * (1.0 - probs))[:, None]
+        for idx in range(len(layers) - 1, -1, -1):
+            w, b, (fan_in, fan_out) = layers[idx]
+            grad[w] = (activations[idx].T @ dz).reshape(-1)
+            grad[b] = dz.sum(axis=0)
+            if idx > 0:
+                da = dz @ params.theta[w].reshape(fan_in, fan_out).T
+                dz = da * (pre[idx - 1] > 0.0)
+    return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -528,8 +528,9 @@ class TestErrorContract:
             bags = str(tmp_path / "bad.csv")
             (tmp_path / "bad.csv").write_text("bag_id,y,n\n0,1,x\n")
         elif failure == "numerical":
+            # The training step's loss, without the checks of m_step_loss.
             monkeypatch.setattr(
-                objectives, "m_step_loss",
+                objectives, "_m_step_loss",
                 lambda probs, targets: (float("nan"), np.zeros_like(probs)),
             )
         elif failure == "io":
@@ -610,11 +611,14 @@ class TestErrorContract:
         assert err.splitlines() == ["error: --out is empty"]
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_cell_over_csv_field_limit_writes_nothing(self, tmp_path, capsys):
-        # The quote sends the file past numpy's reader to csv.reader, whose
-        # default field size limit is 131 072 characters.
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "bare"])
+    def test_cell_over_csv_field_limit_writes_nothing(self, tmp_path, capsys, quote):
+        # numpy's reader declines both files, one for its quote and the
+        # other for a line past csv.reader's default field size limit of
+        # 131 072 characters, so csv.reader rejects the cell in both.
         data = tmp_path / "big.csv"
-        data.write_text(f'f0,f1,label\n"{"0" * 200_000}1.5",2.0,1\n3.0,4.0,0\n')
+        cell = f"{quote}{'0' * 200_000}1.5{quote}"
+        data.write_text(f"f0,f1,label\n{cell},2.0,1\n3.0,4.0,0\n")
         out = tmp_path / "out" / "bags.csv"
         code, stdout, err = run(capsys, "bag", "--in", str(data), "--out", str(out))
         assert code == 2

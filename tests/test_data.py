@@ -527,6 +527,8 @@ class TestCsvDifferential:
             'f0,f1\n"1.5",2.0\n',
             # Lone CR line ends around a blank line.
             "f0,f1\r1.0,2.0\r\r3.0,4.0\r",
+            # A cell past csv.reader's field size limit, which float() reads.
+            pytest.param(f"f0,f1\n{'0' * 200_000}1.5,2.0\n", id="over-field-limit"),
         ],
     )
     def test_edge_cases(self, text):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     adam_step,
+    backward_blocks,
     finite_difference_gradient,
     max_relative_error,
     sigmoid_masked,
 )
+from llpkit import objectives
 from llpkit.errors import FormatError, NumericalError, UsageError
 from llpkit.network import (
     BLOCK_ROWS,
@@ -96,7 +98,16 @@ class TestForward:
 
     @given(
         layer_sizes=st.sampled_from(
-            [(2, 32, 32, 1), (3, 64, 64, 1), (5, 8, 1), (2, 1), (3, 300, 1)]
+            [
+                (2, 32, 32, 1),
+                (3, 64, 64, 1),
+                (5, 8, 1),
+                (2, 1),
+                (3, 300, 1),
+                # A width-1 first hidden layer fed by 3 features.
+                (3, 1, 1),
+                (3, 1, 4, 1),
+            ]
         ),
         # Around one 256-row chunk of (2, 32, 32, 1), and four chunks plus
         # a tail; (3, 300, 1) streams one block per chunk.
@@ -222,6 +233,55 @@ class TestBackward:
         params = init_params((3, 4, 1), seed=0)
         with pytest.raises(UsageError):
             backward(params, np.zeros((5, 3)), lambda probs: (0.0, np.zeros(4)))
+
+    @given(
+        layer_sizes=st.sampled_from(
+            [(2, 32, 32, 1), (5, 8, 1), (2, 1), (2, 1, 1), (3, 1, 4, 1)]
+        ),
+        n=st.sampled_from([1, 63, 64, 65, 185, 257, 290, 1000]),
+        loss_name=st.sampled_from(["m_step_loss", "amle", "dllp"]),
+        layout=st.sampled_from(["contiguous", "offset", "fortran"]),
+        zero_output_weights=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_gradient_match_the_block_oracle(
+        self, layer_sizes, n, loss_name, layout, zero_output_weights, seed
+    ):
+        """The padded pass gives the value and gradient bytes of separate
+        products per block, signed zeros included; a Fortran-ordered batch
+        gives those of its C-ordered copy."""
+        rng = np.random.default_rng(seed)
+        params = init_params(layer_sizes, seed=seed)
+        if zero_output_weights:
+            theta = params.theta.copy()
+            theta[-layer_sizes[-2] - 1 : -1] = 0.0
+            params = params.with_theta(theta)
+        base = 3.0 * rng.standard_normal((n + 1, layer_sizes[0]))
+        X = {
+            "contiguous": base[:n],
+            "offset": base[1:],
+            "fortran": np.asfortranarray(base[:n]),
+        }[layout]
+        if loss_name == "m_step_loss":
+            targets = rng.random(n)
+
+            def loss(probs):
+                return objectives.m_step_loss(probs, targets)
+
+        else:
+            cuts = rng.integers(1, n + 1, n // 3)
+            sizes = np.diff(np.unique(np.concatenate(([0, n], cuts))))
+            counts = rng.integers(0, sizes + 1)
+            batch_loss = getattr(objectives, f"{loss_name}_batch_loss")
+
+            def loss(probs):
+                return batch_loss(probs, sizes, counts)
+
+        value, grad = backward(params, X, loss)
+        want_value, want_grad = backward_blocks(params, np.ascontiguousarray(X), loss)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def adam_buffers(params):

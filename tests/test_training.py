@@ -1,6 +1,7 @@
 """Tests for the epoch loop, cross-validation, and the bag-size sweep."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -228,10 +229,28 @@ class TestNumericalFailures:
         with pytest.raises(NumericalError, match=where):
             train(dataset, quick_config("mle", max_epochs=5))
 
-    def test_diverging_step_names_epoch_and_batch(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_diverging_step_names_epoch_and_batch(self, method):
+        """The error names the epoch and batch of the failing step and, for
+        the bag-level methods, the bags in that batch: ``order[lo:hi]`` of
+        the epoch's permutation."""
         dataset, _ = blob_bags(n=60)
-        with pytest.raises(NumericalError, match=r"epoch 1, batch \d"):
-            train(dataset, quick_config("supervised", learning_rate=1e200))
+        config = quick_config(method, batch_size=4, learning_rate=1e200)
+        with pytest.raises(NumericalError) as info:
+            train(dataset, config)
+        found = re.search(
+            r" at epoch 1, batch (\d+)(?:, bags \[(.*)\])?$", str(info.value)
+        )
+        assert found, str(info.value)
+        if method in ("amle", "dllp"):
+            shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)[1]
+            order = np.random.default_rng(int(shuffle_seed)).permutation(
+                dataset.num_bags
+            )
+            lo = int(found[1]) * config.batch_size
+            assert found[2] == ", ".join(map(str, order[lo : lo + config.batch_size]))
+        else:
+            assert found[2] is None
 
 
 class TestFusedEStep:
