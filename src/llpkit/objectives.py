@@ -6,7 +6,7 @@ Four ways to train the instance classifier:
   likelihood of the observed counts by alternating a posterior update
   (:func:`e_step`) with cross-entropy epochs against the resulting soft
   targets (:func:`m_step_loss`).  One network pass and one batched
-  forward-backward kernel give both the targets and the dataset's count
+  product-tree kernel give both the targets and the dataset's count
   log-likelihood at the same parameters, so the trainer, which refreshes
   targets after every epoch, gets that epoch's log-likelihood with them;
 * normal approximation ("amle"): replace the count likelihood with a

@@ -7,9 +7,14 @@ two quantities from it: the log pmf of each bag's observed count and the
 per-instance posterior probabilities given that count (the soft
 cross-entropy targets).
 
-Both come from one kernel, :func:`batch_posteriors`.  It runs a
-forward-backward pass over count distributions in linear space, O(n * y)
-per bag, for many bags at once.  A bag whose terms could leave the normal
+Both come from one kernel, :func:`batch_posteriors`.  It runs a product
+tree over count distributions in linear space (Tarlow, Swersky, Zemel,
+Adams and Frey, "Fast Exact Inference for Recursive Cardinality Models",
+UAI 2012) for many bags at once: one upward pass builds the count
+distribution of every subtree, one downward pass the count distribution
+outside it, each as one batched product per tree level.  That is O(n * y)
+time and about n * (log2 n + 9) floats per bag, in O(log n) numpy calls
+per group of bags.  A bag whose terms could leave the normal
 float64 range is first tilted: its odds are scaled until its count is
 typical, which leaves its posteriors unchanged and shifts its log pmf by a
 known amount.  So the kernel holds at any bag size: a bag whose pmf
@@ -24,6 +29,7 @@ finite.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import UsageError
 
@@ -31,14 +37,15 @@ from .errors import UsageError
 # while perturbing well-scaled probabilities by at most 1e-7.
 CLAMP_EPS = 1e-7
 
-# Floats in one chunk's forward table in batch_posteriors (1 MiB), so the
-# kernel's working memory does not grow with the number of bags.
+# Floats that one chunk of batch_posteriors may hold in its tree (1 MiB), so
+# the kernel's working memory does not grow with the number of bags.
 _TABLE_BUDGET = 1 << 17
 
 # Lowest bag floor, sum_i log min(p_i, 1 - p_i) over the bag's instances,
-# at which batch_posteriors sweeps the bag untilted.  Every nonzero count
-# probability, prefix, suffix and product in the sweep is a sum of
-# assignment probabilities, each at least exp(floor); this bound keeps them
+# at which batch_posteriors runs the bag's tree untilted.  Every nonzero
+# count probability of a subtree or of its outside, and every product of
+# two of them, in the tree is a sum of assignment probabilities of disjoint
+# sets of instances, each at least exp(floor); this bound keeps them
 # above the smallest normal float64, exp(-708.4).  Clamped bags of up to 43
 # instances always pass.
 _LINEAR_FLOOR = -700.0
@@ -99,10 +106,12 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
     whether their floor, sum_i log min(p_i, 1 - p_i), lies below
     ``_LINEAR_FLOOR``, and padded to that width with p = 0 instances,
     which leave every count distribution unchanged.  Each chunk of a group
-    goes through one linear-space sweep, :func:`_sweep`; a chunk below the
-    floor is first tilted by :func:`_tilt`, so that its count
-    probabilities cannot underflow.  Chunks are sized so that their
-    forward table fits a fixed float budget.
+    goes through one linear-space product tree, :func:`_tree`; a chunk
+    below the floor is first tilted by :func:`_tilt`, so that its count
+    probabilities cannot underflow.  Chunks are sized by
+    :func:`_tree_floats` so that their trees fit a fixed float budget, and
+    a bag is never split.  A bag's results are bit-identical whichever bags
+    share its chunk: see :func:`_tree`.
 
     A result that is not finite is returned as is; callers that need
     finite values check for it.
@@ -144,7 +153,7 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
             members = np.flatnonzero((widths == width) & (below == tilt))
             members = members[np.argsort(counts[members], kind="stable")]
             top = int(counts[members[-1]])
-            per_chunk = max(1, _TABLE_BUDGET // (width * (top + 2)))
+            per_chunk = max(1, _TABLE_BUDGET // _tree_floats(width, top))
             cols = np.arange(width)
             for lo in range(0, members.size, per_chunk):
                 chunk = members[lo : lo + per_chunk]
@@ -155,11 +164,23 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
                 q = 1.0 - p
                 if tilt:
                     p, q, shift = _tilt(p, sizes[chunk], counts[chunk])
-                chunk_phi, log_pb[chunk] = _sweep(p, q, counts[chunk])
+                chunk_phi, log_pb[chunk] = _tree(p, q, counts[chunk])
                 if tilt:
                     log_pb[chunk] += shift
                 phi[rows] = chunk_phi[real]
     return phi, log_pb
+
+
+def _tree_floats(width: int, top: int) -> int:
+    """Floats per bag that :func:`_tree` holds at most, for bags of this
+    width and counts up to ``top``: every level's count distributions, kept
+    for the downward pass, and three arrays the size of the widest level
+    around one level's step."""
+    sizes = [
+        (width >> level) * (min(1 << level, max(top, 1)) + 1)
+        for level in range(width.bit_length())
+    ]
+    return sum(sizes) + 3 * max(sizes)
 
 
 def _tilt(p, sizes, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,45 +207,63 @@ def _tilt(p, sizes, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)), shift
 
 
-def _sweep(p, q, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Posteriors and log pmf for bags padded to a common width.
+def _tree(p, q, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors and log pmf for bags padded to a common power-of-two width.
 
-    ``p`` and ``q`` hold p and 1 - p per bag row.  A forward sweep
-    tabulates the distribution of the count among each prefix of the bag;
-    a backward sweep carries the suffix distribution and combines the two
-    into the leave-one-out count probabilities LOO_i(y - 1) and LOO_i(y).
-    The posterior is a / (a + r) with a = p_i LOO_i(y - 1) and
-    r = (1 - p_i) LOO_i(y), which is exactly 0 for y = 0 and exactly 1 for
-    y = n.  Count distributions are cut off above the largest count,
-    which no lower count depends on.  The bags must not underflow: see
-    ``_LINEAR_FLOOR`` and :func:`_tilt`.
+    ``p`` and ``q`` hold p and 1 - p per bag row.  The upward pass builds
+    the count distribution of every node of a balanced binary tree over the
+    instances, one batched convolution of sibling pairs per level; the
+    downward pass carries, for every node u, D_u[c] = P(y - c positives
+    outside u), one batched correlation with the sibling per level.  At
+    leaf i, a = p_i D_i[1] and r = (1 - p_i) D_i[0], and the posterior is
+    a / (a + r), which is exactly 0 for y = 0 and exactly 1 for y = n;
+    pb(y) is read from the root.  Count distributions are cut off above
+    the largest count, which no lower count depends on.  The bags must not
+    underflow: see ``_LINEAR_FLOOR`` and :func:`_tilt`.
+
+    Every count probability is a dot product of a distribution with a
+    window over another, taken by ``np.matmul`` of one row with a strided
+    view that BLAS cannot take, so numpy adds its terms one after another
+    in a fixed order.  A higher cut-off, from a larger count in the chunk,
+    only adds terms that are exactly 0, so every bag's results are
+    bit-identical alone and in any chunk; the tests check this.
     """
     b, width = p.shape
-    k = max(int(counts.max()), 1) + 1
+    top = max(int(counts.max()), 1)
     bags = np.arange(b)
 
-    # prefix[:, i, c] = P(c positives among instances 0..i-1).
-    prefix = np.empty((b, width, k))
-    dist = np.zeros((b, k))
-    dist[:, 0] = 1.0
-    for i in range(width):
-        prefix[:, i] = dist
-        dist = dist * q[:, i, None]
-        dist[:, 1:] += prefix[:, i, :-1] * p[:, i, None]
-    pb = dist[bags, counts]
+    # levels[l][:, u, c] = P(c positives among the instances under node u).
+    levels = [np.stack((q, p), axis=-1)]
+    while levels[-1].shape[1] > 1:
+        nodes = levels[-1]
+        k = nodes.shape[2]
+        kk = min(2 * k - 1, top + 1)
+        right = np.zeros((b, nodes.shape[1] // 2, k - 1 + kk))
+        right[..., k - 1 : 2 * k - 1] = nodes[:, 1::2]
+        # windows[:, u, j, c] = P(c - j positives under u's right child).
+        windows = _windows(right, kk)[..., ::-1, :]
+        levels.append(np.matmul(nodes[:, 0::2, None], windows)[:, :, 0])
+    root = levels.pop()
+    pb = root[bags, 0, counts]
 
-    # rev[:, t] = P(y - t positives among instances i+1..width-1).
-    rev = np.zeros((b, k))
-    rev[bags, counts] = 1.0
-    a = np.empty((b, width))
-    r = np.empty((b, width))
-    for i in range(width - 1, -1, -1):
-        pre = prefix[:, i]
-        r[:, i] = np.einsum("bk,bk->b", pre, rev)
-        a[:, i] = np.einsum("bk,bk->b", pre[:, :-1], rev[:, 1:])
-        shifted = rev * q[:, i, None]
-        shifted[:, :-1] += rev[:, 1:] * p[:, i, None]
-        rev = shifted
-    a *= p
-    r *= q
+    # down[:, u, c] = P(y - c positives outside node u).
+    down = np.zeros(root.shape)
+    down[bags, 0, counts] = 1.0
+    for nodes in reversed(levels):
+        m, k = nodes.shape[1:]
+        outer = np.zeros((b, m // 2, 2 * k - 1))
+        outer[..., : down.shape[2]] = down
+        # windows[:, u, 0, j, c] = P(y - c - j positives outside parent u).
+        windows = _windows(outer, k)[:, :, None]
+        siblings = nodes.reshape(b, m // 2, 2, 1, k)[:, :, ::-1]
+        down = np.matmul(siblings, windows).reshape(b, m, k)
+    a = p * down[..., 1]
+    r = q * down[..., 0]
     return a / (a + r), np.log(pb)
+
+
+def _windows(x, length) -> np.ndarray:
+    """Read-only view with windows[..., t, c] = x[..., t + c], for every
+    window of ``length`` entries along the last axis of ``x``."""
+    shape = x.shape[:-1] + (x.shape[-1] - length + 1, length)
+    return as_strided(x, shape, x.strides + x.strides[-1:], writeable=False)

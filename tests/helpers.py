@@ -268,8 +268,9 @@ def loo_posteriors(p, y):
 
 def log_sweep(lp, lq, counts):
     """Posteriors and log pmf for bags padded to a common width, with every
-    count distribution in log space: the library's forward-backward sweep
-    with ``logaddexp`` for its multiply-adds, which never underflows.
+    count distribution in log space: a forward sweep over prefix count
+    distributions and a backward sweep over suffix ones, with ``logaddexp``
+    for their multiply-adds, which never underflows.
 
     ``lp`` and ``lq`` hold log p and log(1 - p) per bag row; padding
     columns hold -inf and 0.  Count distributions are cut off above the

@@ -1,12 +1,16 @@
 """Package-wide guarantees: outputs are written atomically, the package
 imports nothing at run time beyond numpy and the standard library, the
-README names only flags the CLI accepts, and its library example runs."""
+README names only flags the CLI accepts, its library example runs, and a
+failing property test reports its example under the project's pytest
+settings."""
 
 import argparse
 import ast
 import re
 import shlex
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from llpkit.cli import _write_json, build_parser
 from llpkit.files import write_atomic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def failing_write(fh):
@@ -104,3 +109,25 @@ def test_readme_library_example_runs(capsys):
     for call, out in zip(calls, printed):
         if "  # " in call:
             assert out == call.split("  # ", 1)[1], call
+
+
+def test_failing_property_test_prints_its_example(tmp_path):
+    # Printing the example imports libcst, which warns with a
+    # DeprecationWarning that pyproject.toml must not turn into an error.
+    (tmp_path / "test_fails.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, settings, strategies as st
+
+        @given(st.integers())
+        @settings(database=None, derandomize=True)
+        def test_fails(x):
+            assert x < 10
+    """), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = result.stdout + result.stderr
+    assert "INTERNALERROR" not in output, output
+    assert "Falsifying example" in output, output
+    assert result.returncode == 1, output

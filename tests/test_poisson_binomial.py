@@ -1,6 +1,6 @@
 """Unit and property tests for the Poisson binomial machinery.
 
-The library's pmf and posteriors come from the batched forward-backward
+The library's pmf and posteriors come from the batched product-tree
 kernel.  The oracles in ``helpers`` check it: enumeration and the
 convolution DP (which are checked against each other) for the pmf, the
 configuration posterior and the leave-one-out DP for the posteriors, and
@@ -9,6 +9,7 @@ Hand-checkable values are frozen in the assertions.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -221,7 +222,7 @@ class TestBatchPosteriors:
         counts = [y for _, y in bags]
         # A small table budget splits every bucket above width 8 into
         # chunks of one bag.
-        with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 512):
+        with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 256):
             phi, log_pb = batch_posteriors(
                 np.concatenate([p for p, _ in bags]), sizes, counts
             )
@@ -236,9 +237,10 @@ class TestBatchPosteriors:
 
     def test_chunks_at_the_real_budget(self):
         rng = np.random.default_rng(5)
-        sizes = rng.integers(40, 65, size=100)
+        sizes = rng.integers(40, 65, size=300)
         counts = rng.integers(0, sizes + 1)
-        assert sizes.size * 64 * (counts.max() + 2) > 2 * poisson_binomial._TABLE_BUDGET
+        floats = poisson_binomial._tree_floats(64, int(counts.max()))
+        assert sizes.size * floats > 2 * poisson_binomial._TABLE_BUDGET
         probs = clamp_probabilities(rng.random(int(sizes.sum())))
         phi, log_pb = batch_posteriors(probs, sizes, counts)
         pairs = zip(split_rows(probs, sizes), split_rows(phi, sizes))
@@ -338,7 +340,7 @@ class TestLinearRoute:
         counts = [y for _, y in bags]
         # A small table budget splits every bucket above width 8 into
         # chunks of one bag.
-        with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 512):
+        with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 256):
             phi, log_pb = batch_posteriors(
                 np.concatenate([p for p, _ in bags]), sizes, counts
             )
@@ -406,6 +408,89 @@ class TestLinearRoute:
         first = (1.0 - s) * math.exp(log_first)
         assert phi[0] == pytest.approx(first, abs=1e-12)
         np.testing.assert_allclose(phi[1:], (y - first) / (n - 1), rtol=0, atol=1e-12)
+
+
+# Sizes at and just past powers of two, where the tree gains a level or
+# pads a bag to twice its size.
+TREE_SIZES = [1, 2, 63, 64, 65, 128, 129, 256, 257]
+
+
+def tree_cases(n):
+    """(p, y) at the tree's edge counts y in {0, 1, n - 1, n} and at n // 3,
+    whose tree alone is cut off below the chunk's cut-off at n: a bag with
+    probabilities in [0.2, 0.8], whose floor lies above _LINEAR_FLOOR, and,
+    from 63 instances up, a bag with most probabilities on a clamp edge,
+    whose floor lies below it."""
+    rng = np.random.default_rng(n)
+    bags = [clamp_probabilities(rng.uniform(0.2, 0.8, size=n))]
+    if n >= 63:
+        p = rng.random(n)
+        edge = rng.random(n) < 0.8
+        p[edge] = rng.integers(0, 2, size=int(edge.sum()))
+        bags.append(clamp_probabilities(p))
+        assert bag_floor(bags[0]) >= _LINEAR_FLOOR > bag_floor(bags[1])
+    counts = sorted({0, 1, n // 3, n - 1, n})
+    return [(p, y) for p in bags for y in counts]
+
+
+class TestTreeEdges:
+    """The product tree at the sizes where its shape changes, against the
+    oracles on both sides of the floor."""
+
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_edge_counts_match_the_oracles(self, n):
+        cases = tree_cases(n)
+        sizes = [p.size for p, _ in cases]
+        counts = [y for _, y in cases]
+        phi, log_pb = batch_posteriors(
+            np.concatenate([p for p, _ in cases]), sizes, counts
+        )
+        for j, ((p, y), got) in enumerate(zip(cases, split_rows(phi, sizes))):
+            # Alone, the bag's tree is cut off at its own count, not at n.
+            alone, alone_log = batch_posteriors(p, [n], [y])
+            assert got.tobytes() == alone.tobytes()
+            assert log_pb[j].tobytes() == alone_log[0].tobytes()
+            if y == 0:
+                np.testing.assert_array_equal(got, np.zeros(n))
+            if y == n:
+                np.testing.assert_array_equal(got, np.ones(n))
+            assert abs(got.sum() - y) <= 1e-10
+
+            want, want_log = log_sweep(
+                np.log(p)[None], np.log1p(-p)[None], np.array([y])
+            )
+            atol = 1e-14 + abs(bag_floor(p)) * np.finfo(float).eps
+            np.testing.assert_allclose(got, want[0], rtol=0, atol=atol)
+            assert abs(log_pb[j] - want_log[0]) <= 1e-13 * max(1.0, -want_log[0])
+            if bag_floor(p) >= _LINEAR_FLOOR:
+                pb = pb_dp(p, y)
+                assert abs(log_pb[j] - math.log(pb)) <= 1e-12 * max(1.0, -math.log(pb))
+                if n <= 65:
+                    np.testing.assert_allclose(
+                        got, loo_posteriors(p, y), rtol=0, atol=1e-10
+                    )
+
+    def test_large_bag_in_bounded_memory(self):
+        # 2048 instances at 0.3 and 2048 at 0.6 with y = 2048: a tilted bag
+        # with a closed form.  A width * (y + 2) table would take 64 MiB.
+        n, y = 4096, 2048
+        p = np.repeat([0.3, 0.6], n // 2)
+        assert bag_floor(p) < _LINEAR_FLOOR
+        tracemalloc.start()
+        try:
+            phi, log_pb = batch_posteriors(p, [n], [y])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+        log_total = two_level_log_pmf(0.3, n // 2, 0.6, n // 2, y)
+        assert log_pb[0] == pytest.approx(log_total, rel=1e-12)
+        low = 0.3 * math.exp(two_level_log_pmf(0.3, n // 2 - 1, 0.6, n // 2, y - 1) - log_total)
+        high = 0.6 * math.exp(two_level_log_pmf(0.3, n // 2, 0.6, n // 2 - 1, y - 1) - log_total)
+        np.testing.assert_allclose(phi[: n // 2], low, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi[n // 2 :], high, rtol=0, atol=1e-12)
+        assert abs(phi.sum() - y) <= 1e-10
 
 
 class TestBagLogLikelihood:
