@@ -264,6 +264,10 @@ def _tree(p, q, counts) -> tuple[np.ndarray, np.ndarray]:
 
 def _windows(x, length) -> np.ndarray:
     """Read-only view with windows[..., t, c] = x[..., t + c], for every
-    window of ``length`` entries along the last axis of ``x``."""
+    window of ``length`` entries along the last axis of ``x``.
+
+    The view of ``sliding_window_view(x, length, axis=-1)``, without its
+    argument handling: that costs about 15 us more per call, and one
+    ``batch_posteriors`` call on 79 bags of 16-64 makes 30 such views."""
     shape = x.shape[:-1] + (x.shape[-1] - length + 1, length)
     return as_strided(x, shape, x.strides + x.strides[-1:], writeable=False)

@@ -30,6 +30,7 @@ from llpkit.errors import UsageError
 from llpkit.poisson_binomial import (
     _LINEAR_FLOOR,
     CLAMP_EPS,
+    _windows,
     bag_log_likelihood,
     batch_posteriors,
     clamp_probabilities,
@@ -491,6 +492,17 @@ class TestTreeEdges:
         np.testing.assert_allclose(phi[: n // 2], low, rtol=0, atol=1e-12)
         np.testing.assert_allclose(phi[n // 2 :], high, rtol=0, atol=1e-12)
         assert abs(phi.sum() - y) <= 1e-10
+
+
+    @pytest.mark.parametrize("length", [1, 3, 10])
+    def test_windows_match_sliding_window_view(self, length):
+        x = np.arange(60.0).reshape(2, 3, 10)[:, ::2]
+        got = _windows(x, length)
+        want = np.lib.stride_tricks.sliding_window_view(x, length, axis=-1)
+        assert got.shape == want.shape
+        assert got.strides == want.strides
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBagLogLikelihood:

@@ -1,30 +1,21 @@
-"""Time and memory of the E-step kernel, and the ``mle``-to-``amle`` cost per
-epoch of ``train``.
+"""Time and memory of the E-step kernel, ``poisson_binomial.batch_posteriors``.
 
 Usage, from the root of a checkout::
 
-    python3 tools/bench_kernel.py [--src SRC] [--repeats 15] [--fits 9]
+    python3 tools/bench_kernel.py [--src SRC]
 
 ``SRC`` is the ``src`` directory whose ``llpkit`` is measured (default: the
 one next to this script), so one copy of this script measures any checkout.
-It prints one JSON object:
-
-* ``kernel``: for each of five fixed shapes, the median seconds of one
-  ``poisson_binomial.batch_posteriors`` call over ``--repeats`` samples,
-  each sample the mean of as many calls as take about 0.1 s, and the
-  ``tracemalloc`` peak of one call in MiB.  The shapes: 1000 bags of 2-4
-  and 79 bags of 16-64 (the bag sizes of the benchmark's ``em-small-bags``
-  and ``em-large-bags``), 16 bags of 256, 4 bags of 1024, and 16 bags of
-  128 with most probabilities on a clamp edge, whose floors all lie below
-  ``_LINEAR_FLOOR``, so that the whole group is tilted.  Probabilities are
-  uniform and clamped, except the edge ones; counts are drawn from the
-  probabilities, so that every bag is a likely one.
-* ``mle_over_amle``: for 3000 instances in bags of 2-4 and of 16-64, the
-  median ``train`` seconds per epoch of ``mle`` and of ``amle``, both for
-  10 epochs at a batch of about 256 instances (whole bags for ``amle``),
-  and the median of their ratio over ``--fits`` pairs of fits run one
-  after the other.  ``mle`` adds one E-step pass before the first epoch
-  and after each.
+It prints one JSON object whose ``kernel`` entry gives, for each of five
+fixed shapes, the median seconds of one ``batch_posteriors`` call over
+``REPEATS`` samples, each sample the mean of as many calls as take about
+0.1 s, and the ``tracemalloc`` peak of one call in MiB.  The shapes: 1000
+bags of 2-4 and 79 bags of 16-64 (the bag sizes of the benchmark's
+``em-small-bags`` and ``em-large-bags``), 16 bags of 256, 4 bags of 1024,
+and 16 bags of 128 with most probabilities on a clamp edge, whose floors
+all lie below ``_LINEAR_FLOOR``, so that the whole group is tilted.
+Probabilities are uniform and clamped, except the edge ones; counts are
+drawn from the probabilities, so that every bag is a likely one.
 
 BLAS runs single-threaded, as in the benchmark.  Every input comes from a
 fixed seed.
@@ -43,6 +34,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402  (after the thread settings)
+
+REPEATS = 15
 
 # name: (bags, smallest size, largest size, share of probabilities on a
 # clamp edge)
@@ -68,14 +61,14 @@ def kernel_inputs(pb, shape, seed):
     return p, sizes, counts
 
 
-def sample(call, repeats):
-    """Median seconds of ``call`` over ``repeats`` samples of ~0.1 s each."""
+def sample(call):
+    """Median seconds of ``call`` over ``REPEATS`` samples of ~0.1 s each."""
     call()
     start = time.perf_counter()
     call()
     calls = max(1, round(0.1 / (time.perf_counter() - start)))
     seconds = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(calls):
             call()
@@ -92,65 +85,26 @@ def traced_peak_mib(call):
         tracemalloc.stop()
 
 
-def epoch_ratio(llpkit, dataset, fits, epochs=10):
-    """Medians over ``fits`` alternating pairs of fits: ``mle`` and ``amle``
-    seconds per epoch, and their ratio within each pair."""
-    bag_batch = max(1, round(256 * dataset.num_bags / dataset.num_instances))
-    calls = []
-    for method, batch in (("mle", 256), ("amle", bag_batch)):
-        config = llpkit.TrainConfig(
-            method=method, max_epochs=epochs, patience=epochs, batch_size=batch,
-            learning_rate=1e-3, seed=0,
-        )
-        calls.append(lambda config=config: llpkit.train(dataset, config))
-    seconds = ([], [])
-    for call in calls:
-        call()
-    for _ in range(fits):
-        for side, call in enumerate(calls):
-            start = time.perf_counter()
-            call()
-            seconds[side].append((time.perf_counter() - start) / epochs)
-    return {
-        "mle_epoch_s": statistics.median(seconds[0]),
-        "amle_epoch_s": statistics.median(seconds[1]),
-        "ratio": statistics.median(m / a for m, a in zip(*seconds)),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--fits", type=int, default=9)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    import llpkit
     from llpkit import poisson_binomial as pb
-
-    ratio = {}
-    for lo, hi in ((2, 4), (16, 64)):
-        rng = np.random.default_rng([lo, hi])
-        labels = (rng.random(3000) < 0.5).astype(np.int64)
-        features = rng.standard_normal((3000, 2))
-        features[:, 0] += 2.0 * labels
-        dataset = llpkit.make_bags(llpkit.Instances(features, labels), lo, hi, 0)
-        ratio[f"bags of {lo}-{hi}"] = epoch_ratio(llpkit, dataset, args.fits)
 
     kernel = {}
     for seed, (name, shape) in enumerate(SHAPES.items()):
         p, sizes, counts = kernel_inputs(pb, shape, seed)
         call = lambda: pb.batch_posteriors(p, sizes, counts)  # noqa: E731
         kernel[name] = {
-            "median_s": sample(call, args.repeats),
+            "median_s": sample(call),
             "traced_peak_mib": traced_peak_mib(call),
         }
 
     print(json.dumps({
-        "llpkit": str(Path(llpkit.__file__).parent),
+        "llpkit": str(Path(pb.__file__).parent),
         "numpy": np.__version__,
         "kernel": kernel,
-        "mle_over_amle": ratio,
     }, indent=1))
     return 0
 
