@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, data, network, training
@@ -77,13 +77,11 @@ def _write_json(path, payload) -> None:
 
 
 def _manifest(command, config, dataset_path, outputs) -> dict:
-    resolved = asdict(config)
-    resolved["hidden_widths"] = list(config.hidden_widths)
     return {
         "tool": "llpkit",
         "version": __version__,
         "command": command,
-        "config": resolved,
+        "config": asdict(config),
         "seed": config.seed,
         "dataset": {
             "path": str(dataset_path),
@@ -145,6 +143,11 @@ def cmd_train(args) -> int:
     # data the run cannot use.
     if args.folds is not None:
         dataset = data.assign_folds(dataset, args.folds, config.seed)
+        if dataset.instances.labels is None:
+            raise UsageError(
+                "--folds needs labeled bags: cross-validation scores each "
+                "held-out fold on its instance labels"
+            )
     training.check_train(dataset, config, eval_instances)
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,35 +222,28 @@ def cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods is empty")
-    for method in methods:
-        if method not in training.METHODS:
-            raise UsageError(
-                f"unknown method {method!r}, expected one of {training.METHODS}"
-            )
-
-    base = _train_config(args, method=methods[0])
+    configs = [_train_config(args, method=method) for method in methods]
     # Before anything is written: every size must give enough bags.
     training.check_sweep(len(instances), sizes, args.folds)
 
     out = _out_path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("sweep", base, args.data, {"results": out})
+    manifest = _manifest("sweep", configs[0], args.data, {"results": out})
     manifest["sizes"] = sizes
     manifest["methods"] = methods
     manifest["folds"] = args.folds
     _write_json(out.with_name(out.name + ".manifest.json"), manifest)
 
     lines = ["method,bag_size,mean_accuracy,std"]
-    for method in methods:
-        config = replace(base, method=method)
+    for config in configs:
         for row in training.bag_size_sweep(instances, sizes, config, k=args.folds):
             lines.append(
-                f"{method},{row.bag_size},{row.mean_accuracy!r},"
+                f"{config.method},{row.bag_size},{row.mean_accuracy!r},"
                 f"{row.std_accuracy!r}"
             )
             print(
-                f"{method} size {row.bag_size}: accuracy "
+                f"{config.method} size {row.bag_size}: accuracy "
                 f"{row.mean_accuracy:.6f} +- {row.std_accuracy:.6f}"
             )
     write_atomic(out, lambda fh: fh.write("\n".join(lines) + "\n"))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, UsageError
-from .files import write_atomic
+from .files import write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,12 +369,6 @@ def _load_csv_instances(path) -> Instances:
     return Instances(feats, labels)
 
 
-def _write_lines(path, lines) -> None:
-    """Write ``lines`` one at a time, each ended by ``\r\n`` as csv.writer
-    ends its rows."""
-    write_atomic(path, lambda fh: fh.writelines(f"{line}\r\n" for line in lines))
-
-
 def _python_rows(array):
     """The rows of ``array`` as Python objects, converted 1024 at a time so
     that no whole-array list is built."""
@@ -399,7 +393,7 @@ def save_instances_csv(path, instances: Instances) -> None:
     header = [f"f{i}" for i in range(instances.dim)]
     if instances.labels is not None:
         header.append("label")
-    _write_lines(path, itertools.chain([",".join(header)], _instance_cells(instances)))
+    write_lines(path, itertools.chain([",".join(header)], _instance_cells(instances)))
 
 
 def make_bags(
@@ -467,7 +461,7 @@ def save_bags_csv(path, dataset: BagDataset) -> None:
             for i, cells in itertools.islice(members, n):
                 yield f"{j},{i},{cells}"
 
-    _write_lines(path, lines())
+    write_lines(path, lines())
 
 
 def _bag_members(path, rows, cells):

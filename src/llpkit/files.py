@@ -17,3 +17,9 @@ def write_atomic(path, write) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_lines(path, lines) -> None:
+    """Write ``lines`` one at a time, each ended by ``\r\n`` as csv.writer
+    ends its rows."""
+    write_atomic(path, lambda fh: fh.writelines(f"{line}\r\n" for line in lines))

@@ -27,21 +27,20 @@ Early stopping watches the training objective (count log-likelihood for
 wall-clock time only ever lands in the record's ``seconds`` column.
 """
 
-import csv
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import network, objectives
 from .data import BagDataset, Instances, assign_folds, make_bags
 from .errors import NumericalError, UsageError
-from .files import write_atomic
+from .files import write_lines
 from .poisson_binomial import _clamp
 
 METHODS = ("mle", "amle", "dllp", "supervised")
-RECORD_HEADER = ["epoch", "loss", "log_likelihood", "test_accuracy", "seconds"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,9 @@ class EpochRow:
     seconds: float
 
 
+RECORD_HEADER = [f.name for f in fields(EpochRow)]
+
+
 @dataclass
 class TrainingRecord:
     """Per-epoch curve data; ``seconds`` is cumulative wall-clock time."""
@@ -106,21 +108,11 @@ class TrainingRecord:
     rows: list[EpochRow] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        def write(fh):
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_HEADER)
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.epoch,
-                        repr(row.loss),
-                        "" if row.log_likelihood is None else repr(row.log_likelihood),
-                        "" if row.test_accuracy is None else repr(row.test_accuracy),
-                        repr(row.seconds),
-                    ]
-                )
-
-        write_atomic(path, write)
+        lines = (
+            ",".join("" if cell is None else repr(cell) for cell in astuple(row))
+            for row in self.rows
+        )
+        write_lines(path, itertools.chain([",".join(RECORD_HEADER)], lines))
 
 
 @dataclass(frozen=True)
@@ -141,35 +133,29 @@ class EvalMetrics:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "true_positive": self.true_positive,
-            "false_positive": self.false_positive,
-            "true_negative": self.true_negative,
-            "false_negative": self.false_negative,
-            "count": self.count,
-        }
+        return {**asdict(self), "count": self.count}
 
 
-def _labeled(instances: Instances) -> tuple[np.ndarray, np.ndarray]:
-    """(features, labels) of a labeled, nonempty evaluation set."""
+def _check_labeled(instances: Instances) -> None:
+    """Raise UsageError unless ``instances`` is labeled and nonempty."""
     if len(instances) == 0:
         raise UsageError("evaluation set is empty")
     if instances.labels is None:
         raise UsageError("evaluation requires instance labels")
-    return instances.features, instances.labels
 
 
 def evaluate(params, instances: Instances, threshold: float = 0.5) -> EvalMetrics:
     """Accuracy and confusion counts of thresholded predictions."""
-    features, labels = _labeled(instances)
-    preds = objectives.predict(params, features, threshold)
+    _check_labeled(instances)
+    labels = instances.labels
+    preds = objectives.predict(params, instances.features, threshold)
+    tn, fp, fn, tp = np.bincount(2 * labels + preds, minlength=4).tolist()
     return EvalMetrics(
         accuracy=float(np.mean(preds == labels)),
-        true_positive=int(np.sum((preds == 1) & (labels == 1))),
-        false_positive=int(np.sum((preds == 1) & (labels == 0))),
-        true_negative=int(np.sum((preds == 0) & (labels == 0))),
-        false_negative=int(np.sum((preds == 0) & (labels == 1))),
+        true_positive=tp,
+        false_positive=fp,
+        true_negative=tn,
+        false_negative=fn,
     )
 
 
@@ -213,10 +199,6 @@ def train(
                 targets = objectives.e_step(params, dataset).targets
             except NumericalError as exc:
                 raise NumericalError(f"{exc} in the E-step before epoch 1") from exc
-
-    eval_features = eval_labels = None
-    if eval_instances is not None:
-        eval_features, eval_labels = _labeled(eval_instances)
 
     record = TrainingRecord()
     start = time.perf_counter()
@@ -274,9 +256,8 @@ def train(
             if config.method == "mle":
                 state = objectives.e_step(params, dataset)
                 log_likelihood, targets = state.log_likelihood, state.targets
-            if eval_features is not None:
-                preds = objectives.predict(params, eval_features, config.threshold)
-                accuracy = float(np.mean(preds == eval_labels))
+            if eval_instances is not None:
+                accuracy = evaluate(params, eval_instances, config.threshold).accuracy
         except NumericalError as exc:
             raise NumericalError(f"{exc} after epoch {epoch}") from exc
         record.rows.append(
@@ -312,7 +293,7 @@ def check_train(
     if config.method == "supervised" and dataset.instances.labels is None:
         raise UsageError("supervised training requires instance labels")
     if eval_instances is not None:
-        _labeled(eval_instances)
+        _check_labeled(eval_instances)
         if eval_instances.dim != dataset.feature_dim:
             raise UsageError(
                 f"evaluation set has {eval_instances.dim} features, the bags "

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from llpkit import network, objectives, training
+from llpkit import data, network, objectives, training
 from llpkit.cli import main
 
 
@@ -52,6 +52,14 @@ def unlabeled_csv(tmp_path, instance_csv):
         rows = list(csv.reader(fh))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(row[:-1] for row in rows)
+    return path
+
+
+@pytest.fixture
+def unlabeled_bags_csv(tmp_path, bag_csv):
+    """The bag file without its label column."""
+    path = tmp_path / "unlabeled_bags.csv"
+    data.save_bags_csv(path, data.load_bags_csv(bag_csv).strip_labels())
     return path
 
 
@@ -222,6 +230,42 @@ class TestTrain:
         assert stdout == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message)
+        assert not out_dir.exists()
+
+    def test_eval_scores_every_epoch_like_eval(
+        self, tmp_path, bag_csv, instance_csv, capsys
+    ):
+        out_dir = tmp_path / "run"
+        code, stdout, _ = run(
+            capsys, "train", "--method", "amle", "--bags", str(bag_csv),
+            "--eval", str(instance_csv), "--epochs", "3", "--hidden", "8",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        with open(out_dir / "curve.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 and all(row["test_accuracy"] != "" for row in rows)
+        accuracy = float(rows[-1]["test_accuracy"])
+        assert stdout.splitlines()[0].endswith(f", test accuracy {accuracy:.6f}")
+        code, stdout, _ = run(
+            capsys, "eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+            "--data", str(instance_csv),
+        )
+        assert code == 0
+        assert stdout.splitlines()[0] == f"accuracy: {accuracy:.6f}"
+
+    def test_folds_on_unlabeled_bags_writes_nothing(
+        self, tmp_path, unlabeled_bags_csv, capsys
+    ):
+        out_dir = tmp_path / "cv"
+        code, stdout, err = run(
+            capsys, "train", "--method", "mle", "--bags", str(unlabeled_bags_csv),
+            "--folds", "3", "--epochs", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --folds needs labeled bags")
         assert not out_dir.exists()
 
     def test_bad_method_is_usage_error(self, tmp_path, bag_csv, capsys):
@@ -444,26 +488,36 @@ class TestSweep:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "sizes,folds,message",
+        "flags,message",
         [
-            ("2,1000", "3", "error: bag size 1000: only 0 bags"),
-            ("2", "1", "error: need at least 2 folds, got 1"),
+            ({"--sizes": "2,1000"}, "bag size 1000: only 0 bags"),
+            ({"--folds": "1"}, "need at least 2 folds, got 1"),
+            ({"--sizes": ","}, "--sizes is empty"),
+            ({"--hidden": "3,x"}, "--hidden expects a comma-separated integer list"),
+            ({"--methods": ","}, "--methods is empty"),
+            ({"--methods": "dllp,gan"}, "unknown method 'gan'"),
+            ({"--data": "unlabeled.csv"}, "unlabeled.csv has no label column"),
         ],
-        ids=["size-too-large", "one-fold"],
+        ids=[
+            "size-too-large", "one-fold", "no-sizes", "bad-hidden", "no-methods",
+            "unknown-method", "unlabeled",
+        ],
     )
     def test_invalid_sweep_writes_nothing(
-        self, tmp_path, instance_csv, capsys, sizes, folds, message
+        self, tmp_path, instance_csv, unlabeled_csv, capsys, flags, message
     ):
-        out = tmp_path / "sweep" / "s.csv"
+        flags = {"--data": instance_csv.name, "--sizes": "2", "--methods": "dllp",
+                 "--folds": "3", **flags}
+        flags["--data"] = str(tmp_path / flags["--data"])
         code, stdout, err = run(
-            capsys, "sweep", "--data", str(instance_csv), "--sizes", sizes,
-            "--methods", "dllp", "--folds", folds, "--epochs", "1",
-            "--out", str(out),
+            capsys, "sweep", *(part for flag in flags.items() for part in flag),
+            "--epochs", "1", "--out", str(tmp_path / "sweep" / "s.csv"),
         )
         assert code == 2
         assert stdout == ""
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(message)
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
         assert not (tmp_path / "sweep").exists()
 
     def test_supervised_upper_bounds_count_methods_on_easy_data(

@@ -535,6 +535,21 @@ class TestCsvDifferential:
         _compare(load_instances_csv, data._load_csv_instances, text, bom=False)
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            # The trailing column is 0/1 and sums to y, so it reads as labels.
+            "bag_id,y,n\n0,1,1\n0,7,1\n",
+            # An instance row with an id and nothing after it.
+            "bag_id,y,n\n0,0,1\n0,7\n",
+        ],
+    )
+    def test_bag_rows_without_a_feature(self, tmp_path, text):
+        path = write(tmp_path / "bags.csv", text)
+        for load in (load_bags_csv, data._load_csv_bags):
+            with pytest.raises(FormatError, match="instance rows need at least one feature"):
+                load(path)
+
+    @pytest.mark.parametrize(
         "rows",
         [
             "0,99999999999999999999,1.0,1\n",  # an id beyond int64
@@ -663,6 +678,11 @@ class TestWriters:
         csv_write_bags(tmp_path / "ref.csv", dataset)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_zero_instances_rejected(self, tmp_path):
+        with pytest.raises(UsageError, match="nothing to write"):
+            save_instances_csv(tmp_path / "empty.csv", Instances(np.zeros((0, 2))))
+        assert not (tmp_path / "empty.csv").exists()
+
 
 class TestDomainTypes:
     def test_bag_invariants(self):
@@ -698,6 +718,14 @@ class TestDomainTypes:
         assert dataset.instances.labels is None
         # Counts survive: they are the supervision, not the labels.
         assert dataset.counts.sum() == 1
+
+    def test_folds_need_an_assignment(self):
+        instances = Instances(np.zeros((2, 2)), [0, 1])
+        dataset = BagDataset(instances, [0, 1, 2], [0, 1])
+        with pytest.raises(UsageError, match="no fold assignment"):
+            dataset.folds()
+        with pytest.raises(UsageError, match="no fold assignment"):
+            dataset.fold_split(0)
 
     def test_fold_split_is_index_arithmetic(self):
         instances = generate_synthetic(SyntheticSpec(50, 2, 2.0, 0.5, seed=25))

@@ -62,6 +62,8 @@ class TestInit:
     def test_rejects_mismatched_theta(self):
         with pytest.raises(UsageError):
             ClassifierParams((2, 1), np.zeros(7))
+        with pytest.raises(UsageError, match="non-finite"):
+            ClassifierParams((2, 1), np.array([0.0, np.nan, 0.0]))
 
 
 class TestForward:
@@ -410,6 +412,9 @@ class TestCheckpoint:
             load_checkpoint(path)
         path.write_text("not json")
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+        path.write_text('{"format": "llpkit-checkpoint", "version": 2}')
+        with pytest.raises(FormatError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
     def test_non_object_json_is_format_error(self, tmp_path):

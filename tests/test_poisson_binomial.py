@@ -256,6 +256,10 @@ class TestBatchPosteriors:
             batch_posteriors([0.5, 0.5], [3], [1])
         with pytest.raises(UsageError, match="bag 1"):
             batch_posteriors([0.5, 0.5, 0.5], [1, 2], [1, 3])
+        with pytest.raises(UsageError, match="1-d"):
+            batch_posteriors([[0.5, 0.5]], [2], [1])
+        with pytest.raises(UsageError, match="nonnegative"):
+            batch_posteriors([0.5], [-1, 2], [0, 1])
 
 
 class TestUnderflow:

@@ -21,8 +21,11 @@ from llpkit.objectives import e_step, m_step_loss, predict
 from llpkit.training import (
     METHODS,
     RECORD_HEADER,
+    EpochRow,
     TrainConfig,
+    TrainingRecord,
     bag_size_sweep,
+    check_sweep,
     cross_validate,
     evaluate,
     train,
@@ -370,6 +373,12 @@ class TestBagSizeSweep:
         with pytest.raises(UsageError, match="bag size 16"):
             bag_size_sweep(instances, [16], quick_config("dllp"), k=10)
 
+    def test_sizes_must_be_given_and_positive(self):
+        with pytest.raises(UsageError, match="no bag sizes given"):
+            check_sweep(30, [], 3)
+        with pytest.raises(UsageError, match="bag size must be positive, got 0"):
+            check_sweep(30, [2, 0], 3)
+
     def test_singleton_bags_match_supervised(self):
         instances = generate_synthetic(SyntheticSpec(240, 2, 4.0, 0.5, seed=63))
         config = quick_config("mle", max_epochs=40, patience=40)
@@ -423,6 +432,26 @@ class TestTrainingRecordCsv:
             (r.epoch, r.loss, r.log_likelihood, r.test_accuracy, r.seconds)
             for r in record.rows
         ]
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        record = TrainingRecord(
+            [
+                EpochRow(1, 0.1, None, None, 0.5),
+                EpochRow(2, 1 / 3, -3.5, 0.75, 1e-9),
+                EpochRow(10, 2.0, float("-inf"), 1.0, 3.0),
+            ]
+        )
+        record.write_csv(tmp_path / "new.csv")
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RECORD_HEADER)
+            for r in record.rows:
+                writer.writerow(
+                    [r.epoch, repr(r.loss)]
+                    + ["" if v is None else repr(v) for v in (r.log_likelihood, r.test_accuracy)]
+                    + [repr(r.seconds)]
+                )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_blank_columns_round_trip(self, tmp_path):
         dataset, _ = blob_bags(n=30)
