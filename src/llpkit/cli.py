@@ -143,12 +143,9 @@ def cmd_train(args) -> int:
     # data the run cannot use.
     if args.folds is not None:
         dataset = data.assign_folds(dataset, args.folds, config.seed)
-        if dataset.instances.labels is None:
-            raise UsageError(
-                "--folds needs labeled bags: cross-validation scores each "
-                "held-out fold on its instance labels"
-            )
-    training.check_train(dataset, config, eval_instances)
+        training.check_cross_validate(dataset, config)
+    else:
+        training.check_train(dataset, config, eval_instances)
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

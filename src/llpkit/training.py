@@ -301,6 +301,17 @@ def check_train(
             )
 
 
+def check_cross_validate(dataset: BagDataset, config: TrainConfig) -> None:
+    """Raise UsageError unless :func:`cross_validate` can run ``config`` on
+    ``dataset``, so that a run fails before its first fold."""
+    if dataset.instances.labels is None:
+        raise UsageError(
+            "cross-validation needs labeled bags: it scores each held-out "
+            "fold on its instance labels"
+        )
+    check_train(dataset, config)
+
+
 @dataclass(frozen=True)
 class FoldResult:
     fold: int
@@ -331,6 +342,7 @@ def cross_validate(dataset: BagDataset, config: TrainConfig, k=None) -> CrossVal
     ``k`` seeded folds.  Every fold trains with the same config seed, so
     symmetric folds give symmetric results.
     """
+    check_cross_validate(dataset, config)
     if dataset.fold_assignment is None:
         if k is None:
             raise UsageError("dataset has no fold assignment; pass k")

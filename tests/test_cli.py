@@ -265,7 +265,9 @@ class TestTrain:
         assert code == 2
         assert stdout == ""
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: --folds needs labeled bags")
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: cross-validation needs labeled bags"
+        )
         assert not out_dir.exists()
 
     def test_bad_method_is_usage_error(self, tmp_path, bag_csv, capsys):
@@ -496,7 +498,7 @@ class TestSweep:
             ({"--hidden": "3,x"}, "--hidden expects a comma-separated integer list"),
             ({"--methods": ","}, "--methods is empty"),
             ({"--methods": "dllp,gan"}, "unknown method 'gan'"),
-            ({"--data": "unlabeled.csv"}, "unlabeled.csv has no label column"),
+            ({"--data": "unlabeled.csv"}, "{data} has no label column"),
         ],
         ids=[
             "size-too-large", "one-fold", "no-sizes", "bad-hidden", "no-methods",
@@ -517,7 +519,7 @@ class TestSweep:
         assert stdout == ""
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: ") and message in lines[0]
+        assert lines[0].startswith("error: " + message.format(data=flags["--data"]))
         assert not (tmp_path / "sweep").exists()
 
     def test_supervised_upper_bounds_count_methods_on_easy_data(

@@ -15,7 +15,7 @@ from llpkit.data import (
     generate_synthetic,
     make_bags,
 )
-from llpkit import network, objectives
+from llpkit import network, objectives, training
 from llpkit.errors import NumericalError, UsageError
 from llpkit.objectives import e_step, m_step_loss, predict
 from llpkit.training import (
@@ -353,6 +353,12 @@ class TestCrossValidate:
         dataset = assign_folds(dataset, 3, seed=7)
         result = cross_validate(dataset, quick_config("supervised", max_epochs=3))
         assert sorted(fr.fold for fr in result.folds) == [0, 1, 2]
+
+    def test_unlabeled_bags_fail_before_the_first_fold(self, monkeypatch):
+        dataset, _ = blob_bags(n=40)
+        monkeypatch.setattr(training, "train", None)
+        with pytest.raises(UsageError, match="cross-validation needs labeled bags"):
+            cross_validate(dataset.strip_labels(), quick_config("mle"), k=2)
 
     def test_missing_folds_need_k(self):
         dataset, _ = blob_bags(n=40)
