@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__, data, network, training
 from .errors import LlpError, UsageError
-from .files import write_atomic
+from .files import write_atomic, write_lines
 
 
 def _out_path(raw) -> Path:
@@ -243,7 +243,7 @@ def cmd_sweep(args) -> int:
                 f"{config.method} size {row.bag_size}: accuracy "
                 f"{row.mean_accuracy:.6f} +- {row.std_accuracy:.6f}"
             )
-    write_atomic(out, lambda fh: fh.write("\n".join(lines) + "\n"))
+    write_lines(out, lines)
     print(f"wrote {out}")
     return 0
 

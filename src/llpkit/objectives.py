@@ -16,12 +16,14 @@ Four ways to train the instance classifier:
 * fully supervised: :func:`m_step_loss` with the instance labels as hard
   targets, the skyline baseline.
 
-Every loss is a function of the network's outputs alone, clamped as in
-:func:`clamp_probabilities` before any log, and returns ``(value,
+Every loss is a function of the network's outputs alone, clamped into
+``[CLAMP_EPS, 1 - CLAMP_EPS]`` before any log, and returns ``(value,
 dvalue/doutputs)``; :func:`network.backward` runs the one network pass
-per training step and maps that gradient onto parameters.  The count
-losses only ever receive outputs and bag counts; ground-truth labels
-cannot reach them by construction.
+per training step and maps that gradient onto parameters.  A loss checks
+only the shapes of its arguments.  It assumes finite outputs, which
+``forward`` guarantees, and targets in [0, 1], as ``e_step`` posteriors
+and ``Instances`` labels are.  The count losses only ever receive outputs
+and bag counts; ground-truth labels cannot reach them by construction.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ import numpy as np
 from . import network
 from .data import BagDataset
 from .errors import NumericalError, UsageError
-from .poisson_binomial import CLAMP_EPS, batch_posteriors, clamp_probabilities
+from .poisson_binomial import CLAMP_EPS, _clamp, batch_posteriors
 
 # Floor for the approximate bag-count variance: the Gaussian objective
 # divides by it and takes its log, both unbounded as predictions saturate.
@@ -59,7 +61,7 @@ def e_step(params, dataset: BagDataset) -> EmState:
     call.  Raises NumericalError naming the first bag whose posteriors or
     log-likelihood are not finite.
     """
-    probs = clamp_probabilities(network.forward(params, dataset.instances.features))
+    probs = _clamp(network.forward(params, dataset.instances.features))
     phi, log_pb = batch_posteriors(probs, dataset.sizes, dataset.counts)
     finite = np.isfinite(log_pb) & np.logical_and.reduceat(
         np.isfinite(phi), dataset.offsets[:-1]
@@ -77,19 +79,12 @@ def m_step_loss(probs, soft_targets) -> tuple[float, np.ndarray]:
 
     loss = -sum_i [t_i log f_i + (1 - t_i) log(1 - f_i)], with outputs
     clamped before the logs; gradient per output: (f_i - t_i) / (f_i (1 - f_i)).
+    Raises UsageError unless the targets are shaped like the outputs.
     """
+    f = _clamp(np.asarray(probs, dtype=np.float64))
     t = np.asarray(soft_targets, dtype=np.float64)
-    f = clamp_probabilities(probs)
     if t.shape != f.shape:
         raise UsageError(f"{t.shape} targets for {f.shape} outputs")
-    if t.size and (t.min() < 0.0 or t.max() > 1.0):
-        raise UsageError("soft targets must lie in [0, 1]")
-    return _m_step_loss(f, t)
-
-
-def _m_step_loss(f, t) -> tuple[float, np.ndarray]:
-    """:func:`m_step_loss` without its checks: ``f`` clamped outputs and
-    ``t`` float64 targets in [0, 1] of the same shape."""
     loss = -float(np.sum(t * np.log(f) + (1.0 - t) * np.log1p(-f)))
     grads = (f - t) / (f * (1.0 - f))
     return loss, grads
@@ -100,7 +95,8 @@ def amle_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
 
     ``probs`` stacks the outputs for the bags' instances; ``sizes`` and
     ``positive_counts`` give each bag's length and count.  Returns the
-    summed loss and per-instance output gradients.
+    summed loss and per-instance output gradients.  Raises UsageError
+    unless there is one count per size and the sizes cover the outputs.
 
     Per bag, with mu = sum(f) and var = sum(f (1 - f)) floored at
     VARIANCE_FLOOR: loss = (y - mu)^2 / var + log(var), the normal density
@@ -108,14 +104,7 @@ def amle_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
     floor is active the variance is locally constant, so its gradient
     path is zero.
     """
-    sizes, ys, f = _bag_loss_args(probs, sizes, positive_counts)
-    return _amle_loss(f, sizes, ys)
-
-
-def _amle_loss(f, sizes, ys) -> tuple[float, np.ndarray]:
-    """:func:`amle_batch_loss` without its checks: ``f`` clamped outputs,
-    ``sizes`` int64 bag sizes that sum to ``f.size``, ``ys`` float64 counts."""
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    f, sizes, ys, starts = _bag_arrays(probs, sizes, positive_counts)
     mu = np.add.reduceat(f, starts)
     raw_var = np.add.reduceat(f * (1.0 - f), starts)
     floored = raw_var < VARIANCE_FLOOR
@@ -138,14 +127,7 @@ def dllp_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
     log(1 - rho_hat)], and every instance shares the gradient
     (rho_hat - rho) / (rho_hat (1 - rho_hat) n).
     """
-    sizes, ys, f = _bag_loss_args(probs, sizes, positive_counts)
-    return _dllp_loss(f, sizes, ys)
-
-
-def _dllp_loss(f, sizes, ys) -> tuple[float, np.ndarray]:
-    """:func:`dllp_batch_loss` without its checks, on the arguments of
-    :func:`_amle_loss`."""
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    f, sizes, ys, starts = _bag_arrays(probs, sizes, positive_counts)
     rho = ys / sizes
     rho_hat = np.clip(np.add.reduceat(f, starts) / sizes, CLAMP_EPS, 1.0 - CLAMP_EPS)
     loss = float(-np.sum(rho * np.log(rho_hat) + (1.0 - rho) * np.log1p(-rho_hat)))
@@ -153,15 +135,18 @@ def _dllp_loss(f, sizes, ys) -> tuple[float, np.ndarray]:
     return loss, np.repeat(per_bag, sizes)
 
 
-def _bag_loss_args(probs, sizes, positive_counts):
-    """(sizes, counts, clamped outputs) as the per-bag loss cores take them;
-    UsageError unless the sizes cover the outputs."""
+def _bag_arrays(probs, sizes, positive_counts):
+    """(clamped outputs, int64 sizes, float64 counts, bag starts) for a
+    per-bag loss; UsageError unless there is one count per size and the
+    sizes cover the outputs."""
+    f = _clamp(np.asarray(probs, dtype=np.float64))
     sizes = np.asarray(sizes, dtype=np.int64)
     ys = np.asarray(positive_counts, dtype=np.float64)
-    f = clamp_probabilities(probs)
+    if ys.shape != sizes.shape:
+        raise UsageError(f"{ys.shape} counts for {sizes.shape} bag sizes")
     if f.size != int(sizes.sum()):
         raise UsageError("bag sizes do not cover the outputs")
-    return sizes, ys, f
+    return f, sizes, ys, np.cumsum(sizes) - sizes
 
 
 def predict(params, features, threshold: float = 0.5) -> np.ndarray:

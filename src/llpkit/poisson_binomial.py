@@ -68,9 +68,8 @@ def clamp_probabilities(p) -> np.ndarray:
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
-    """:func:`clamp_probabilities` without its checks, for a float64 vector
-    already known to be finite, 1-d and in [0, 1], such as the outputs of
-    ``network.forward``."""
+    """:func:`clamp_probabilities` without its checks, for float64 values
+    already known to be finite, such as the outputs of ``network.forward``."""
     return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 

@@ -38,7 +38,6 @@ from . import network, objectives
 from .data import BagDataset, Instances, assign_folds, make_bags
 from .errors import NumericalError, UsageError
 from .files import write_lines
-from .poisson_binomial import _clamp
 
 METHODS = ("mle", "amle", "dllp", "supervised")
 
@@ -179,19 +178,18 @@ def train(
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
 
-    # The losses' unchecked cores: the outputs come from forward, which
-    # rejects non-finite ones, and each batch's sizes, counts or targets are
-    # slices of checked arrays that match its rows by construction.
     bag_level = config.method in ("amle", "dllp")
     if bag_level:
         num_items = dataset.num_bags
-        loss_core = (
-            objectives._amle_loss if config.method == "amle" else objectives._dllp_loss
+        batch_loss = (
+            objectives.amle_batch_loss
+            if config.method == "amle"
+            else objectives.dllp_batch_loss
         )
         sizes, counts = dataset.sizes, dataset.counts.astype(np.float64)
     else:
         num_items = dataset.num_instances
-        loss_core = objectives._m_step_loss
+        batch_loss = objectives.m_step_loss
         if config.method == "supervised":
             targets = dataset.instances.labels.astype(np.float64)
         else:
@@ -224,7 +222,7 @@ def train(
             items = [a[lo:hi] for a in epoch_items]
 
             def loss_fn(probs):
-                return loss_core(_clamp(probs), *items)
+                return batch_loss(probs, *items)
 
             try:
                 loss, grad = network.backward(

@@ -469,6 +469,20 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 2
         assert (tmp_path / "results.csv.manifest.json").exists()
 
+    def test_rows_end_with_crlf(self, tmp_path, instance_csv, capsys):
+        """sweep.csv ends its lines like every other CSV the package writes."""
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--data", str(instance_csv), "--sizes", "2,4",
+            "--methods", "dllp", "--folds", "3", "--epochs", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        content = out.read_bytes()
+        assert content.startswith(b"method,bag_size,mean_accuracy,std\r\n")
+        assert content.count(b"\r\n") == 3
+        assert content.count(b"\n") == 3
+
     def test_mle_runs_above_bag_size_64(self, tmp_path, instance_csv, capsys):
         out = tmp_path / "r.csv"
         code, _, _ = run(
@@ -584,9 +598,8 @@ class TestErrorContract:
             bags = str(tmp_path / "bad.csv")
             (tmp_path / "bad.csv").write_text("bag_id,y,n\n0,1,x\n")
         elif failure == "numerical":
-            # The training step's loss, without the checks of m_step_loss.
             monkeypatch.setattr(
-                objectives, "_m_step_loss",
+                objectives, "m_step_loss",
                 lambda probs, targets: (float("nan"), np.zeros_like(probs)),
             )
         elif failure == "io":

@@ -153,9 +153,9 @@ class TestMStepLoss:
                 through_network(X, lambda probs: m_step_loss(probs, targets)), params
             )
 
-    def test_rejects_bad_targets(self):
-        with pytest.raises(UsageError):
-            m_step_loss(np.full(1, 0.5), [1.5])
+    def test_target_count_mismatch_rejected(self):
+        with pytest.raises(UsageError, match=r"\(1,\) targets for \(3,\) outputs"):
+            m_step_loss(np.full(3, 0.5), [1.0])
 
 
 class TestSupervisedLoss:
@@ -172,12 +172,9 @@ class TestSupervisedLoss:
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_rejects_non_binary_labels(self):
-        # A label of 2 never reaches the loss: Instances refuses it, and
-        # m_step_loss refuses it as a target outside [0, 1].
+        # A label of 2 never reaches the loss: Instances refuses it.
         with pytest.raises(UsageError):
             Instances(np.zeros((1, 1)), labels=[2])
-        with pytest.raises(UsageError):
-            m_step_loss(np.full(1, 0.5), [2.0])
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -332,9 +329,15 @@ class TestBatchedBagLosses:
             grads, np.concatenate([grads_a, grads_b]), rtol=1e-10
         )
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            amle_batch_loss(np.full(3, 0.5), [2, 2], [1, 1])
+    @pytest.mark.parametrize(
+        "batched", [amle_batch_loss, dllp_batch_loss], ids=["amle", "dllp"]
+    )
+    def test_size_mismatch_rejected(self, batched):
+        with pytest.raises(UsageError, match="sizes do not cover the outputs"):
+            batched(np.full(3, 0.5), [2, 2], [1, 1])
+        # One count for two bags is not broadcast.
+        with pytest.raises(UsageError, match=r"\(1,\) counts for \(2,\) bag sizes"):
+            batched(np.full(4, 0.5), [2, 2], [1])
 
 
 class TestPredict:

@@ -1,11 +1,12 @@
 """Package-wide guarantees: outputs are written atomically, the package
 imports nothing at run time beyond numpy and the standard library, the
-README names only flags the CLI accepts, its library example runs, and a
+README names only flags the CLI accepts, its library example runs, a
 failing property test reports its example under the project's pytest
-settings."""
+settings, and the output digest tool runs."""
 
 import argparse
 import ast
+import os
 import re
 import shlex
 import subprocess
@@ -21,6 +22,7 @@ from llpkit.files import write_atomic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
+CLI_DIGEST = README.with_name("tools") / "cli_digest.py"
 
 
 def failing_write(fh):
@@ -131,3 +133,29 @@ def test_failing_property_test_prints_its_example(tmp_path):
     assert "INTERNALERROR" not in output, output
     assert "Falsifying example" in output, output
     assert result.returncode == 1, output
+
+
+def test_cli_digest_hashes_every_written_file(tmp_path):
+    """tools/cli_digest.py, which byte-identity claims rest on, prints one
+    SHA-256 per file that its commands write."""
+    env = dict(os.environ)
+    src = str(Path(llpkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(CLI_DIGEST)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines), lines
+    runs = ("mle", "amle", "dllp", "supervised")
+    expected = {
+        "data.csv", "heldout.csv", "bags.csv", "sweep.csv", "sweep.csv.manifest.json",
+        "cv/manifest.json", "cv/cv_summary.json",
+        *(f"cv/curve_fold{k}.csv" for k in range(3)),
+        *(f"{run}/{name}" for run in runs
+          for name in ("manifest.json", "checkpoint.json", "curve.csv", "eval.json")),
+    }
+    paths = [line.split(" ", 1)[1] for line in lines]
+    assert len(paths) == len(expected)
+    assert set(paths) == expected

@@ -255,6 +255,31 @@ class TestNumericalFailures:
         else:
             assert found[2] is None
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_step_calls_the_public_loss(self, monkeypatch, method):
+        """Each step reaches its method's loss by its public name on
+        ``objectives``: a loss replaced there is the one that trains."""
+        name = {"amle": "amle_batch_loss", "dllp": "dllp_batch_loss"}.get(
+            method, "m_step_loss"
+        )
+        monkeypatch.setattr(
+            objectives,
+            name,
+            lambda probs, *items: (float("nan"), np.zeros_like(probs)),
+        )
+        dataset, _ = blob_bags(n=60)
+        config = quick_config(method, batch_size=4)
+        with pytest.raises(NumericalError) as info:
+            train(dataset, config)
+        expected = "non-finite loss at epoch 1, batch 0"
+        if method in ("amle", "dllp"):
+            shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)[1]
+            order = np.random.default_rng(int(shuffle_seed)).permutation(
+                dataset.num_bags
+            )
+            expected += f", bags {order[:4].tolist()}"
+        assert str(info.value) == expected
+
 
 class TestFusedEStep:
     def test_curve_log_likelihood_is_objective_at_epoch_parameters(self):
