@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, data, network, training
@@ -54,18 +54,14 @@ def _parse_int_list(text, flag) -> list[int]:
     return values
 
 
-def _train_config(args, method=None) -> training.TrainConfig:
-    return training.TrainConfig(
-        method=method or args.method,
-        max_epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        patience=args.patience,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-        threshold=args.threshold,
-        hidden_widths=tuple(_parse_int_list(args.hidden, "--hidden")),
-    )
+def _train_config(args, **overrides) -> training.TrainConfig:
+    # A training flag left out is absent from args, so TrainConfig's
+    # default holds; each flag's dest is its TrainConfig field.
+    names = {f.name for f in fields(training.TrainConfig)}
+    given = {name: value for name, value in vars(args).items() if name in names}
+    if "hidden_widths" in given:
+        given["hidden_widths"] = _parse_int_list(given["hidden_widths"], "--hidden")
+    return training.TrainConfig(**{**given, **overrides})
 
 
 def _write_json(path, payload) -> None:
@@ -249,19 +245,18 @@ def cmd_sweep(args) -> int:
 
 
 def _add_train_flags(parser) -> None:
-    parser.add_argument("--epochs", type=int, default=200, help="epoch cap")
-    parser.add_argument("--batch-size", type=int, default=64,
-                        help="instances (mle/supervised) or bags (amle/dllp)")
-    parser.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--patience", type=int, default=10,
-                        help="early-stop patience in epochs")
-    parser.add_argument("--rel-tol", type=float, default=1e-5,
-                        help="relative improvement threshold for early stop")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="decision threshold")
-    parser.add_argument("--hidden", default="32,32",
-                        help="comma-separated hidden layer widths")
+    group = parser.add_argument_group("training", argument_default=argparse.SUPPRESS)
+    group.add_argument("--epochs", dest="max_epochs", type=int, help="epoch cap")
+    group.add_argument("--batch-size", type=int,
+                       help="instances (mle/supervised) or bags (amle/dllp)")
+    group.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+    group.add_argument("--seed", type=int)
+    group.add_argument("--patience", type=int, help="early-stop patience in epochs")
+    group.add_argument("--rel-tol", type=float,
+                       help="relative improvement threshold for early stop")
+    group.add_argument("--threshold", type=float, help="decision threshold")
+    group.add_argument("--hidden", dest="hidden_widths",
+                       help="comma-separated hidden layer widths")
 
 
 def build_parser() -> argparse.ArgumentParser:

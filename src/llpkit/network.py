@@ -150,13 +150,14 @@ def _check_batch(params: ClassifierParams, batch) -> np.ndarray:
 
 
 def _forward_trace(params: ClassifierParams, batch: np.ndarray):
-    """Run the network, keeping pre-activations for the backward pass.
+    """Run the network, keeping each layer's activations for the backward pass.
 
     The batch is padded once to whole blocks of ``BLOCK_ROWS`` rows, as one
     C-ordered copy (or taken as it is when it already is that), and each
     layer is one matmul over its ``(blocks, BLOCK_ROWS, fan_in)`` view.  The
-    pre-activations and activations keep the pad rows; only the first
-    ``len(batch)`` rows of each belong to the batch.
+    activations keep the pad rows; only the first ``len(batch)`` rows of
+    each belong to the batch.  A rectifier writes over its input: its output
+    is positive exactly where the input was, which is all backward needs.
 
     Raises NumericalError when an output is not finite; overflow on the
     way there is not warned about, since the result is reported anyway.
@@ -169,7 +170,6 @@ def _forward_trace(params: ClassifierParams, batch: np.ndarray):
         a = np.zeros((blocks * BLOCK_ROWS, batch.shape[1]))
         a[:n] = batch
     activations = [a]
-    pre = []
     last = len(params.layer_sizes) - 2
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (w, b, (fan_in, fan_out)) in enumerate(_layers(params.layer_sizes)):
@@ -178,13 +178,12 @@ def _forward_trace(params: ClassifierParams, batch: np.ndarray):
                 theta[w].reshape(fan_in, fan_out),
             ).reshape(-1, fan_out)
             z += theta[b]
-            pre.append(z)
-            a = _sigmoid(z) if idx == last else np.maximum(z, 0.0)
+            a = _sigmoid(z) if idx == last else np.maximum(z, 0.0, out=z)
             activations.append(a)
     probs = a[:n, 0]
     if not np.isfinite(probs).all():
         raise NumericalError("network output is not finite")
-    return probs, pre, activations
+    return probs, activations
 
 
 def forward(params: ClassifierParams, batch) -> np.ndarray:
@@ -208,7 +207,7 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
     """
     batch = _check_batch(params, batch)
     n = len(batch)
-    probs, pre, activations = _forward_trace(params, batch)
+    probs, activations = _forward_trace(params, batch)
     value, g = loss(probs)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != probs.shape:
@@ -232,7 +231,7 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
                 # sums into the gradient drop.
                 weight = theta[w].reshape(fan_in, fan_out).T
                 dz = dz * weight if fan_out == 1 else dz @ weight
-                dz *= pre[idx - 1][:n] > 0.0
+                dz *= activations[idx][:n] > 0.0
     return value, grad
 
 

@@ -137,13 +137,15 @@ def dllp_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
 
 def _bag_arrays(probs, sizes, positive_counts):
     """(clamped outputs, int64 sizes, float64 counts, bag starts) for a
-    per-bag loss; UsageError unless there is one count per size and the
-    sizes cover the outputs."""
+    per-bag loss; UsageError unless there is one count per size, every
+    size is at least 1 and the sizes cover the outputs."""
     f = _clamp(np.asarray(probs, dtype=np.float64))
     sizes = np.asarray(sizes, dtype=np.int64)
     ys = np.asarray(positive_counts, dtype=np.float64)
     if ys.shape != sizes.shape:
         raise UsageError(f"{ys.shape} counts for {sizes.shape} bag sizes")
+    if (sizes < 1).any():
+        raise UsageError("bag sizes must be at least 1")
     if f.size != int(sizes.sum()):
         raise UsageError("bag sizes do not cover the outputs")
     return f, sizes, ys, np.cumsum(sizes) - sizes

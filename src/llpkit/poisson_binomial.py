@@ -107,10 +107,11 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
     which leave every count distribution unchanged.  Each chunk of a group
     goes through one linear-space product tree, :func:`_tree`; a chunk
     below the floor is first tilted by :func:`_tilt`, so that its count
-    probabilities cannot underflow.  Chunks are sized by
-    :func:`_tree_floats` so that their trees fit a fixed float budget, and
-    a bag is never split.  A bag's results are bit-identical whichever bags
-    share its chunk: see :func:`_tree`.
+    probabilities cannot underflow.  A tree holds every level's count
+    distributions and three arrays the size of the widest level, at most
+    width * (log2 width + 9) floats per bag; chunks are sized by that bound
+    to fit a fixed float budget, and a bag is never split.  A bag's results
+    are bit-identical whichever bags share its chunk: see :func:`_tree`.
 
     A result that is not finite is returned as is; callers that need
     finite values check for it.
@@ -146,13 +147,11 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
         # A NaN floor (NaN input) counts as below.
         below = ~(floor >= _LINEAR_FLOOR)
         for width, tilt in sorted(set(zip(widths.tolist(), below.tolist()))):
-            # Sizing chunks by the group's largest count keeps every table
-            # within the budget; sorting by count keeps each table only as
-            # wide as the largest count in its own chunk.
+            # Sorting by count keeps each table only as wide as the largest
+            # count in its own chunk.
             members = np.flatnonzero((widths == width) & (below == tilt))
             members = members[np.argsort(counts[members], kind="stable")]
-            top = int(counts[members[-1]])
-            per_chunk = max(1, _TABLE_BUDGET // _tree_floats(width, top))
+            per_chunk = max(1, _TABLE_BUDGET // (width * (width.bit_length() - 1 + 9)))
             cols = np.arange(width)
             for lo in range(0, members.size, per_chunk):
                 chunk = members[lo : lo + per_chunk]
@@ -168,18 +167,6 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
                     log_pb[chunk] += shift
                 phi[rows] = chunk_phi[real]
     return phi, log_pb
-
-
-def _tree_floats(width: int, top: int) -> int:
-    """Floats per bag that :func:`_tree` holds at most, for bags of this
-    width and counts up to ``top``: every level's count distributions, kept
-    for the downward pass, and three arrays the size of the widest level
-    around one level's step."""
-    sizes = [
-        (width >> level) * (min(1 << level, max(top, 1)) + 1)
-        for level in range(width.bit_length())
-    ]
-    return sum(sizes) + 3 * max(sizes)
 
 
 def _tilt(p, sizes, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -102,9 +102,11 @@ RECORD_HEADER = [f.name for f in fields(EpochRow)]
 
 @dataclass
 class TrainingRecord:
-    """Per-epoch curve data; ``seconds`` is cumulative wall-clock time."""
+    """Per-epoch curve data; ``seconds`` is cumulative wall-clock time.
+    ``metrics`` is the evaluation after the last epoch, if there was one."""
 
     rows: list[EpochRow] = field(default_factory=list)
+    metrics: "EvalMetrics | None" = None
 
     def write_csv(self, path) -> None:
         lines = (
@@ -255,7 +257,8 @@ def train(
                 state = objectives.e_step(params, dataset)
                 log_likelihood, targets = state.log_likelihood, state.targets
             if eval_instances is not None:
-                accuracy = evaluate(params, eval_instances, config.threshold).accuracy
+                record.metrics = evaluate(params, eval_instances, config.threshold)
+                accuracy = record.metrics.accuracy
         except NumericalError as exc:
             raise NumericalError(f"{exc} after epoch {epoch}") from exc
         record.rows.append(
@@ -348,9 +351,8 @@ def cross_validate(dataset: BagDataset, config: TrainConfig, k=None) -> CrossVal
     results = []
     for fold in dataset.folds():
         train_ds, held = dataset.fold_split(fold)
-        params, record = train(train_ds, config, eval_instances=held)
-        metrics = evaluate(params, held, config.threshold)
-        results.append(FoldResult(fold=fold, metrics=metrics, record=record))
+        _, record = train(train_ds, config, eval_instances=held)
+        results.append(FoldResult(fold=fold, metrics=record.metrics, record=record))
 
     accuracies = [fr.metrics.accuracy for fr in results]
     mean = float(np.mean(accuracies))

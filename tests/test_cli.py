@@ -6,11 +6,12 @@ Commands run in-process through main(), which returns the exit code:
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from llpkit import data, network, objectives, training
+from llpkit import cli, data, network, objectives, training
 from llpkit.cli import main
 
 
@@ -379,6 +380,44 @@ class TestTrain:
                 return [row[:-1] for row in csv.reader(fh)]
 
         assert strip_seconds(dir_a / "curve.csv") == strip_seconds(dir_b / "curve.csv")
+
+
+def parsed_config(command, *flags):
+    """The TrainConfig that ``command`` builds from ``flags``, parsed by the
+    real parser, for the method ``dllp``."""
+    required = {
+        "train": ["--bags", "b.csv", "--method", "dllp", "--out", "run"],
+        "sweep": ["--data", "d.csv", "--sizes", "2", "--methods", "dllp",
+                  "--out", "s.csv"],
+    }
+    args = cli.build_parser().parse_args([command, *required[command], *flags])
+    if command == "sweep":
+        return cli._train_config(args, method="dllp")
+    return cli._train_config(args)
+
+
+class TestTrainFlags:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_flags_left_out_keep_train_config_defaults(self, command):
+        config = parsed_config(command)
+        assert asdict(config) == asdict(training.TrainConfig(method="dllp"))
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_each_flag_lands_in_its_field(self, command):
+        config = parsed_config(
+            command, "--epochs", "7", "--batch-size", "5", "--lr", "0.25",
+            "--seed", "3", "--patience", "2", "--rel-tol", "0.125",
+            "--threshold", "0.75", "--hidden", "4,3",
+        )
+        expected = {
+            "method": "dllp", "max_epochs": 7, "batch_size": 5,
+            "learning_rate": 0.25, "patience": 2, "rel_tol": 0.125, "seed": 3,
+            "threshold": 0.75, "hidden_widths": (4, 3),
+        }
+        assert asdict(config) == expected
+        defaults = asdict(training.TrainConfig(method="dllp"))
+        changed = [name for name in defaults if expected[name] != defaults[name]]
+        assert changed == [name for name in defaults if name != "method"]
 
 
 class TestEval:

@@ -338,6 +338,11 @@ class TestBatchedBagLosses:
         # One count for two bags is not broadcast.
         with pytest.raises(UsageError, match=r"\(1,\) counts for \(2,\) bag sizes"):
             batched(np.full(4, 0.5), [2, 2], [1])
+        # An empty bag or a negative size is not a bag.
+        with pytest.raises(UsageError, match="bag sizes must be at least 1"):
+            batched([0.5, 0.5, 0.9], [2, 0, 1], [1, 0, 1])
+        with pytest.raises(UsageError, match="bag sizes must be at least 1"):
+            batched([0.5, 0.5, 0.9], [3, -1, 1], [1, 0, 1])
 
 
 class TestPredict:

@@ -240,8 +240,8 @@ class TestBatchPosteriors:
         rng = np.random.default_rng(5)
         sizes = rng.integers(40, 65, size=300)
         counts = rng.integers(0, sizes + 1)
-        floats = poisson_binomial._tree_floats(64, int(counts.max()))
-        assert sizes.size * floats > 2 * poisson_binomial._TABLE_BUDGET
+        # Chunks are sized by the bound of 64 * (log2 64 + 9) floats per bag.
+        assert sizes.size * 64 * (6 + 9) > 2 * poisson_binomial._TABLE_BUDGET
         probs = clamp_probabilities(rng.random(int(sizes.sum())))
         phi, log_pb = batch_posteriors(probs, sizes, counts)
         pairs = zip(split_rows(probs, sizes), split_rows(phi, sizes))

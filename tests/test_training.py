@@ -373,6 +373,26 @@ class TestCrossValidate:
         assert result.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-12)
         assert len(result.folds) == 4
 
+    def test_scores_each_fold_once(self, monkeypatch):
+        # train scores the held-out fold after every epoch, and each fold's
+        # metrics are the last of those scores, not one more evaluation.
+        dataset, _ = blob_bags(n=80)
+        dataset = assign_folds(dataset, 3, seed=7)
+        calls = []
+        score = training.evaluate
+
+        def counting(params, instances, threshold=0.5):
+            calls.append(len(instances))
+            return score(params, instances, threshold)
+
+        monkeypatch.setattr(training, "evaluate", counting)
+        result = cross_validate(dataset, quick_config("amle", max_epochs=4))
+        assert len(calls) == sum(len(fr.record.rows) for fr in result.folds)
+        for fr in result.folds:
+            _, held = dataset.fold_split(fr.fold)
+            assert fr.metrics.accuracy == fr.record.rows[-1].test_accuracy
+            assert fr.metrics.count == len(held)
+
     def test_existing_assignment_reused(self):
         dataset, _ = blob_bags(n=40)
         dataset = assign_folds(dataset, 3, seed=7)

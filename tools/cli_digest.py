@@ -28,7 +28,11 @@ import llpkit
 from llpkit.cli import main
 
 METHODS = ("mle", "amle", "dllp", "supervised")
-TRAIN_FLAGS = ["--epochs", "15", "--hidden", "8,8", "--seed", "1"]
+# Every training flag at a value other than TrainConfig's default, so that
+# the digests cover how each flag reaches the config.
+TRAIN_FLAGS = ["--epochs", "15", "--hidden", "8,8", "--seed", "1",
+               "--batch-size", "48", "--lr", "0.002", "--patience", "6",
+               "--rel-tol", "1e-4", "--threshold", "0.45"]
 
 
 def commands():
