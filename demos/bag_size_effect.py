@@ -13,7 +13,7 @@ Run from the repository root:
 
 from pathlib import Path
 
-from llpkit import SyntheticSpec, TrainConfig, bag_size_sweep, generate_synthetic
+from llpkit import TrainConfig, bag_size_sweep, generate_synthetic
 
 OUT = Path("demo_output")
 
@@ -22,7 +22,7 @@ def main():
     OUT.mkdir(exist_ok=True)
     print("Overlapping blobs (separation 1.5): even perfect supervision")
     print("tops out near 77% accuracy here, so every point matters.\n")
-    instances = generate_synthetic(SyntheticSpec(960, 2, 1.5, 0.5, seed=808))
+    instances = generate_synthetic(960, 2, 1.5, 0.5, seed=808)
     config = TrainConfig(method="mle", max_epochs=150, seed=13)
     rows = bag_size_sweep(instances, [2, 4, 8, 16], config, k=5)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from llpkit import SyntheticSpec, TrainConfig, cross_validate, generate_synthetic, make_bags
+from llpkit import TrainConfig, assign_folds, cross_validate, generate_synthetic, make_bags
 
 OUT_DIR = Path("demo_output")
 METHODS = ("supervised", "mle", "amle", "dllp")
@@ -30,14 +30,14 @@ def epochs_to_fraction(record, fraction=0.95):
 def main():
     OUT_DIR.mkdir(exist_ok=True)
     print("Building 1500 instances (separation 4) in bags of 1..8...")
-    instances = generate_synthetic(SyntheticSpec(1500, 2, 4.0, 0.5, seed=606))
+    instances = generate_synthetic(1500, 2, 4.0, 0.5, seed=606)
     dataset = make_bags(instances, 1, 8, seed=606)
     print(f"{dataset.num_bags} bags; running 5-fold cross-validation per method\n")
 
     print(f"{'method':<12}{'accuracy':<20}{'median epochs to 95%':>22}")
     for method in METHODS:
         config = TrainConfig(method=method, max_epochs=200, seed=11)
-        result = cross_validate(dataset, config, k=5)
+        result = cross_validate(assign_folds(dataset, 5, config.seed), config)
         medians = np.median([epochs_to_fraction(fr.record) for fr in result.folds])
         print(
             f"{method:<12}"

@@ -14,7 +14,6 @@ Run from the repository root:
 import numpy as np
 
 from llpkit import (
-    SyntheticSpec,
     TrainConfig,
     e_step,
     evaluate,
@@ -25,8 +24,8 @@ from llpkit import (
 
 # Two Gaussian blobs, means 4 units apart: easy, but not trivial.
 print("1. Generating 1200 labeled instances (two blobs, separation 4)...")
-instances = generate_synthetic(SyntheticSpec(1200, 2, 4.0, 0.5, seed=42))
-holdout = generate_synthetic(SyntheticSpec(800, 2, 4.0, 0.5, seed=43))
+instances = generate_synthetic(1200, 2, 4.0, 0.5, seed=42)
+holdout = generate_synthetic(800, 2, 4.0, 0.5, seed=43)
 
 print("2. Grouping them into bags of 1..8 instances; from here on, the")
 print("   only supervision is each bag's count of positives.")

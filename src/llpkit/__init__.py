@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .data import (
     BagDataset,
     Instances,
-    SyntheticSpec,
     assign_folds,
     generate_synthetic,
     load_bags_csv,

@@ -88,14 +88,7 @@ def _manifest(command, config, dataset_path, outputs) -> dict:
 
 
 def cmd_synth(args) -> int:
-    spec = data.SyntheticSpec(
-        num_instances=args.n,
-        feature_dim=args.dim,
-        class_separation=args.sep,
-        positive_prior=args.prior,
-        seed=args.seed,
-    )
-    instances = data.generate_synthetic(spec)
+    instances = data.generate_synthetic(args.n, args.dim, args.sep, args.prior, args.seed)
     out = _out_path(args.out)
     data.save_instances_csv(out, instances)
     positives = int(instances.labels.sum())

@@ -136,11 +136,6 @@ class BagDataset:
         shift = np.repeat(starts - (ends - sizes), sizes)
         return shift + np.arange(shift.size)
 
-    def folds(self) -> list[int]:
-        if self.fold_assignment is None:
-            raise UsageError("dataset has no fold assignment")
-        return sorted(set(self.fold_assignment.values()))
-
     def fold_split(self, fold: int) -> tuple["BagDataset", Instances]:
         """(training dataset, held-out instances) for one fold."""
         if self.fold_assignment is None:
@@ -160,48 +155,39 @@ class BagDataset:
 
     def strip_labels(self) -> "BagDataset":
         """Copy with every ground-truth label removed (leak checks)."""
-        fold = dict(self.fold_assignment) if self.fold_assignment else None
         unlabeled = Instances(self.instances.features)
-        return replace(self, instances=unlabeled, fold_assignment=fold)
+        return replace(self, instances=unlabeled)
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Two isotropic Gaussian blobs separated along the first axis."""
-
-    num_instances: int
-    feature_dim: int
-    class_separation: float
-    positive_prior: float
-    seed: int
-
-    def __post_init__(self):
-        if self.num_instances < 2:
-            raise UsageError("need at least 2 instances")
-        if self.feature_dim < 1:
-            raise UsageError("feature dimension must be positive")
-        if not (np.isfinite(self.class_separation) and self.class_separation >= 0):
-            raise UsageError(
-                "class separation must be finite and nonnegative, got "
-                f"{self.class_separation}"
-            )
-        if not 0.0 < self.positive_prior < 1.0:
-            raise UsageError("positive prior must lie strictly inside (0, 1)")
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}")
-
-
-def generate_synthetic(spec: SyntheticSpec) -> Instances:
-    """Labeled blobs: class 0 at the origin, class 1 shifted along axis 0.
+def generate_synthetic(
+    num_instances: int,
+    feature_dim: int,
+    class_separation: float,
+    positive_prior: float,
+    seed: int,
+) -> Instances:
+    """Labeled blobs: class 0 at the origin, class 1 at ``class_separation`` on axis 0.
 
     Both classes have unit isotropic covariance; labels are drawn first
-    with probability ``positive_prior``.  Bit-identical for a given spec.
+    with probability ``positive_prior``.  Bit-identical for the same arguments.
     """
-    rng = np.random.default_rng(spec.seed)
-    n, d = spec.num_instances, spec.feature_dim
-    labels = (rng.random(n) < spec.positive_prior).astype(np.int64)
-    feats = rng.standard_normal((n, d))
-    feats[:, 0] += spec.class_separation * labels
+    if num_instances < 2:
+        raise UsageError("need at least 2 instances")
+    if feature_dim < 1:
+        raise UsageError("feature dimension must be positive")
+    if not (np.isfinite(class_separation) and class_separation >= 0):
+        raise UsageError(
+            "class separation must be finite and nonnegative, got "
+            f"{class_separation}"
+        )
+    if not 0.0 < positive_prior < 1.0:
+        raise UsageError("positive prior must lie strictly inside (0, 1)")
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(num_instances) < positive_prior).astype(np.int64)
+    feats = rng.standard_normal((num_instances, feature_dim))
+    feats[:, 0] += class_separation * labels
     return Instances(feats, labels)
 
 

@@ -304,7 +304,10 @@ def check_train(
 
 def check_cross_validate(dataset: BagDataset, config: TrainConfig) -> None:
     """Raise UsageError unless :func:`cross_validate` can run ``config`` on
-    ``dataset``, so that a run fails before its first fold."""
+    ``dataset``, so that a run fails before its first fold: it needs the
+    folds that :func:`~llpkit.data.assign_folds` gives and labeled bags."""
+    if dataset.fold_assignment is None:
+        raise UsageError("dataset has no fold assignment")
     if dataset.instances.labels is None:
         raise UsageError(
             "cross-validation needs labeled bags: it scores each held-out "
@@ -336,20 +339,16 @@ class CrossValResult:
         }
 
 
-def cross_validate(dataset: BagDataset, config: TrainConfig, k=None) -> CrossValResult:
+def cross_validate(dataset: BagDataset, config: TrainConfig) -> CrossValResult:
     """Train per fold, score each model on its held-out fold's instances.
 
-    Reuses the dataset's fold assignment when present, otherwise assigns
-    ``k`` seeded folds.  Every fold trains with the same config seed, so
-    symmetric folds give symmetric results.
+    Runs the folds of the dataset's fold assignment, in fold order.  Every
+    fold trains with the same config seed, so symmetric folds give
+    symmetric results.
     """
     check_cross_validate(dataset, config)
-    if dataset.fold_assignment is None:
-        if k is None:
-            raise UsageError("dataset has no fold assignment; pass k")
-        dataset = assign_folds(dataset, k, config.seed)
     results = []
-    for fold in dataset.folds():
+    for fold in sorted(set(dataset.fold_assignment.values())):
         train_ds, held = dataset.fold_split(fold)
         _, record = train(train_ds, config, eval_instances=held)
         results.append(FoldResult(fold=fold, metrics=record.metrics, record=record))
@@ -398,6 +397,6 @@ def bag_size_sweep(
     rows = []
     for size in sizes:
         bagged = make_bags(instances, size, size, config.seed)
-        result = cross_validate(bagged, config, k=k)
+        result = cross_validate(assign_folds(bagged, k, config.seed), config)
         rows.append(SweepRow(size, result.mean_accuracy, result.std_accuracy))
     return rows

@@ -25,7 +25,7 @@ from llpkit import objectives
 from llpkit.cli import main as cli_main
 from llpkit.data import (
     BagDataset,
-    SyntheticSpec,
+    assign_folds,
     generate_synthetic,
     make_bags,
 )
@@ -57,9 +57,7 @@ def em_trace():
     full-batch EM cycles of 200 plain-gradient steps each."""
     rng = np.random.default_rng(4242)
     sizes = rng.integers(1, 7, size=50)
-    instances = generate_synthetic(
-        SyntheticSpec(int(sizes.sum()), 2, 2.0, 0.5, seed=4242)
-    )
+    instances = generate_synthetic(int(sizes.sum()), 2, 2.0, 0.5, seed=4242)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     counts = np.add.reduceat(instances.labels, offsets[:-1])
     dataset = BagDataset(instances, offsets, counts)
@@ -76,13 +74,14 @@ def em_trace():
 def convergence_runs():
     """10-fold cross-validation of all four methods on easy blobs
     (2000 instances, separation 4, bag sizes 1..8)."""
-    instances = generate_synthetic(SyntheticSpec(2000, 2, 4.0, 0.5, seed=606))
+    instances = generate_synthetic(2000, 2, 4.0, 0.5, seed=606)
     dataset = make_bags(instances, 1, 8, seed=606)
     results = {}
     t0 = time.perf_counter()
     for method in ("supervised", "mle", "amle", "dllp"):
         config = TrainConfig(method=method, max_epochs=200, seed=11)
-        results[method] = cross_validate(dataset, config, k=10)
+        folded = assign_folds(dataset, 10, config.seed)
+        results[method] = cross_validate(folded, config)
     return results, time.perf_counter() - t0
 
 
@@ -238,7 +237,7 @@ def test_criterion_07_epoch_efficiency(convergence_runs):
 
 
 def test_criterion_08_bag_size_degradation():
-    instances = generate_synthetic(SyntheticSpec(1600, 2, 1.5, 0.5, seed=808))
+    instances = generate_synthetic(1600, 2, 1.5, 0.5, seed=808)
     config = TrainConfig(method="mle", max_epochs=200, seed=13)
     rows = bag_size_sweep(instances, [2, 4, 8, 16], config, k=10)
     details = []
@@ -260,8 +259,8 @@ def test_criterion_08_bag_size_degradation():
 
 
 def test_criterion_09_singleton_bag_equivalence():
-    instances = generate_synthetic(SyntheticSpec(1000, 2, 4.0, 0.5, seed=909))
-    holdout = generate_synthetic(SyntheticSpec(1000, 2, 4.0, 0.5, seed=910))
+    instances = generate_synthetic(1000, 2, 4.0, 0.5, seed=909)
+    holdout = generate_synthetic(1000, 2, 4.0, 0.5, seed=910)
     dataset = make_bags(instances, 1, 1, seed=909)
     accuracies = {}
     for method in ("supervised", "mle", "amle", "dllp"):

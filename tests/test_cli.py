@@ -91,6 +91,19 @@ class TestSynth:
         assert run(capsys, *args, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_each_flag_reaches_its_argument(self, tmp_path, capsys):
+        out, expected = tmp_path / "cli.csv", tmp_path / "library.csv"
+        code, _, _ = run(
+            capsys, "synth", "--n", "300", "--dim", "3", "--sep", "2.5",
+            "--prior", "0.3", "--seed", "9", "--out", str(out),
+        )
+        assert code == 0
+        data.save_instances_csv(expected, data.generate_synthetic(
+            num_instances=300, feature_dim=3, class_separation=2.5,
+            positive_prior=0.3, seed=9,
+        ))
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_invalid_flags_are_usage_errors(self, tmp_path, capsys):
         for flag, value, message in [
             ("--prior", "1.5", "positive prior"),

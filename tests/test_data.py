@@ -15,7 +15,6 @@ from llpkit import data
 from llpkit.data import (
     BagDataset,
     Instances,
-    SyntheticSpec,
     assign_folds,
     generate_synthetic,
     load_bags_csv,
@@ -81,8 +80,7 @@ class TestInstanceCsv:
             load_instances_csv(path)
 
     def test_round_trip_preserves_values(self, tmp_path):
-        spec = SyntheticSpec(50, 3, 2.0, 0.4, seed=5)
-        instances = generate_synthetic(spec)
+        instances = generate_synthetic(50, 3, 2.0, 0.4, seed=5)
         path = tmp_path / "out.csv"
         save_instances_csv(path, instances)
         loaded = load_instances_csv(path)
@@ -93,28 +91,24 @@ class TestInstanceCsv:
 
 class TestGenerateSynthetic:
     def test_positive_count_concentrates(self):
-        spec = SyntheticSpec(1000, 2, 4.0, 0.5, seed=7)
-        instances = generate_synthetic(spec)
+        instances = generate_synthetic(1000, 2, 4.0, 0.5, seed=7)
         assert abs(instances.labels.sum() - 500) < 80
 
     def test_bit_identical_for_same_spec(self):
-        spec = SyntheticSpec(100, 3, 1.0, 0.3, seed=11)
-        a = generate_synthetic(spec)
-        b = generate_synthetic(spec)
+        a = generate_synthetic(100, 3, 1.0, 0.3, seed=11)
+        b = generate_synthetic(100, 3, 1.0, 0.3, seed=11)
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_wide_separation_is_linearly_separable(self):
         # The midpoint hyperplane along the first axis is a linear
         # separator; misclassification needs a 5-sigma deviation.
-        spec = SyntheticSpec(2000, 2, 10.0, 0.5, seed=13)
-        instances = generate_synthetic(spec)
+        instances = generate_synthetic(2000, 2, 10.0, 0.5, seed=13)
         correct = (instances.features[:, 0] > 5.0) == instances.labels
         assert correct.mean() > 0.99
 
     def test_zero_separation_classes_overlap(self):
-        spec = SyntheticSpec(2000, 2, 0.0, 0.5, seed=17)
-        instances = generate_synthetic(spec)
+        instances = generate_synthetic(2000, 2, 0.0, 0.5, seed=17)
         # With identical class distributions no separator can beat the
         # prior by much; the midpoint rule should hover near chance.
         correct = (instances.features[:, 0] > 0.0) == instances.labels
@@ -122,12 +116,14 @@ class TestGenerateSynthetic:
 
     def test_spec_validation(self):
         with pytest.raises(UsageError):
-            SyntheticSpec(1, 2, 1.0, 0.5, seed=0)
+            generate_synthetic(1, 2, 1.0, 0.5, seed=0)
         for separation in (-1.0, float("nan"), float("inf")):
             with pytest.raises(UsageError, match="class separation"):
-                SyntheticSpec(10, 2, separation, 0.5, seed=0)
+                generate_synthetic(10, 2, separation, 0.5, seed=0)
+        with pytest.raises(UsageError, match="feature dimension must be positive"):
+            generate_synthetic(10, 0, 1.0, 0.5, seed=0)
         with pytest.raises(UsageError):
-            SyntheticSpec(10, 2, 1.0, 1.0, seed=0)
+            generate_synthetic(10, 2, 1.0, 1.0, seed=0)
 
 
 def bag_ids(dataset):
@@ -178,6 +174,8 @@ class TestMakeBags:
         instances = Instances(self.labeled(5).features)
         with pytest.raises(UsageError):
             make_bags(instances, 1, 2, seed=0)
+        with pytest.raises(UsageError, match="no instances to bag"):
+            make_bags(Instances(np.zeros((0, 2)), []), 1, 2, seed=0)
 
     def test_size_bounds_validated(self):
         with pytest.raises(UsageError):
@@ -242,11 +240,13 @@ class TestAssignFolds:
             assign_folds(self.bagged(5), 10, seed=0)
         with pytest.raises(UsageError):
             assign_folds(self.bagged(5), 1, seed=0)
+        with pytest.raises(UsageError, match="seed must be nonnegative"):
+            assign_folds(self.bagged(5), 2, seed=-1)
 
 
 class TestBagCsv:
     def test_round_trip(self, tmp_path):
-        instances = generate_synthetic(SyntheticSpec(30, 3, 2.0, 0.5, seed=21))
+        instances = generate_synthetic(30, 3, 2.0, 0.5, seed=21)
         dataset = make_bags(instances, 1, 5, seed=4)
         path = tmp_path / "bags.csv"
         save_bags_csv(path, dataset)
@@ -260,7 +260,7 @@ class TestBagCsv:
         np.testing.assert_array_equal(loaded.instances.labels, dataset.instances.labels)
 
     def test_single_feature_round_trip(self, tmp_path):
-        instances = generate_synthetic(SyntheticSpec(12, 1, 2.0, 0.5, seed=22))
+        instances = generate_synthetic(12, 1, 2.0, 0.5, seed=22)
         dataset = make_bags(instances, 2, 3, seed=5)
         path = tmp_path / "bags.csv"
         save_bags_csv(path, dataset)
@@ -269,7 +269,7 @@ class TestBagCsv:
         np.testing.assert_array_equal(loaded.instances.labels, dataset.instances.labels)
 
     def test_unlabeled_round_trip(self, tmp_path):
-        instances = generate_synthetic(SyntheticSpec(20, 2, 2.0, 0.5, seed=23))
+        instances = generate_synthetic(20, 2, 2.0, 0.5, seed=23)
         dataset = make_bags(instances, 2, 4, seed=6).strip_labels()
         path = tmp_path / "bags.csv"
         save_bags_csv(path, dataset)
@@ -299,7 +299,7 @@ class TestBagCsv:
 
 
     def test_resave_is_byte_identical(self, tmp_path):
-        instances = generate_synthetic(SyntheticSpec(40, 2, 2.0, 0.5, seed=24))
+        instances = generate_synthetic(40, 2, 2.0, 0.5, seed=24)
         path = tmp_path / "bags.csv"
         save_bags_csv(path, make_bags(instances, 1, 5, seed=7))
         save_bags_csv(tmp_path / "resaved.csv", load_bags_csv(path))
@@ -341,13 +341,13 @@ class TestByteOrderMark:
 
     def test_instance_csv_loads_as_plain(self, tmp_path):
         path = tmp_path / "data.csv"
-        save_instances_csv(path, generate_synthetic(SyntheticSpec(20, 2, 2.0, 0.5, seed=3)))
+        save_instances_csv(path, generate_synthetic(20, 2, 2.0, 0.5, seed=3))
         plain, marked = load_instances_csv(path), load_instances_csv(self.with_bom(path))
         assert marked.features.tobytes() == plain.features.tobytes()
         np.testing.assert_array_equal(marked.labels, plain.labels)
 
     def test_bag_csv_loads_as_plain(self, tmp_path):
-        instances = generate_synthetic(SyntheticSpec(30, 2, 2.0, 0.5, seed=4))
+        instances = generate_synthetic(30, 2, 2.0, 0.5, seed=4)
         path = tmp_path / "bags.csv"
         save_bags_csv(path, make_bags(instances, 1, 5, seed=6))
         plain, marked = load_bags_csv(path), load_bags_csv(self.with_bom(path))
@@ -603,7 +603,7 @@ class TestCsvDifferential:
     def test_program_files_take_numpy_reader(self, tmp_path, monkeypatch):
         """Files the writers produce, labeled or not, and such files with a
         byte-order mark or LF line ends, never need the csv.reader parse."""
-        instances = generate_synthetic(SyntheticSpec(40, 2, 2.0, 0.5, seed=9))
+        instances = generate_synthetic(40, 2, 2.0, 0.5, seed=9)
         dataset = make_bags(instances, 1, 5, seed=3)
         save_instances_csv(tmp_path / "labeled.csv", instances)
         save_instances_csv(tmp_path / "unlabeled.csv", Instances(instances.features))
@@ -711,6 +711,8 @@ class TestDomainTypes:
             BagDataset(instances, [0, 2], [0])
         with pytest.raises(UsageError):
             BagDataset(instances, [0, 2, 3], [0, 0], instance_ids=[0, 1])
+        with pytest.raises(UsageError, match="fold assignment must cover every bag exactly once"):
+            BagDataset(instances, [0, 2, 3], [0, 0], fold_assignment={0: 0})
 
     def test_strip_labels_hides_ground_truth(self):
         instances = Instances(np.array([[0.0, 0.0], [1.0, 1.0]]), [1, 0])
@@ -723,15 +725,16 @@ class TestDomainTypes:
         instances = Instances(np.zeros((2, 2)), [0, 1])
         dataset = BagDataset(instances, [0, 1, 2], [0, 1])
         with pytest.raises(UsageError, match="no fold assignment"):
-            dataset.folds()
-        with pytest.raises(UsageError, match="no fold assignment"):
             dataset.fold_split(0)
+        folded = BagDataset(instances, [0, 1, 2], [0, 1], fold_assignment={0: 0, 1: 1})
+        with pytest.raises(UsageError, match="fold 5 leaves an empty split"):
+            folded.fold_split(5)
 
     def test_fold_split_is_index_arithmetic(self):
-        instances = generate_synthetic(SyntheticSpec(50, 2, 2.0, 0.5, seed=25))
+        instances = generate_synthetic(50, 2, 2.0, 0.5, seed=25)
         dataset = assign_folds(make_bags(instances, 1, 6, seed=8), 3, seed=1)
         starts, ends = dataset.offsets[:-1], dataset.offsets[1:]
-        for fold in dataset.folds():
+        for fold in range(3):
             train_set, held = dataset.fold_split(fold)
             mine = [j for j in range(dataset.num_bags) if dataset.fold_assignment[j] == fold]
             rest = [j for j in range(dataset.num_bags) if dataset.fold_assignment[j] != fold]

@@ -54,6 +54,8 @@ class TestInit:
     def test_rejects_zero_width(self):
         with pytest.raises(UsageError):
             init_params((4, 0, 1), seed=0)
+        with pytest.raises(UsageError, match="needs at least an input and an output layer"):
+            init_params((3,), 0)
 
     def test_rejects_wrong_output_width(self):
         with pytest.raises(UsageError):
@@ -180,6 +182,8 @@ class TestForward:
         params = init_params((3, 4, 1), seed=0)
         with pytest.raises(UsageError):
             forward(params, np.zeros((5, 2)))
+        with pytest.raises(UsageError, match="batch must be a 2-d matrix"):
+            forward(params, np.zeros(3))
 
 
 def weighted_sum(weights):

@@ -129,6 +129,8 @@ class TestPmf:
             bag_log_likelihood([float("nan")], 0)
         with pytest.raises(UsageError):
             bag_log_likelihood([0.5], 2)
+        with pytest.raises(UsageError, match="probability vector must be 1-d"):
+            clamp_probabilities(np.full((2, 2), 0.5))
 
 
 class TestConfigurationPosterior:

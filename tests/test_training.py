@@ -10,7 +10,6 @@ from helpers import adam_step, run_em_full_batch
 from llpkit.data import (
     BagDataset,
     Instances,
-    SyntheticSpec,
     assign_folds,
     generate_synthetic,
     make_bags,
@@ -33,7 +32,7 @@ from llpkit.training import (
 
 
 def blob_bags(n=120, sep=4.0, min_size=1, max_size=6, seed=0, dim=2):
-    instances = generate_synthetic(SyntheticSpec(n, dim, sep, 0.5, seed=seed))
+    instances = generate_synthetic(n, dim, sep, 0.5, seed=seed)
     return make_bags(instances, min_size, max_size, seed=seed), instances
 
 
@@ -147,7 +146,7 @@ class TestTrain:
         # is the oracle that the problem itself is learnable.
         dataset, _ = blob_bags(n=900, sep=4.0, min_size=1, max_size=8, seed=5)
         assert 180 <= dataset.num_bags <= 230
-        holdout = generate_synthetic(SyntheticSpec(600, 2, 4.0, 0.5, seed=99))
+        holdout = generate_synthetic(600, 2, 4.0, 0.5, seed=99)
         mle_params, record = train(
             dataset, TrainConfig(method="mle", max_epochs=100, seed=1)
         )
@@ -312,7 +311,7 @@ class TestFusedEStep:
 
 class TestEvaluate:
     def setup_method(self):
-        self.instances = generate_synthetic(SyntheticSpec(400, 2, 6.0, 0.5, seed=31))
+        self.instances = generate_synthetic(400, 2, 6.0, 0.5, seed=31)
         dataset = make_bags(self.instances, 1, 1, seed=0)
         self.params, _ = train(dataset, quick_config("supervised", max_epochs=40))
 
@@ -368,7 +367,8 @@ class TestCrossValidate:
 
     def test_mean_matches_fold_accuracies(self):
         dataset, _ = blob_bags(n=80)
-        result = cross_validate(dataset, quick_config("dllp", max_epochs=5), k=4)
+        config = quick_config("dllp", max_epochs=5)
+        result = cross_validate(assign_folds(dataset, 4, config.seed), config)
         accs = [fr.metrics.accuracy for fr in result.folds]
         assert result.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-12)
         assert len(result.folds) == 4
@@ -401,9 +401,11 @@ class TestCrossValidate:
 
     def test_unlabeled_bags_fail_before_the_first_fold(self, monkeypatch):
         dataset, _ = blob_bags(n=40)
+        config = quick_config("mle")
+        dataset = assign_folds(dataset, 2, config.seed).strip_labels()
         monkeypatch.setattr(training, "train", None)
         with pytest.raises(UsageError, match="cross-validation needs labeled bags"):
-            cross_validate(dataset.strip_labels(), quick_config("mle"), k=2)
+            cross_validate(dataset, config)
 
     def test_missing_folds_need_k(self):
         dataset, _ = blob_bags(n=40)
@@ -413,14 +415,14 @@ class TestCrossValidate:
 
 class TestBagSizeSweep:
     def test_row_per_size(self):
-        instances = generate_synthetic(SyntheticSpec(120, 2, 4.0, 0.5, seed=61))
+        instances = generate_synthetic(120, 2, 4.0, 0.5, seed=61)
         rows = bag_size_sweep(
             instances, [2, 4], quick_config("dllp", max_epochs=3), k=3
         )
         assert [row.bag_size for row in rows] == [2, 4]
 
     def test_insufficient_instances_names_the_size(self):
-        instances = generate_synthetic(SyntheticSpec(30, 2, 4.0, 0.5, seed=62))
+        instances = generate_synthetic(30, 2, 4.0, 0.5, seed=62)
         with pytest.raises(UsageError, match="bag size 16"):
             bag_size_sweep(instances, [16], quick_config("dllp"), k=10)
 
@@ -431,7 +433,7 @@ class TestBagSizeSweep:
             check_sweep(30, [2, 0], 3)
 
     def test_singleton_bags_match_supervised(self):
-        instances = generate_synthetic(SyntheticSpec(240, 2, 4.0, 0.5, seed=63))
+        instances = generate_synthetic(240, 2, 4.0, 0.5, seed=63)
         config = quick_config("mle", max_epochs=40, patience=40)
         rows = bag_size_sweep(instances, [1], config, k=3)
         supervised = bag_size_sweep(

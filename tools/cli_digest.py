@@ -36,8 +36,10 @@ TRAIN_FLAGS = ["--epochs", "15", "--hidden", "8,8", "--seed", "1",
 
 
 def commands():
-    yield ["synth", "--n", "600", "--sep", "3", "--seed", "7", "--out", "data.csv"]
-    yield ["synth", "--n", "300", "--sep", "3", "--seed", "8", "--out", "heldout.csv"]
+    yield ["synth", "--n", "600", "--dim", "3", "--sep", "3", "--prior", "0.4",
+           "--seed", "7", "--out", "data.csv"]
+    yield ["synth", "--n", "300", "--dim", "3", "--sep", "3", "--prior", "0.4",
+           "--seed", "8", "--out", "heldout.csv"]
     yield ["bag", "--in", "data.csv", "--min", "1", "--max", "6", "--seed", "3",
            "--out", "bags.csv"]
     for method in METHODS:
