@@ -14,7 +14,6 @@ variable when it is set.
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from collections import Counter
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from . import __version__, data, network, training
 from .errors import LlpError, UsageError
-from .files import write_atomic, write_lines
+from .files import write_json, write_lines
 
 
 def _out_path(raw) -> Path:
@@ -62,14 +61,6 @@ def _train_config(args, **overrides) -> training.TrainConfig:
     if "hidden_widths" in given:
         given["hidden_widths"] = _parse_int_list(given["hidden_widths"], "--hidden")
     return training.TrainConfig(**{**given, **overrides})
-
-
-def _write_json(path, payload) -> None:
-    def write(fh):
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-    write_atomic(path, write)
 
 
 def _manifest(command, config, dataset_path, outputs) -> dict:
@@ -118,41 +109,37 @@ def cmd_bag(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.folds is not None and args.eval_data:
-        raise UsageError(
-            "--eval cannot be combined with --folds: cross-validation scores "
-            "each held-out fold instead"
-        )
+    out_dir = _out_path(args.out)
     dataset = data.load_bags_csv(args.bags)
     config = _train_config(args)
-    eval_instances = (
-        data.load_instances_csv(args.eval_data) if args.eval_data else None
-    )
     # Before anything is written: fails on fewer bags than folds, and on
     # data the run cannot use.
     if args.folds is not None:
+        if args.eval_data is not None:
+            raise UsageError(
+                "--eval cannot be combined with --folds: cross-validation scores "
+                "each held-out fold instead"
+            )
         dataset = data.assign_folds(dataset, args.folds, config.seed)
         training.check_cross_validate(dataset, config)
-    else:
-        training.check_train(dataset, config, eval_instances)
-    out_dir = _out_path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.folds is not None:
         outputs = {"summary": out_dir / "cv_summary.json"}
         for fold in range(args.folds):
             outputs[f"curve_fold{fold}"] = out_dir / f"curve_fold{fold}.csv"
     else:
+        eval_instances = None
+        if args.eval_data is not None:
+            eval_instances = data.load_instances_csv(args.eval_data)
+        training.check_train(dataset, config, eval_instances)
         outputs = {
             "checkpoint": out_dir / "checkpoint.json",
             "curve": out_dir / "curve.csv",
         }
     manifest = _manifest("train", config, args.bags, outputs)
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest, indent=2)
 
     if args.folds is not None:
         result = training.cross_validate(dataset, config)
-        _write_json(outputs["summary"], result.summary())
+        write_json(outputs["summary"], result.summary(), indent=2)
         for fr in result.folds:
             fr.record.write_csv(outputs[f"curve_fold{fr.fold}"])
         print(
@@ -195,7 +182,7 @@ def cmd_eval(args) -> int:
         f"tn={metrics.true_negative} fn={metrics.false_negative}"
     )
     if out is not None:
-        _write_json(out, payload)
+        write_json(out, payload, indent=2)
         print(f"wrote {out}")
     return 0
 
@@ -211,15 +198,15 @@ def cmd_sweep(args) -> int:
     configs = [_train_config(args, method=method) for method in methods]
     # Before anything is written: every size must give enough bags.
     training.check_sweep(len(instances), sizes, args.folds)
-
     out = _out_path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    if out.is_dir():
+        raise UsageError(f"--out {out} is a directory, not a results CSV")
+
     manifest = _manifest("sweep", configs[0], args.data, {"results": out})
     manifest["sizes"] = sizes
     manifest["methods"] = methods
     manifest["folds"] = args.folds
-    _write_json(out.with_name(out.name + ".manifest.json"), manifest)
+    write_json(out.with_name(out.name + ".manifest.json"), manifest, indent=2)
 
     lines = ["method,bag_size,mean_accuracy,std"]
     for config in configs:

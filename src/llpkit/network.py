@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .errors import FormatError, NumericalError, UsageError
-from .files import write_atomic
+from .files import write_json
 
 CHECKPOINT_FORMAT = "llpkit-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -276,12 +276,7 @@ def save_checkpoint(path, params: ClassifierParams) -> None:
         "theta": params.theta.tolist(),
         "optimizer": None,
     }
-
-    def write(fh):
-        json.dump(record, fh)
-        fh.write("\n")
-
-    write_atomic(path, write)
+    write_json(path, record)
 
 
 def load_checkpoint(path) -> tuple[ClassifierParams, None]:

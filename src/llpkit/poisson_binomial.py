@@ -23,9 +23,10 @@ sum to its count.
 :func:`instance_posteriors` and :func:`bag_log_likelihood` are its one-bag
 forms.
 
-All entry points clamp probabilities into ``[CLAMP_EPS, 1 - CLAMP_EPS]`` so
-that every consistent count has strictly positive probability and logs stay
-finite.
+The one-bag forms clamp probabilities into ``[CLAMP_EPS, 1 - CLAMP_EPS]``
+so that every consistent count has strictly positive probability and logs
+stay finite; :func:`batch_posteriors` expects them clamped already and does
+not clamp.
 """
 
 import numpy as np

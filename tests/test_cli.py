@@ -222,15 +222,16 @@ class TestTrain:
             ("missing", 1, "error: "),
             ("unlabeled", 2, "error: evaluation requires instance labels"),
             ("wide", 2, "error: evaluation set has 3 features, the bags have 2"),
+            ("empty", 1, "error: [Errno 2] No such file or directory: ''"),
         ],
-        ids=["missing", "unlabeled", "wide"],
+        ids=["missing", "unlabeled", "wide", "empty"],
     )
     def test_unusable_eval_file_writes_nothing(
         self, tmp_path, bag_csv, unlabeled_csv, capsys, eval_file, expected_code,
         message,
     ):
         path = {"missing": tmp_path / "missing.csv", "unlabeled": unlabeled_csv,
-                "wide": tmp_path / "wide.csv"}[eval_file]
+                "wide": tmp_path / "wide.csv", "empty": ""}[eval_file]
         if eval_file == "wide":
             assert run(
                 capsys, "synth", "--n", "20", "--dim", "3", "--out", str(path)
@@ -295,15 +296,17 @@ class TestTrain:
         self, tmp_path, bag_csv, instance_csv, capsys
     ):
         out_dir = tmp_path / "cv"
-        code, out, err = run(
-            capsys, "train", "--method", "dllp", "--bags", str(bag_csv),
-            "--folds", "3", "--eval", str(instance_csv), "--out", str(out_dir),
-        )
-        assert code == 2
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: --eval")
-        assert not out_dir.exists()
+        # An empty --eval is still an --eval.
+        for eval_path in (str(instance_csv), ""):
+            code, out, err = run(
+                capsys, "train", "--method", "dllp", "--bags", str(bag_csv),
+                "--folds", "3", "--eval", eval_path, "--out", str(out_dir),
+            )
+            assert code == 2
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: --eval")
+            assert not out_dir.exists()
 
     def test_more_folds_than_bags_writes_nothing(self, tmp_path, bag_csv, capsys):
         out_dir = tmp_path / "cv"
@@ -588,6 +591,22 @@ class TestSweep:
         assert lines[0].startswith("error: " + message.format(data=flags["--data"]))
         assert not (tmp_path / "sweep").exists()
 
+    def test_out_directory_writes_nothing(self, tmp_path, instance_csv, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(
+            capsys, "sweep", "--data", str(instance_csv), "--sizes", "2",
+            "--methods", "dllp", "--folds", "3", "--epochs", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [
+            f"error: --out {out} is a directory, not a results CSV"
+        ]
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_supervised_upper_bounds_count_methods_on_easy_data(
         self, tmp_path, capsys
     ):
@@ -626,6 +645,36 @@ class TestOutputRoot:
         assert code == 0
         assert (root / "data.csv").exists()
         assert not (tmp_path / "data.csv").exists()
+
+    def test_missing_env_root_is_made(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "outputs" / "today"
+        monkeypatch.setenv("LLPKIT_OUT", str(root))
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "synth", "--n", "50", "--out", "data.csv")
+        assert code == 0
+        assert (root / "data.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "bag", "train", "eval", "sweep"])
+    def test_missing_parent_directories_are_made(
+        self, tmp_path, instance_csv, bag_csv, capsys, command
+    ):
+        checkpoint = tmp_path / "checkpoint.json"
+        network.save_checkpoint(checkpoint, network.init_params((2, 4, 1), seed=0))
+        argv = {
+            "synth": ["--n", "10"],
+            "bag": ["--in", str(instance_csv)],
+            "train": ["--method", "amle", "--bags", str(bag_csv), "--epochs", "1"],
+            "eval": ["--checkpoint", str(checkpoint), "--data", str(instance_csv)],
+            "sweep": [
+                "--data", str(instance_csv), "--sizes", "2", "--methods", "dllp",
+                "--folds", "3", "--epochs", "1",
+            ],
+        }[command]
+        out = tmp_path / "new" / "deeper" / "x.csv"
+        code, _, err = run(capsys, command, *argv, "--out", str(out))
+        assert code == 0, err
+        expected = out / "manifest.json" if command == "train" else out
+        assert expected.is_file()
 
     def test_absolute_paths_ignore_env_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LLPKIT_OUT", str(tmp_path / "elsewhere"))

@@ -1,8 +1,8 @@
-"""Package-wide guarantees: outputs are written atomically, the package
-imports nothing at run time beyond numpy and the standard library, the
-README names only flags the CLI accepts, its library example runs, a
-failing property test reports its example under the project's pytest
-settings, and the output digest tool runs."""
+"""Package-wide guarantees: outputs are written atomically and only by
+``llpkit.files``, the package imports nothing at run time beyond numpy
+and the standard library, the README names only flags the CLI accepts,
+its library example runs, a failing property test reports its example
+under the project's pytest settings, and the output digest tool runs."""
 
 import argparse
 import ast
@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import llpkit
-from llpkit.cli import _write_json, build_parser
-from llpkit.files import write_atomic
+from llpkit.cli import build_parser
+from llpkit.files import write_atomic, write_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
@@ -35,7 +35,7 @@ def failing_write(fh):
     [
         lambda path: write_atomic(path, failing_write),
         # json.dump raises TypeError on an object it cannot serialise.
-        lambda path: _write_json(path, {"ok": 1, "bad": object()}),
+        lambda path: write_json(path, {"ok": 1, "bad": object()}, indent=2),
     ],
     ids=["write_atomic", "write_json"],
 )
@@ -66,6 +66,42 @@ def test_imports_only_numpy_and_stdlib():
                 assert top == "numpy" or top in sys.stdlib_module_names, (
                     f"{source.name}:{node.lineno} imports {name}"
                 )
+
+
+# Calls that write, rename, remove or create a file or directory.
+WRITING_CALLS = {"json.dump", "os.replace", "os.remove", "os.makedirs"}
+WRITING_METHODS = {"mkdir", "write_text", "write_bytes"}
+
+
+def _open_writes(call):
+    """Whether a call to the builtin ``open`` may write: its mode is not a
+    constant, or it names a write, append, create or update mode."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r")
+    )
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_only_files_module_writes():
+    """``llpkit.files`` is the one module that writes files, so one policy
+    (parent directories, temp file and rename) covers every output."""
+    package = Path(llpkit.__file__).parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "files.py"]
+    assert sources
+    writes = []
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (
+                ast.unparse(func) in WRITING_CALLS
+                or isinstance(func, ast.Attribute) and func.attr in WRITING_METHODS
+                or isinstance(func, ast.Name) and func.id == "open" and _open_writes(node)
+            ):
+                writes.append(f"{source.name}:{node.lineno} {ast.unparse(node)}")
+    assert not writes, f"write outside llpkit.files: {writes}"
 
 
 def subcommand_flags():
