@@ -9,7 +9,9 @@ failure, 2 usage error.  Errors print a single ``error: ...`` line on
 stderr.
 
 Relative output paths resolve against the ``LLPKIT_OUT`` environment
-variable when it is set.
+variable when it is set.  Before any work, every command rejects an
+``--out`` that names an existing directory (for ``train``, an existing
+file).
 """
 
 import argparse
@@ -25,13 +27,17 @@ from .errors import LlpError, UsageError
 from .files import write_json, write_lines
 
 
-def _out_path(raw) -> Path:
+def _out_path(raw, directory=False) -> Path:
+    """Resolve ``--out``; an existing path of the wrong kind is a UsageError."""
     if raw == "":
         raise UsageError("--out is empty")
     path = Path(raw)
     root = os.environ.get("LLPKIT_OUT")
     if root and not path.is_absolute():
-        return Path(root) / path
+        path = Path(root) / path
+    if path.exists() and path.is_dir() != directory:
+        found, wanted = ("file", "directory") if directory else ("directory", "file")
+        raise UsageError(f"--out {path} is a {found}, not a {wanted}")
     return path
 
 
@@ -79,8 +85,8 @@ def _manifest(command, config, dataset_path, outputs) -> dict:
 
 
 def cmd_synth(args) -> int:
-    instances = data.generate_synthetic(args.n, args.dim, args.sep, args.prior, args.seed)
     out = _out_path(args.out)
+    instances = data.generate_synthetic(args.n, args.dim, args.sep, args.prior, args.seed)
     data.save_instances_csv(out, instances)
     positives = int(instances.labels.sum())
     print(
@@ -91,9 +97,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bag(args) -> int:
+    out = _out_path(args.out)
     instances = data.load_instances_csv(args.input)
     dataset = data.make_bags(instances, args.min_size, args.max_size, args.seed)
-    out = _out_path(args.out)
     data.save_bags_csv(out, dataset)
     histogram = Counter(dataset.sizes.tolist())
     positives = int(dataset.counts.sum())
@@ -109,7 +115,7 @@ def cmd_bag(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out_dir = _out_path(args.out)
+    out_dir = _out_path(args.out, directory=True)
     dataset = data.load_bags_csv(args.bags)
     config = _train_config(args)
     # Before anything is written: fails on fewer bags than folds, and on
@@ -166,13 +172,6 @@ def cmd_eval(args) -> int:
     out = _out_path(args.out) if args.out is not None else None
     params, _ = network.load_checkpoint(args.checkpoint)
     instances = data.load_instances_csv(args.data)
-    if instances.labels is None:
-        raise UsageError(f"{args.data} has no label column")
-    if instances.dim != params.input_dim:
-        raise UsageError(
-            f"checkpoint expects {params.input_dim} features, data has "
-            f"{instances.dim}"
-        )
     metrics = training.evaluate(params, instances, args.threshold)
     payload = metrics.as_dict()
     payload["accuracy"] = round(payload["accuracy"], 6)
@@ -188,6 +187,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    out = _out_path(args.out)
     instances = data.load_instances_csv(args.data)
     if instances.labels is None:
         raise UsageError(f"{args.data} has no label column")
@@ -198,9 +198,6 @@ def cmd_sweep(args) -> int:
     configs = [_train_config(args, method=method) for method in methods]
     # Before anything is written: every size must give enough bags.
     training.check_sweep(len(instances), sizes, args.folds)
-    out = _out_path(args.out)
-    if out.is_dir():
-        raise UsageError(f"--out {out} is a directory, not a results CSV")
 
     manifest = _manifest("sweep", configs[0], args.data, {"results": out})
     manifest["sizes"] = sizes

@@ -148,10 +148,7 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
         # A NaN floor (NaN input) counts as below.
         below = ~(floor >= _LINEAR_FLOOR)
         for width, tilt in sorted(set(zip(widths.tolist(), below.tolist()))):
-            # Sorting by count keeps each table only as wide as the largest
-            # count in its own chunk.
             members = np.flatnonzero((widths == width) & (below == tilt))
-            members = members[np.argsort(counts[members], kind="stable")]
             per_chunk = max(1, _TABLE_BUDGET // (width * (width.bit_length() - 1 + 9)))
             cols = np.arange(width)
             for lo in range(0, members.size, per_chunk):

@@ -137,17 +137,23 @@ class EvalMetrics:
         return {**asdict(self), "count": self.count}
 
 
-def _check_labeled(instances: Instances) -> None:
-    """Raise UsageError unless ``instances`` is labeled and nonempty."""
+def _check_scorable(instances: Instances, dim: int) -> None:
+    """Raise UsageError unless ``instances`` is nonempty, labeled and
+    ``dim`` features wide, so that a classifier of input width ``dim`` can
+    score it."""
     if len(instances) == 0:
         raise UsageError("evaluation set is empty")
     if instances.labels is None:
         raise UsageError("evaluation requires instance labels")
+    if instances.dim != dim:
+        raise UsageError(
+            f"evaluation set has {instances.dim} features, the classifier takes {dim}"
+        )
 
 
 def evaluate(params, instances: Instances, threshold: float = 0.5) -> EvalMetrics:
     """Accuracy and confusion counts of thresholded predictions."""
-    _check_labeled(instances)
+    _check_scorable(instances, params.input_dim)
     labels = instances.labels
     preds = objectives.predict(params, instances.features, threshold)
     tn, fp, fn, tp = np.bincount(2 * labels + preds, minlength=4).tolist()
@@ -294,12 +300,7 @@ def check_train(
     if config.method == "supervised" and dataset.instances.labels is None:
         raise UsageError("supervised training requires instance labels")
     if eval_instances is not None:
-        _check_labeled(eval_instances)
-        if eval_instances.dim != dataset.feature_dim:
-            raise UsageError(
-                f"evaluation set has {eval_instances.dim} features, the bags "
-                f"have {dataset.feature_dim}"
-            )
+        _check_scorable(eval_instances, dataset.feature_dim)
 
 
 def check_cross_validate(dataset: BagDataset, config: TrainConfig) -> None:
@@ -319,8 +320,11 @@ def check_cross_validate(dataset: BagDataset, config: TrainConfig) -> None:
 @dataclass(frozen=True)
 class FoldResult:
     fold: int
-    metrics: EvalMetrics
     record: TrainingRecord
+
+    @property
+    def metrics(self) -> EvalMetrics:
+        return self.record.metrics
 
 
 @dataclass(frozen=True)
@@ -351,7 +355,7 @@ def cross_validate(dataset: BagDataset, config: TrainConfig) -> CrossValResult:
     for fold in sorted(set(dataset.fold_assignment.values())):
         train_ds, held = dataset.fold_split(fold)
         _, record = train(train_ds, config, eval_instances=held)
-        results.append(FoldResult(fold=fold, metrics=record.metrics, record=record))
+        results.append(FoldResult(fold, record))
 
     accuracies = [fr.metrics.accuracy for fr in results]
     mean = float(np.mean(accuracies))

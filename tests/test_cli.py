@@ -221,7 +221,7 @@ class TestTrain:
         [
             ("missing", 1, "error: "),
             ("unlabeled", 2, "error: evaluation requires instance labels"),
-            ("wide", 2, "error: evaluation set has 3 features, the bags have 2"),
+            ("wide", 2, "error: evaluation set has 3 features, the classifier takes 2"),
             ("empty", 1, "error: [Errno 2] No such file or directory: ''"),
         ],
         ids=["missing", "unlabeled", "wide", "empty"],
@@ -481,6 +481,31 @@ class TestEval:
         assert code == 2
         assert "2" in err and "3" in err
 
+    @pytest.mark.parametrize("eval_file", ["unlabeled", "wide"])
+    def test_eval_and_train_eval_reject_a_file_alike(
+        self, tmp_path, bag_csv, unlabeled_csv, checkpoint, capsys, eval_file
+    ):
+        """eval and train --eval print the same error line for a file that
+        the classifier cannot score."""
+        path = unlabeled_csv
+        if eval_file == "wide":
+            path = tmp_path / "wide.csv"
+            assert run(
+                capsys, "synth", "--n", "20", "--dim", "3", "--out", str(path)
+            )[0] == 0
+        code, stdout, eval_err = run(
+            capsys, "eval", "--checkpoint", str(checkpoint), "--data", str(path),
+        )
+        assert (code, stdout) == (2, "")
+        code, stdout, train_err = run(
+            capsys, "train", "--method", "amle", "--bags", str(bag_csv),
+            "--eval", str(path), "--epochs", "1", "--out", str(tmp_path / "r"),
+        )
+        assert (code, stdout) == (2, "")
+        assert len(eval_err.splitlines()) == 1
+        assert eval_err.startswith("error: ")
+        assert eval_err == train_err
+
     @pytest.mark.parametrize("edit", ["list", "missing-theta"])
     def test_malformed_checkpoint_is_single_line_error(
         self, tmp_path, instance_csv, checkpoint, capsys, edit
@@ -591,22 +616,6 @@ class TestSweep:
         assert lines[0].startswith("error: " + message.format(data=flags["--data"]))
         assert not (tmp_path / "sweep").exists()
 
-    def test_out_directory_writes_nothing(self, tmp_path, instance_csv, capsys):
-        out = tmp_path / "adir"
-        out.mkdir()
-        before = sorted(tmp_path.rglob("*"))
-        code, stdout, err = run(
-            capsys, "sweep", "--data", str(instance_csv), "--sizes", "2",
-            "--methods", "dllp", "--folds", "3", "--epochs", "1",
-            "--out", str(out),
-        )
-        assert code == 2
-        assert stdout == ""
-        assert err.splitlines() == [
-            f"error: --out {out} is a directory, not a results CSV"
-        ]
-        assert sorted(tmp_path.rglob("*")) == before
-
     def test_supervised_upper_bounds_count_methods_on_easy_data(
         self, tmp_path, capsys
     ):
@@ -634,6 +643,22 @@ class TestSweep:
 
 
 class TestOutputRoot:
+    @pytest.fixture
+    def argv(self, tmp_path, instance_csv, bag_csv):
+        """Each command's flags but --out, for a small run that succeeds."""
+        checkpoint = tmp_path / "checkpoint.json"
+        network.save_checkpoint(checkpoint, network.init_params((2, 4, 1), seed=0))
+        return {
+            "synth": ["--n", "10"],
+            "bag": ["--in", str(instance_csv)],
+            "train": ["--method", "amle", "--bags", str(bag_csv), "--epochs", "1"],
+            "eval": ["--checkpoint", str(checkpoint), "--data", str(instance_csv)],
+            "sweep": [
+                "--data", str(instance_csv), "--sizes", "2", "--methods", "dllp",
+                "--folds", "3", "--epochs", "1",
+            ],
+        }
+
     def test_relative_paths_resolve_against_env_root(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -655,26 +680,35 @@ class TestOutputRoot:
         assert (root / "data.csv").exists()
 
     @pytest.mark.parametrize("command", ["synth", "bag", "train", "eval", "sweep"])
-    def test_missing_parent_directories_are_made(
-        self, tmp_path, instance_csv, bag_csv, capsys, command
-    ):
-        checkpoint = tmp_path / "checkpoint.json"
-        network.save_checkpoint(checkpoint, network.init_params((2, 4, 1), seed=0))
-        argv = {
-            "synth": ["--n", "10"],
-            "bag": ["--in", str(instance_csv)],
-            "train": ["--method", "amle", "--bags", str(bag_csv), "--epochs", "1"],
-            "eval": ["--checkpoint", str(checkpoint), "--data", str(instance_csv)],
-            "sweep": [
-                "--data", str(instance_csv), "--sizes", "2", "--methods", "dllp",
-                "--folds", "3", "--epochs", "1",
-            ],
-        }[command]
+    def test_missing_parent_directories_are_made(self, tmp_path, argv, capsys, command):
         out = tmp_path / "new" / "deeper" / "x.csv"
-        code, _, err = run(capsys, command, *argv, "--out", str(out))
+        code, _, err = run(capsys, command, *argv[command], "--out", str(out))
         assert code == 0, err
         expected = out / "manifest.json" if command == "train" else out
         assert expected.is_file()
+
+    @pytest.mark.parametrize("command", ["synth", "bag", "train", "eval", "sweep"])
+    def test_out_of_the_wrong_kind_writes_nothing(
+        self, tmp_path, argv, capsys, command
+    ):
+        """An --out that names an existing directory (an existing file for
+        train) is a usage error before any work."""
+        if command == "train":
+            out, message = tmp_path / "afile", "is a file, not a directory"
+            out.write_text("kept\n")
+        else:
+            out, message = tmp_path / "adir", "is a directory, not a file"
+            out.mkdir()
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = tree()
+        code, stdout, err = run(capsys, command, *argv[command], "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [f"error: --out {out} {message}"]
+        assert tree() == before
 
     def test_absolute_paths_ignore_env_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LLPKIT_OUT", str(tmp_path / "elsewhere"))

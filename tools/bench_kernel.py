@@ -6,14 +6,15 @@ Usage, from the root of a checkout::
 
 ``SRC`` is the ``src`` directory whose ``llpkit`` is measured (default: the
 one next to this script), so one copy of this script measures any checkout.
-It prints one JSON object whose ``kernel`` entry gives, for each of five
+It prints one JSON object whose ``kernel`` entry gives, for each of six
 fixed shapes, the median seconds of one ``batch_posteriors`` call over
 ``REPEATS`` samples, each sample the mean of as many calls as take about
 0.1 s, and the ``tracemalloc`` peak of one call in MiB.  The shapes: 1000
 bags of 2-4 and 79 bags of 16-64 (the bag sizes of the benchmark's
 ``em-small-bags`` and ``em-large-bags``), 16 bags of 256, 4 bags of 1024,
-and 16 bags of 128 with most probabilities on a clamp edge, whose floors
-all lie below ``_LINEAR_FLOOR``, so that the whole group is tilted.
+16 bags of 128 with most probabilities on a clamp edge, whose floors all
+lie below ``_LINEAR_FLOOR``, so that the whole group is tilted, and 781
+bags of 64, one width group that fills six chunks of at most 136 bags.
 Probabilities are uniform and clamped, except the edge ones; counts are
 drawn from the probabilities, so that every bag is a likely one.
 
@@ -45,6 +46,7 @@ SHAPES = {
     "16 bags of 256": (16, 256, 256, 0.0),
     "4 bags of 1024": (4, 1024, 1024, 0.0),
     "16 tilted bags of 128": (16, 128, 128, 0.8),
+    "781 bags of 64": (781, 64, 64, 0.0),
 }
 
 
