@@ -11,7 +11,7 @@ stderr.
 Relative output paths resolve against the ``LLPKIT_OUT`` environment
 variable when it is set.  Before any work, every command rejects an
 ``--out`` that names an existing directory (for ``train``, an existing
-file).
+file) or lies below an existing file.
 """
 
 import argparse
@@ -28,7 +28,8 @@ from .files import write_json, write_lines
 
 
 def _out_path(raw, directory=False) -> Path:
-    """Resolve ``--out``; an existing path of the wrong kind is a UsageError."""
+    """Resolve ``--out``; an existing path of the wrong kind, or one below
+    an existing file, is a UsageError."""
     if raw == "":
         raise UsageError("--out is empty")
     path = Path(raw)
@@ -38,6 +39,9 @@ def _out_path(raw, directory=False) -> Path:
     if path.exists() and path.is_dir() != directory:
         found, wanted = ("file", "directory") if directory else ("directory", "file")
         raise UsageError(f"--out {path} is a {found}, not a {wanted}")
+    ancestor = next((p for p in path.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise UsageError(f"--out {path} is below {ancestor}, which is not a directory")
     return path
 
 

@@ -15,8 +15,9 @@ Bag CSV (written by the ``bag`` CLI command): header line ``bag_id,y,n``,
 then for each bag one summary row ``bag_id,y,n`` followed by exactly ``n``
 instance rows ``bag_id,instance_id,f0,...,f{d-1}[,label]``.  The summary
 row's ``n`` says how many instance rows follow, so the two row kinds never
-need to be distinguished by shape.  ``instance_id`` is an integer on every
-row or empty on every row.
+need to be distinguished by shape; an instance row's ``bag_id`` must be its
+summary's, so that with distinct bag ids a miscounted ``n`` is an error.
+``instance_id`` is an integer on every row or empty on every row.
 
 Accepted cell text: a feature is any text Python's ``float()`` reads as a
 finite number, an instance id any text ``int()`` reads as an int64, and a
@@ -452,10 +453,11 @@ def save_bags_csv(path, dataset: BagDataset) -> None:
 
 def _bag_members(path, rows, cells):
     """Walk a bag file's summary rows by their ``n``: (the instance rows,
-    the bag offsets, the counts).  ``cells(row)`` splits a row into cells."""
+    the bag offsets, the counts, the bag ids).  ``cells(row)`` splits a row
+    into cells."""
     if [c.strip() for c in cells(rows[0])] != ["bag_id", "y", "n"]:
         raise FormatError(f"{path}: header must be bag_id,y,n, got {cells(rows[0])}")
-    members, offsets, counts = [], [0], []
+    members, offsets, counts, ids = [], [0], [], []
     idx = 1
     while idx < len(rows):
         try:
@@ -472,8 +474,9 @@ def _bag_members(path, rows, cells):
         members.extend(rows[idx + 1 : idx + 1 + n])
         offsets.append(offsets[-1] + n)
         counts.append(y)
+        ids.append(bag_id)
         idx += 1 + n
-    return members, np.array(offsets), np.array(counts)
+    return members, np.array(offsets), np.array(counts), np.array(ids)
 
 
 def load_bags_csv(path) -> BagDataset:
@@ -497,11 +500,13 @@ def _load_plain_bags(path) -> BagDataset:
         # No instance rows, or no instance ids: numpy's reader rejects an
         # empty id cell, but only after the walk, so skip to the exact parse.
         raise ValueError(f"{path}: no instance rows or ids")
-    members, offsets, counts = _bag_members(path, lines, lambda line: line.split(","))
+    members, offsets, counts, ids = _bag_members(path, lines, lambda line: line.split(","))
     width = members[0].count(",") + 1
     cells = _loadtxt(
         members, [("bag", np.int64), ("id", np.int64), ("values", np.float64, (width - 2,))]
     )
+    if not np.array_equal(cells["bag"], np.repeat(ids, np.diff(offsets))):
+        raise ValueError(f"{path}: an instance row's bag_id is not its bag's")
     values = cells["values"]
     is_label = values[:, -1] == 1
     labeled = np.array_equal(
@@ -518,14 +523,26 @@ def _load_plain_bags(path) -> BagDataset:
 
 def _load_csv_bags(path) -> BagDataset:
     rows = _read_rows(path)
-    members, offsets, counts = _bag_members(path, rows, list)
+    members, offsets, counts, ids = _bag_members(path, rows, list)
+    # Member k of bag j comes after the header and j + 1 summary rows.
+    file_rows = np.arange(len(members))
+    file_rows += np.repeat(np.arange(2, counts.size + 2), np.diff(offsets))
+    # A miscounted n moves rows between bags; the bag_id column shows it.
+    expected = np.repeat(ids, np.diff(offsets)).tolist()
+    for k, (row, bag_id) in enumerate(zip(members, expected)):
+        try:
+            if int(row[0]) == bag_id:
+                continue
+        except ValueError:
+            pass
+        raise FormatError(
+            f"{path}: line {_line_number(path, int(file_rows[k]))}, column 1: "
+            f"bag_id {row[0]!r} is not {bag_id}, the id of its bag summary"
+        )
     widths = set(map(len, members))
     if len(widths) != 1:
         raise FormatError(f"{path}: instance rows have mixed column counts")
     width = widths.pop()
-    # Member k of bag j comes after the header and j + 1 summary rows.
-    file_rows = np.arange(len(members))
-    file_rows += np.repeat(np.arange(2, counts.size + 2), np.diff(offsets))
 
     last = np.array([row[-1] for row in members])
     is_label = last == "1"

@@ -11,14 +11,14 @@ One :func:`train` call drives any of the four objectives:
 * ``amle`` / ``dllp``: per-bag losses, batched as groups of whole bags.
 * ``supervised``: ordinary instance-level cross-entropy on true labels.
 
-All four share one minibatch loop; a method only decides what a batch
-indexes (instances or bags) and how the network's outputs on it turn into
-a loss.  Each epoch gathers the shuffled features (with the bags' sizes
-and counts, or the instances' targets) once, and each batch is a slice of
-that gather.  Each step runs the network once over the batch, in
-:func:`network.backward`, then takes one Adam step,
-:func:`network.optimizer_step`, in place on the parameter vector and on
-two moment vectors that :func:`train` allocates once per run.
+All four share one minibatch loop over items: whole bags for ``amle`` and
+``dllp``, single instances for ``mle`` and ``supervised``.  An item is its
+bag's rows (or one row) with its size and count (or its target).  Each
+epoch gathers the shuffled items' features and entries once, and a batch
+of ``batch_size`` items is a slice of that gather.  Each step runs the
+network once over the batch, in :func:`network.backward`, then takes one
+Adam step, :func:`network.optimizer_step`, in place on the parameter
+vector and on two moment vectors that :func:`train` allocates once per run.
 
 Early stopping watches the training objective (count log-likelihood for
 ``mle``, mean epoch loss otherwise), never test data: it stops after
@@ -186,25 +186,28 @@ def train(
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
 
+    # Item j spans rows[j] feature rows from starts[j] and carries entry j
+    # of every array in per_item.
     bag_level = config.method in ("amle", "dllp")
+    em = config.method == "mle"
+    rows = np.ones(dataset.num_instances, dtype=np.int64)
+    batch_loss = objectives.m_step_loss
     if bag_level:
-        num_items = dataset.num_bags
+        rows = dataset.sizes
+        per_item = (rows, dataset.counts.astype(np.float64))
         batch_loss = (
             objectives.amle_batch_loss
             if config.method == "amle"
             else objectives.dllp_batch_loss
         )
-        sizes, counts = dataset.sizes, dataset.counts.astype(np.float64)
+    elif em:
+        try:
+            per_item = (objectives.e_step(params, dataset).targets,)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} in the E-step before epoch 1") from exc
     else:
-        num_items = dataset.num_instances
-        batch_loss = objectives.m_step_loss
-        if config.method == "supervised":
-            targets = dataset.instances.labels.astype(np.float64)
-        else:
-            try:
-                targets = objectives.e_step(params, dataset).targets
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} in the E-step before epoch 1") from exc
+        per_item = (dataset.instances.labels.astype(np.float64),)
+    starts = np.cumsum(rows) - rows
 
     record = TrainingRecord()
     start = time.perf_counter()
@@ -215,18 +218,14 @@ def train(
         # One gather per epoch, in shuffled order; a batch is a slice of it:
         # items lo:hi are feature rows bounds[lo]:bounds[hi].  Targets only
         # change between epochs, after mle's E-step.
-        order = rng.permutation(num_items)
-        if bag_level:
-            epoch_features = features[dataset.bag_rows(order)]
-            epoch_items = (sizes[order], counts[order])
-            bounds = np.concatenate(([0], np.cumsum(epoch_items[0])))
-        else:
-            epoch_features = features[order]
-            epoch_items = (targets[order],)
-            bounds = range(num_items + 1)
+        order = rng.permutation(rows.size)
+        bounds = np.concatenate(([0], np.cumsum(rows[order])))
+        shift = np.repeat(starts[order] - bounds[:-1], rows[order])
+        epoch_features = features[shift + np.arange(bounds[-1])]
+        epoch_items = [a[order] for a in per_item]
         total = 0.0
-        for bi, lo in enumerate(range(0, num_items, config.batch_size)):
-            hi = min(lo + config.batch_size, num_items)
+        for bi, lo in enumerate(range(0, rows.size, config.batch_size)):
+            hi = min(lo + config.batch_size, rows.size)
             items = [a[lo:hi] for a in epoch_items]
 
             def loss_fn(probs):
@@ -255,13 +254,13 @@ def train(
                     where += f", bags {order[lo:hi].tolist()}"
                 raise NumericalError(f"{exc} at {where}") from exc
             total += loss
-        epoch_loss = total / num_items
+        epoch_loss = total / rows.size
 
         log_likelihood = accuracy = None
         try:
-            if config.method == "mle":
+            if em:
                 state = objectives.e_step(params, dataset)
-                log_likelihood, targets = state.log_likelihood, state.targets
+                log_likelihood, per_item = state.log_likelihood, (state.targets,)
             if eval_instances is not None:
                 record.metrics = evaluate(params, eval_instances, config.threshold)
                 accuracy = record.metrics.accuracy
@@ -278,7 +277,7 @@ def train(
         )
 
         # Early stopping: smaller is better, so mle monitors -L.
-        monitored = -log_likelihood if config.method == "mle" else epoch_loss
+        monitored = epoch_loss if log_likelihood is None else -log_likelihood
         if best is None:
             best = monitored
         elif best - monitored > config.rel_tol * max(abs(best), 1e-12):

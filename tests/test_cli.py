@@ -642,6 +642,11 @@ class TestSweep:
         assert accuracy["supervised"] >= accuracy["dllp"]
 
 
+def snapshot(root):
+    """Every path under ``root``, with a file's bytes."""
+    return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
 class TestOutputRoot:
     @pytest.fixture
     def argv(self, tmp_path, instance_csv, bag_csv):
@@ -699,16 +704,31 @@ class TestOutputRoot:
         else:
             out, message = tmp_path / "adir", "is a directory, not a file"
             out.mkdir()
-
-        def tree():
-            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
-
-        before = tree()
+        before = snapshot(tmp_path)
         code, stdout, err = run(capsys, command, *argv[command], "--out", str(out))
         assert code == 2
         assert stdout == ""
         assert err.splitlines() == [f"error: --out {out} {message}"]
-        assert tree() == before
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("below", ["x.csv", "deeper/x.csv"])
+    @pytest.mark.parametrize("command", ["synth", "bag", "train", "eval", "sweep"])
+    def test_out_below_a_file_writes_nothing(
+        self, tmp_path, argv, capsys, command, below
+    ):
+        """An --out whose nearest existing ancestor is a file is a usage
+        error before any work."""
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        out = blocker / below
+        before = snapshot(tmp_path)
+        code, stdout, err = run(capsys, command, *argv[command], "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [
+            f"error: --out {out} is below {blocker}, which is not a directory"
+        ]
+        assert snapshot(tmp_path) == before
 
     def test_absolute_paths_ignore_env_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LLPKIT_OUT", str(tmp_path / "elsewhere"))
@@ -846,8 +866,12 @@ class TestBagCsvErrors:
                 "line 5, column 4: 'nan' is not a finite number",
             ),
             ("0,1,1\n0,0,1.0,0.5,1\n1,y,1\n1,1,2.0,0.5,0\n", "line 4: expected bag summary"),
+            (
+                "0,1,2\n0,0,1.0,0.5,1\n1,1,2.0,0.5,0\n",
+                "line 4, column 1: bag_id '1' is not 0, the id of its bag summary",
+            ),
         ],
-        ids=["instance-id", "nan-feature", "bag-summary"],
+        ids=["instance-id", "nan-feature", "bag-summary", "bag-id"],
     )
     def test_single_error_line(self, tmp_path, capsys, text, where):
         bags = tmp_path / "bad.csv"

@@ -444,7 +444,8 @@ def bag_csv_text(draw):
         n = draw(st.integers(1, 3))
         rows, ones = [], 0
         for _ in range(n):
-            row = [str(j), draw(id_cells) if with_ids else ""]
+            bag_cell = draw(_rarely(st.just(str(j)), cells, 40))
+            row = [bag_cell, draw(id_cells) if with_ids else ""]
             row += [draw(feature_cells) for _ in range(dim)]
             if labeled:
                 row.append(draw(label_cells))
@@ -548,6 +549,24 @@ class TestCsvDifferential:
         for load in (load_bags_csv, data._load_csv_bags):
             with pytest.raises(FormatError, match="instance rows need at least one feature"):
                 load(path)
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            (
+                "bag_id,y,n\n0,1,2\n0,0,0.5,1\nabc,1,1.5,0\n1,0,1\n9,2,2.5,0\n",
+                "line 4, column 1: bag_id 'abc' is not 0",
+            ),
+            # n = 3 miscounts bag 0, so bag 1's summary reads as its row.
+            ("bag_id,y,n\n0,0,3\n0,5,1\n1,0,1\n1,7,2\n", "line 4, column 1: bag_id '1' is not 0"),
+        ],
+    )
+    def test_instance_row_of_another_bag(self, tmp_path, text, where):
+        path = write(tmp_path / "bags.csv", text)
+        for load in (load_bags_csv, data._load_csv_bags):
+            with pytest.raises(FormatError) as exc:
+                load(path)
+            assert str(exc.value) == f"{path}: {where}, the id of its bag summary"
 
     @pytest.mark.parametrize(
         "rows",

@@ -291,13 +291,16 @@ class TestFusedEStep:
                 == e_step(params, dataset).log_likelihood
             )
 
-    def test_refresh_interval_matches_reference_loop(self, tmp_path):
+    # Unit batches, a ragged last batch, the default test batch and one
+    # batch larger than the 60 instances (and so than the bags).
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 61])
+    def test_refresh_interval_matches_reference_loop(self, tmp_path, batch_size):
         dataset, _ = blob_bags(n=60)
         # train refreshes mle's targets after every epoch, with the E-step
         # that gives the epoch's log-likelihood, and every method's Adam
         # step is the reference formula, bit for bit.
         for method in METHODS:
-            config = quick_config(method, max_epochs=7)
+            config = quick_config(method, max_epochs=7, batch_size=batch_size)
             params, record = train(dataset, config)
             ref_params, ref_rows = reference_loop(dataset, config)
             curve = [(r.epoch, r.loss, r.log_likelihood) for r in record.rows]

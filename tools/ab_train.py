@@ -16,7 +16,8 @@ change first in odd ones, on datasets built from the same arrays.
 A sample is the mean of as many calls as take about a quarter of a second.
 Per shape it prints the median seconds of each side, the parent's
 interquartile range as a share of its median, how many pairs the change
-won, and whether every pair's parameter vectors have the same bytes.
+won, and whether every pair's parameter vectors, and every pair's curve
+rows (``epoch``, ``loss``, ``log_likelihood``), have the same bytes.
 
 A host whose speed drifts between processes by tens of percent still
 keeps two interleaved calls in one process comparable: this resolves
@@ -54,7 +55,8 @@ def load_package(src: str, name: str, directory: str):
 
 
 def fit_call(pkg, shape):
-    """``() -> theta`` that trains ``pkg`` on the shape's dataset."""
+    """``() -> (theta, curve bytes)`` that trains ``pkg`` on the shape's
+    dataset."""
     method, n, (lo, hi), sep, epochs, batch, rate, folds = shape
     rng = np.random.default_rng([0, 0, 0])
     labels = (rng.random(n) < 0.5).astype(np.int64)
@@ -67,7 +69,22 @@ def fit_call(pkg, shape):
         method=method, max_epochs=epochs, patience=epochs, batch_size=batch,
         learning_rate=rate, seed=0,
     )
-    return lambda: pkg.training.train(dataset, config)[0].theta
+
+    def fit():
+        params, record = pkg.training.train(dataset, config)
+        return params.theta, curve_bytes(record)
+
+    return fit
+
+
+def curve_bytes(record) -> bytes:
+    """The ``epoch``, ``loss`` and ``log_likelihood`` of every curve row as
+    float64 bytes, with NaN for a blank log-likelihood."""
+    rows = [
+        (r.epoch, r.loss, np.nan if r.log_likelihood is None else r.log_likelihood)
+        for r in record.rows
+    ]
+    return np.array(rows, dtype=np.float64).tobytes()
 
 
 def quartiles(values):
@@ -81,22 +98,25 @@ def compare(name, parent, change, pairs: int) -> None:
     calls[0]()
     repeats = max(1, round(0.25 / (time.perf_counter() - start)))
     seconds = ([], [])
-    same = True
+    same_theta = same_curve = True
     for pair in range(pairs):
-        thetas = [None, None]
+        fits = [None, None]
         for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
             start = time.perf_counter()
             for _ in range(repeats):
-                thetas[side] = calls[side]()
+                fits[side] = calls[side]()
             seconds[side].append((time.perf_counter() - start) / repeats)
-        same &= thetas[0].tobytes() == thetas[1].tobytes()
+        (theta_a, curve_a), (theta_b, curve_b) = fits
+        same_theta &= theta_a.tobytes() == theta_b.tobytes()
+        same_curve &= curve_a == curve_b
     q1, med_a, q3 = quartiles(seconds[0])
     med_b = quartiles(seconds[1])[1]
     won = sum(b < a for a, b in zip(*seconds))
     print(
         f"{name:14s} parent {med_a:.4f} s (IQR {100 * (q3 - q1) / med_a:.1f}%)  "
         f"change {med_b:.4f} s ({100 * (med_b / med_a - 1):+.1f}%)  "
-        f"won {won}/{pairs}  theta bytes {'match' if same else 'DIFFER'}",
+        f"won {won}/{pairs}  theta bytes {'match' if same_theta else 'DIFFER'}  "
+        f"curve bytes {'match' if same_curve else 'DIFFER'}",
         flush=True,
     )
 
