@@ -17,7 +17,8 @@ instance rows ``bag_id,instance_id,f0,...,f{d-1}[,label]``.  The summary
 row's ``n`` says how many instance rows follow, so the two row kinds never
 need to be distinguished by shape; an instance row's ``bag_id`` must be its
 summary's, so that with distinct bag ids a miscounted ``n`` is an error.
-``instance_id`` is an integer on every row or empty on every row.
+``instance_id`` is an integer on every row or empty on every row.  A file
+of the header alone holds no bags and is rejected.
 
 Accepted cell text: a feature is any text Python's ``float()`` reads as a
 finite number, an instance id any text ``int()`` reads as an int64, and a
@@ -26,9 +27,10 @@ file that is printable ASCII without double quotes (plus tabs and line
 ends) is parsed by numpy's C reader; any file or cell that reader declines
 goes through the exact ``csv.reader`` parse, which accepts the same files
 and names the bad cell of a rejected one.  Parse errors name the file, the
-1-based line and the 1-based column.  Writers stream one line at a time,
-floats in round-trip ``repr``, with ``\r\n`` line ends as ``csv.writer``
-ends them.
+1-based line and the 1-based column.  Writers format rows in blocks of
+``_BLOCK_ROWS`` rows, one ``%``-format call per block, with floats in
+round-trip ``repr`` and ``\r\n`` line ends as ``csv.writer`` ends them:
+the bytes of earlier versions, which wrote one line at a time.
 """
 
 import codecs
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, UsageError
-from .files import write_lines
+from .files import write_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +235,7 @@ def _loadtxt(lines, fields):
 def _exact_labels(lines) -> bool:
     """Whether the last cell of every line (of two or more cells) reads
     exactly 0 or 1."""
-    return all(line[-2:] in (",0", ",1") for line in lines)
+    return all(map(str.endswith, lines, itertools.repeat((",0", ",1"))))
 
 
 def _read_rows(path) -> list[list[str]]:
@@ -356,21 +358,43 @@ def _load_csv_instances(path) -> Instances:
     return Instances(feats, labels)
 
 
-def _python_rows(array):
-    """The rows of ``array`` as Python objects, converted 1024 at a time so
-    that no whole-array list is built."""
-    return itertools.chain.from_iterable(
-        array[start : start + 1024].tolist() for start in range(0, len(array), 1024)
-    )
+# Rows per block of written text: one block is one %-format call, so the
+# Python objects alive at once do not grow with the file.
+_BLOCK_ROWS = 4096
 
 
-def _instance_cells(instances: Instances):
-    """Each instance's cells as one CSV text: its features in round-trip
-    ``repr``, then its label if known."""
-    rows = (",".join(map(repr, row)) for row in _python_rows(instances.features))
-    if instances.labels is None:
-        return rows
-    return map("{},{}".format, rows, _python_rows(instances.labels))
+def _csv_blocks(header, columns, head_rows=None, heads=None):
+    """The header line, then the CSV text of the rows in blocks of
+    ``_BLOCK_ROWS`` rows, every line ended by ``\r\n``.
+
+    Row r's cells are ``column[r]`` for each column in round-trip ``repr``,
+    or an empty cell where a column is None.  Just before row
+    ``head_rows[h]`` (ascending) comes the line of the cells ``heads[h]``."""
+    yield ",".join(header) + "\r\n"
+    if heads is None:
+        head_rows, heads = np.zeros(0, np.int64), np.zeros((0, 0), np.int64)
+    arrays = [column for column in columns if column is not None]
+    width, head_width, n = len(arrays), heads.shape[1], len(arrays[0])
+    row = ",".join("" if column is None else "%r" for column in columns) + "\r\n"
+    head = ",".join(["%r"] * head_width) + "\r\n"
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        first, last = np.searchsorted(head_rows, (lo, hi))
+        at = head_rows[first:last] - lo
+        # Row k's values follow those of the k rows and the heads before it.
+        rows = np.arange(hi - lo)
+        starts = rows * width + np.searchsorted(at, rows, "right") * head_width
+        values = np.empty((hi - lo) * width + at.size * head_width, dtype=object)
+        for c, column in enumerate(arrays):
+            values[starts + c] = column[lo:hi]
+        head_starts = at * width + np.arange(at.size) * head_width
+        for c in range(head_width):
+            values[head_starts + c] = heads[first:last, c]
+        # The rows before the block's first head, then each head and its rows.
+        bounds = np.append(at, hi - lo)
+        gaps = np.diff(bounds).tolist()
+        template = row * int(bounds[0]) + "".join([head + row * k for k in gaps])
+        yield template % tuple(values.tolist())
 
 
 def save_instances_csv(path, instances: Instances) -> None:
@@ -378,9 +402,11 @@ def save_instances_csv(path, instances: Instances) -> None:
     if len(instances) == 0:
         raise UsageError("nothing to write")
     header = [f"f{i}" for i in range(instances.dim)]
+    columns = list(instances.features.T)
     if instances.labels is not None:
         header.append("label")
-    write_lines(path, itertools.chain([",".join(header)], _instance_cells(instances)))
+        columns.append(instances.labels)
+    write_blocks(path, _csv_blocks(header, columns))
 
 
 def make_bags(
@@ -409,10 +435,12 @@ def make_bags(
         raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    offsets = [0]
-    while n - offsets[-1] >= min_size:
-        size = int(rng.integers(min_size, max_size + 1))
-        offsets.append(offsets[-1] + min(size, n - offsets[-1]))
+    # Each bag takes at least min_size instances, so n // min_size sizes
+    # always reach a remainder under min_size.  Bag k + 1 starts at
+    # ends[k] and is made when at least min_size instances remain there.
+    ends = np.cumsum(rng.integers(min_size, max_size + 1, n // min_size))
+    made = np.searchsorted(ends, n - min_size, "right") + 1
+    offsets = np.concatenate(([0], np.minimum(ends[:made], n)))
     rows = order[: offsets[-1]]
     bagged = instances.take(rows)
     counts = np.add.reduceat(bagged.labels, offsets[:-1])
@@ -437,18 +465,14 @@ def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
 
 def save_bags_csv(path, dataset: BagDataset) -> None:
     """Write a bag CSV; the label column is kept when labels are known."""
-    ids = dataset.instance_ids
-    ids = itertools.repeat("") if ids is None else _python_rows(ids)
-    members = zip(ids, _instance_cells(dataset.instances))
-
-    def lines():
-        yield "bag_id,y,n"
-        for j, (y, n) in enumerate(zip(dataset.counts.tolist(), dataset.sizes.tolist())):
-            yield f"{j},{y},{n}"
-            for i, cells in itertools.islice(members, n):
-                yield f"{j},{i},{cells}"
-
-    write_lines(path, lines())
+    bags = np.arange(dataset.num_bags)
+    columns = [np.repeat(bags, dataset.sizes), dataset.instance_ids]
+    columns += list(dataset.instances.features.T)
+    if dataset.instances.labels is not None:
+        columns.append(dataset.instances.labels)
+    summaries = np.column_stack((bags, dataset.counts, dataset.sizes))
+    blocks = _csv_blocks(["bag_id", "y", "n"], columns, dataset.offsets[:-1], summaries)
+    write_blocks(path, blocks)
 
 
 def _bag_members(path, rows, cells):
@@ -476,6 +500,8 @@ def _bag_members(path, rows, cells):
         counts.append(y)
         ids.append(bag_id)
         idx += 1 + n
+    if not counts:
+        raise FormatError(f"{path}: no bags")
     return members, np.array(offsets), np.array(counts), np.array(ids)
 
 

@@ -23,10 +23,16 @@ def write_atomic(path, write) -> None:
         raise
 
 
+def write_blocks(path, blocks) -> None:
+    """Write the text ``blocks`` as they are, one after another; each block
+    is whole lines already ended by ``\r\n``."""
+    write_atomic(path, lambda fh: fh.writelines(blocks))
+
+
 def write_lines(path, lines) -> None:
     """Write ``lines`` one at a time, each ended by ``\r\n`` as csv.writer
     ends its rows."""
-    write_atomic(path, lambda fh: fh.writelines(f"{line}\r\n" for line in lines))
+    write_blocks(path, (f"{line}\r\n" for line in lines))
 
 
 def write_json(path, payload, indent=None) -> None:

@@ -8,7 +8,8 @@ by leave-one-out DPs, configuration marginals and a log-space
 forward-backward sweep, the EM lower bound, a textbook full-batch EM loop,
 the per-bag losses in Python floats, Adam out of place, the logistic
 function on masked halves, the network pass on one BLAS call per block
-with a zero-padded tail, and the CSV writers as ``csv.writer`` rows.
+with a zero-padded tail, the CSV writers as ``csv.writer`` rows, and
+bagging with one size drawn per call.
 """
 
 import csv
@@ -484,3 +485,20 @@ def csv_write_bags(path, dataset: BagDataset) -> None:
                 if labels is not None:
                     row.append(int(labels[i]))
                 writer.writerow(row)
+
+
+def make_bags_loop(instances: Instances, min_size: int, max_size: int, seed: int) -> BagDataset:
+    """``make_bags`` of valid arguments, drawing one bag size per
+    ``rng.integers`` call and stopping when fewer than ``min_size``
+    instances remain; a last size over the remainder is cut to it."""
+    n = len(instances)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    offsets = [0]
+    while n - offsets[-1] >= min_size:
+        size = int(rng.integers(min_size, max_size + 1))
+        offsets.append(offsets[-1] + min(size, n - offsets[-1]))
+    rows = order[: offsets[-1]]
+    bagged = instances.take(rows)
+    counts = np.add.reduceat(bagged.labels, offsets[:-1])
+    return BagDataset(bagged, offsets, counts, instance_ids=rows)

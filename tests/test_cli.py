@@ -870,8 +870,9 @@ class TestBagCsvErrors:
                 "0,1,2\n0,0,1.0,0.5,1\n1,1,2.0,0.5,0\n",
                 "line 4, column 1: bag_id '1' is not 0, the id of its bag summary",
             ),
+            ("", "no bags"),
         ],
-        ids=["instance-id", "nan-feature", "bag-summary", "bag-id"],
+        ids=["instance-id", "nan-feature", "bag-summary", "bag-id", "header-only"],
     )
     def test_single_error_line(self, tmp_path, capsys, text, where):
         bags = tmp_path / "bad.csv"
@@ -885,6 +886,7 @@ class TestBagCsvErrors:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {bags}: ")
         assert where in lines[0]
+        assert not (tmp_path / "run").exists()
 
 
 class TestNonUtf8Input:

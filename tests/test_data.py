@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import csv_write_bags, csv_write_instances
+from helpers import csv_write_bags, csv_write_instances, make_bags_loop
 from llpkit import data
 from llpkit.data import (
     BagDataset,
@@ -190,6 +190,32 @@ class TestMakeBags:
         a = make_bags(instances, 1, 6, seed=9)
         b = make_bags(instances, 1, 6, seed=9)
         assert bag_ids(a) == bag_ids(b)
+
+    SIZE_RANGES = [(1, 8), (2, 4), (16, 64), (3, 3), (1, 1)]
+
+    @staticmethod
+    def assert_same_bags(got, want):
+        for name in ("offsets", "instance_ids", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("min_size,max_size", SIZE_RANGES)
+    def test_one_call_draw_matches_draw_per_bag(self, min_size, max_size):
+        """All sizes come from one draw, and give the bags that one draw
+        per bag gave; a range wider than n is cut to n."""
+        instances = self.labeled(300, seed=7)
+        for n in range(1, 301):
+            hi = min(max_size, n)
+            lo = min(min_size, hi)
+            part = instances.take(np.arange(n))
+            want = make_bags_loop(part, lo, hi, seed=n)
+            self.assert_same_bags(make_bags(part, lo, hi, seed=n), want)
+
+    @pytest.mark.parametrize("min_size,max_size", SIZE_RANGES)
+    def test_one_call_draw_matches_draw_per_bag_at_scale(self, min_size, max_size):
+        instances = self.labeled(100_000, seed=8)
+        got = make_bags(instances, min_size, max_size, seed=11)
+        self.assert_same_bags(got, make_bags_loop(instances, min_size, max_size, seed=11))
 
     @given(
         st.integers(min_value=5, max_value=60),
@@ -568,6 +594,59 @@ class TestCsvDifferential:
                 load(path)
             assert str(exc.value) == f"{path}: {where}, the id of its bag summary"
 
+    @pytest.mark.parametrize("text", ["bag_id,y,n\n", "bag_id,y,n\r\n\r\n", "bag_id,y,n"])
+    def test_header_only_bag_file(self, tmp_path, text):
+        path = write(tmp_path / "bags.csv", text)
+        for load in (load_bags_csv, data._load_csv_bags):
+            with pytest.raises(FormatError) as exc:
+                load(path)
+            assert str(exc.value) == f"{path}: no bags"
+
+    INEXACT_LABELS = ["1.0", "01", " 1", "1 ", "+1", "-0"]
+
+    @pytest.mark.parametrize("label", INEXACT_LABELS)
+    def test_inexact_instance_label(self, tmp_path, label):
+        """numpy's reader reads each as 0 or 1; the fast path declines the
+        file, and the exact parse rejects it."""
+        path = write(tmp_path / "data.csv", f"f0,label\n0.5,1\n0.25,{label}\n")
+        with pytest.raises(ValueError, match="a label is not 0 or 1"):
+            data._load_plain_instances(path)
+        message = f"{path}: line 3, column 2: label must be 0 or 1, got {label!r}"
+        assert _outcome(data._load_csv_instances, path) == message
+        assert _outcome(load_instances_csv, path) == message
+
+    @pytest.mark.parametrize("label", INEXACT_LABELS)
+    def test_inexact_bag_label(self, tmp_path, label):
+        """Each bag sums to its y, but one cell is not exactly 0 or 1, so
+        both parses load the column as a feature."""
+        ones = float(label) == 1
+        text = f"bag_id,y,n\n0,{1 + ones},2\n0,0,0.5,1\n0,1,0.25,{label}\n"
+        path = write(tmp_path / "bags.csv", text)
+        plain, exact = data._load_plain_bags(path), data._load_csv_bags(path)
+        assert exact.instances.labels is None and exact.feature_dim == 2
+        _assert_same(plain, exact)
+        _assert_same(load_bags_csv(path), exact)
+
+    @pytest.mark.parametrize(
+        "text,load_plain,load_exact",
+        [
+            ("f0,label\r\n0.5,0\r\n\r\n0.25,1\r\n\r\n",
+             data._load_plain_instances, data._load_csv_instances),
+            ("bag_id,y,n\r\n0,1,2\r\n\r\n0,0,0.5,0\r\n0,1,0.25,1\r\n\r\n",
+             data._load_plain_bags, data._load_csv_bags),
+        ],
+        ids=["instances", "bags"],
+    )
+    def test_labels_with_crlf_and_blank_lines(self, tmp_path, text, load_plain, load_exact):
+        """The fast path reads the labels of such a file, as the exact
+        parse does."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("ascii"))
+        exact = load_exact(path)
+        instances = exact if isinstance(exact, Instances) else exact.instances
+        assert instances.labels.tolist() == [0, 1]
+        _assert_same(load_plain(path), exact)
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -668,7 +747,7 @@ class TestLabelColumn:
         assert loaded.instances.labels.tolist() == [1, 0, 0]
         np.testing.assert_array_equal(loaded.instances.features, [[0.5], [0.25], [0.75]])
 
-    @pytest.mark.parametrize("label", ["1.0", " 1", "1 ", "01", "+1"])
+    @pytest.mark.parametrize("label", ["1.0", " 1", "1 ", "01", "+1", "-0"])
     def test_instance_label_must_read_0_or_1(self, tmp_path, label):
         path = write(tmp_path / "data.csv", f"f0,label\n0.5,0\n\n0.5,{label}\n")
         with pytest.raises(FormatError, match="line 4, column 2: label must be 0 or 1"):
@@ -693,6 +772,56 @@ class TestWriters:
         instances = Instances(self.FEATURES, [1, 0, 1] if labeled else None)
         ids = [7, 0, 2**62] if with_ids else None
         dataset = BagDataset(instances, [0, 2, 3], [1, 1], instance_ids=ids)
+        save_bags_csv(tmp_path / "new.csv", dataset)
+        csv_write_bags(tmp_path / "ref.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @staticmethod
+    def offsets(layout, n):
+        """Bag offsets of ``n`` rows that span several blocks."""
+        block = data._BLOCK_ROWS
+        if layout == "bags-of-1":
+            return np.arange(n + 1)
+        if layout == "bag-over-a-block":
+            return np.array([0, 3, block + 20, n])
+        if layout == "bags-at-block-edges":
+            # One bag straddles the first edge, one ends at the second and
+            # the next starts there.
+            return np.array([0, block - 2, block + 3, 2 * block, 2 * block + 1, n])
+        sizes = np.random.default_rng(5).integers(1, 9, n)
+        return np.concatenate(([0], np.cumsum(sizes)[np.cumsum(sizes) < n], [n]))
+
+    def seeded(self, labeled):
+        """Features of several blocks, of many magnitudes, with the edge
+        floats around the first block edge."""
+        n = 3 * data._BLOCK_ROWS + 5
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-30, 30, (n, 2))
+        features[data._BLOCK_ROWS - 1 : data._BLOCK_ROWS + 2] = self.FEATURES
+        return Instances(features, rng.integers(0, 2, n) if labeled else None)
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_instance_csv_bytes_over_blocks(self, tmp_path, labeled):
+        instances = self.seeded(labeled)
+        save_instances_csv(tmp_path / "new.csv", instances)
+        csv_write_instances(tmp_path / "ref.csv", instances)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "layout", ["bags-of-1", "bag-over-a-block", "bags-at-block-edges", "sizes-1-8"]
+    )
+    @pytest.mark.parametrize("labeled", [True, False])
+    @pytest.mark.parametrize("with_ids", [True, False])
+    def test_bag_csv_bytes_over_blocks(self, tmp_path, layout, labeled, with_ids):
+        instances = self.seeded(labeled)
+        n = len(instances)
+        offsets = self.offsets(layout, n)
+        labels = instances.labels
+        if labels is None:  # counts the file states, with no label column
+            labels = np.random.default_rng(6).integers(0, 2, n)
+        ids = np.random.default_rng(7).integers(0, 2**63 - 1, n) if with_ids else None
+        counts = np.add.reduceat(labels, offsets[:-1])
+        dataset = BagDataset(instances, offsets, counts, instance_ids=ids)
         save_bags_csv(tmp_path / "new.csv", dataset)
         csv_write_bags(tmp_path / "ref.csv", dataset)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
