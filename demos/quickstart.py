@@ -11,9 +11,12 @@ Run from the repository root:
     python demos/quickstart.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from llpkit import (
+    Instances,
     TrainConfig,
     e_step,
     evaluate,
@@ -33,9 +36,9 @@ dataset = make_bags(instances, 1, 8, seed=42)
 sizes = dataset.sizes
 print(f"   {dataset.num_bags} bags, sizes {sizes.min()}..{sizes.max()}")
 
-# strip_labels() proves nothing below peeks at instance labels: the
-# training result is identical either way (the test suite pins this).
-blind = dataset.strip_labels()
+# Dropping the labels proves nothing below peeks at them: the training
+# result is identical either way (the test suite pins this).
+blind = replace(dataset, instances=Instances(dataset.instances.features))
 
 print("3. Training with the exact count-likelihood EM method...")
 config = TrainConfig(method="mle", max_epochs=100, seed=7)

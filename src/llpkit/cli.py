@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__, data, network, training
 from .errors import LlpError, UsageError
-from .files import write_json, write_lines
+from .files import write_csv, write_json
 
 
 def _out_path(raw, directory=False) -> Path:
@@ -209,18 +209,15 @@ def cmd_sweep(args) -> int:
     manifest["folds"] = args.folds
     write_json(out.with_name(out.name + ".manifest.json"), manifest, indent=2)
 
-    lines = ["method,bag_size,mean_accuracy,std"]
+    results = []
     for config in configs:
         for row in training.bag_size_sweep(instances, sizes, config, k=args.folds):
-            lines.append(
-                f"{config.method},{row.bag_size},{row.mean_accuracy!r},"
-                f"{row.std_accuracy!r}"
-            )
+            results.append((config.method, row.bag_size, row.mean_accuracy, row.std_accuracy))
             print(
                 f"{config.method} size {row.bag_size}: accuracy "
                 f"{row.mean_accuracy:.6f} +- {row.std_accuracy:.6f}"
             )
-    write_lines(out, lines)
+    write_csv(out, ["method", "bag_size", "mean_accuracy", "std"], list(zip(*results)))
     print(f"wrote {out}")
     return 0
 

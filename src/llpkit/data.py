@@ -26,11 +26,11 @@ label exactly ``0`` or ``1``.  Cells may be quoted as CSV quotes them.  A
 file that is printable ASCII without double quotes (plus tabs and line
 ends) is parsed by numpy's C reader; any file or cell that reader declines
 goes through the exact ``csv.reader`` parse, which accepts the same files
-and names the bad cell of a rejected one.  Parse errors name the file, the
-1-based line and the 1-based column.  Writers format rows in blocks of
-``_BLOCK_ROWS`` rows, one ``%``-format call per block, with floats in
-round-trip ``repr`` and ``\r\n`` line ends as ``csv.writer`` ends them:
-the bytes of earlier versions, which wrote one line at a time.
+and names the bad cell of a rejected one; any other error of the fast
+parse, such as a MemoryError, is raised as it is.  Parse errors name the
+file, the 1-based line and the 1-based column.  The writers pass their
+columns, and each bag's summary line, to :func:`llpkit.files.write_csv`,
+which writes the bytes ``csv.writer`` wrote in earlier versions.
 """
 
 import codecs
@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, UsageError
-from .files import write_blocks
+from .errors import FormatError, LlpError, UsageError
+from .files import write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,11 +156,6 @@ class BagDataset:
         )
         return train_set, self.instances.take(self.bag_rows(held))
 
-    def strip_labels(self) -> "BagDataset":
-        """Copy with every ground-truth label removed (leak checks)."""
-        unlabeled = Instances(self.instances.features)
-        return replace(self, instances=unlabeled)
-
 
 def generate_synthetic(
     num_instances: int,
@@ -230,6 +225,12 @@ def _loadtxt(lines, fields):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return np.loadtxt(lines, np.dtype(fields), delimiter=",", comments=None, ndmin=1)
+
+
+# What the numpy-reader parse raises when it declines a file: its own
+# ValueErrors and the reader's, warnings that _loadtxt raises as errors, and
+# the LlpErrors of checks that the exact parse repeats with a precise message.
+_DECLINES = (ValueError, Warning, LlpError)
 
 
 def _exact_labels(lines) -> bool:
@@ -312,7 +313,7 @@ def load_instances_csv(path) -> Instances:
     """Read an instance CSV; labels are parsed when the column exists."""
     try:
         return _load_plain_instances(path)
-    except Exception:  # the exact parse loads the file or names its fault
+    except _DECLINES:  # the exact parse loads the file or names its fault
         pass
     return _load_csv_instances(path)
 
@@ -358,45 +359,6 @@ def _load_csv_instances(path) -> Instances:
     return Instances(feats, labels)
 
 
-# Rows per block of written text: one block is one %-format call, so the
-# Python objects alive at once do not grow with the file.
-_BLOCK_ROWS = 4096
-
-
-def _csv_blocks(header, columns, head_rows=None, heads=None):
-    """The header line, then the CSV text of the rows in blocks of
-    ``_BLOCK_ROWS`` rows, every line ended by ``\r\n``.
-
-    Row r's cells are ``column[r]`` for each column in round-trip ``repr``,
-    or an empty cell where a column is None.  Just before row
-    ``head_rows[h]`` (ascending) comes the line of the cells ``heads[h]``."""
-    yield ",".join(header) + "\r\n"
-    if heads is None:
-        head_rows, heads = np.zeros(0, np.int64), np.zeros((0, 0), np.int64)
-    arrays = [column for column in columns if column is not None]
-    width, head_width, n = len(arrays), heads.shape[1], len(arrays[0])
-    row = ",".join("" if column is None else "%r" for column in columns) + "\r\n"
-    head = ",".join(["%r"] * head_width) + "\r\n"
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        first, last = np.searchsorted(head_rows, (lo, hi))
-        at = head_rows[first:last] - lo
-        # Row k's values follow those of the k rows and the heads before it.
-        rows = np.arange(hi - lo)
-        starts = rows * width + np.searchsorted(at, rows, "right") * head_width
-        values = np.empty((hi - lo) * width + at.size * head_width, dtype=object)
-        for c, column in enumerate(arrays):
-            values[starts + c] = column[lo:hi]
-        head_starts = at * width + np.arange(at.size) * head_width
-        for c in range(head_width):
-            values[head_starts + c] = heads[first:last, c]
-        # The rows before the block's first head, then each head and its rows.
-        bounds = np.append(at, hi - lo)
-        gaps = np.diff(bounds).tolist()
-        template = row * int(bounds[0]) + "".join([head + row * k for k in gaps])
-        yield template % tuple(values.tolist())
-
-
 def save_instances_csv(path, instances: Instances) -> None:
     """Write instances in the loadable CSV format, with labels if known."""
     if len(instances) == 0:
@@ -406,7 +368,7 @@ def save_instances_csv(path, instances: Instances) -> None:
     if instances.labels is not None:
         header.append("label")
         columns.append(instances.labels)
-    write_blocks(path, _csv_blocks(header, columns))
+    write_csv(path, header, columns)
 
 
 def make_bags(
@@ -470,9 +432,11 @@ def save_bags_csv(path, dataset: BagDataset) -> None:
     columns += list(dataset.instances.features.T)
     if dataset.instances.labels is not None:
         columns.append(dataset.instances.labels)
-    summaries = np.column_stack((bags, dataset.counts, dataset.sizes))
-    blocks = _csv_blocks(["bag_id", "y", "n"], columns, dataset.offsets[:-1], summaries)
-    write_blocks(path, blocks)
+    summaries = map(
+        "{},{},{}".format, bags.tolist(), dataset.counts.tolist(), dataset.sizes.tolist()
+    )
+    heads = dict(zip(dataset.offsets[:-1].tolist(), summaries))
+    write_csv(path, ["bag_id", "y", "n"], columns, heads)
 
 
 def _bag_members(path, rows, cells):
@@ -515,7 +479,7 @@ def load_bags_csv(path) -> BagDataset:
     """
     try:
         return _load_plain_bags(path)
-    except Exception:  # the exact parse loads the file or names its fault
+    except _DECLINES:
         pass
     return _load_csv_bags(path)
 
@@ -528,6 +492,8 @@ def _load_plain_bags(path) -> BagDataset:
         raise ValueError(f"{path}: no instance rows or ids")
     members, offsets, counts, ids = _bag_members(path, lines, lambda line: line.split(","))
     width = members[0].count(",") + 1
+    if width < 3:
+        raise ValueError(f"{path}: no feature column")
     cells = _loadtxt(
         members, [("bag", np.int64), ("id", np.int64), ("values", np.float64, (width - 2,))]
     )

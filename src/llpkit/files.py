@@ -1,9 +1,12 @@
 """The one module that writes files: every writer makes the missing parent
-directories of its path, then writes it atomically."""
+directories of its path, then writes it atomically, and every CSV goes
+through :func:`write_csv`."""
 
 import contextlib
 import json
 import os
+
+import numpy as np
 
 
 def write_atomic(path, write) -> None:
@@ -23,16 +26,39 @@ def write_atomic(path, write) -> None:
         raise
 
 
-def write_blocks(path, blocks) -> None:
-    """Write the text ``blocks`` as they are, one after another; each block
-    is whole lines already ended by ``\r\n``."""
-    write_atomic(path, lambda fh: fh.writelines(blocks))
+# Rows per block of CSV text: one block is one %-format call, so the
+# Python objects alive at once do not grow with the file.
+_BLOCK_ROWS = 4096
 
 
-def write_lines(path, lines) -> None:
-    """Write ``lines`` one at a time, each ended by ``\r\n`` as csv.writer
-    ends its rows."""
-    write_blocks(path, (f"{line}\r\n" for line in lines))
+def write_csv(path, header, columns, heads=None) -> None:
+    r"""Write the ``header`` line, then row r of ``column[r]`` for each of
+    ``columns``, every line ended by ``\r\n`` as ``csv.writer`` ends them.
+
+    A number is written as round-trip text, a string as it is and None as
+    an empty cell; a column that is None is empty on every row.  ``heads``
+    maps a row index to the text of a line written just before that row.
+    Rows are formatted ``_BLOCK_ROWS`` at a time from one row template
+    repeated over the block, one ``%``-format call per block."""
+    cells = [np.asarray(column) for column in columns if column is not None]
+    # Only an object column, such as a list holding None, can hold None.
+    cells = [np.where(np.equal(c, None), "", c) if c.dtype == object else c for c in cells]
+    n = len(cells[0])
+    lead = np.full(n, "", dtype=object)
+    if heads:
+        lead[list(heads)] = [f"{line}\r\n" for line in heads.values()]
+    cells.insert(0, lead)
+    row = "%s" + ",".join("" if column is None else "%s" for column in columns) + "\r\n"
+
+    def write(fh):
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = np.empty((min(_BLOCK_ROWS, n - lo), len(cells)), dtype=object)
+            for c, column in enumerate(cells):
+                block[:, c] = column[lo : lo + _BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+    write_atomic(path, write)
 
 
 def write_json(path, payload, indent=None) -> None:

@@ -27,17 +27,16 @@ Early stopping watches the training objective (count log-likelihood for
 wall-clock time only ever lands in the record's ``seconds`` column.
 """
 
-import itertools
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import network, objectives
 from .data import BagDataset, Instances, assign_folds, make_bags
 from .errors import NumericalError, UsageError
-from .files import write_lines
+from .files import write_csv
 
 METHODS = ("mle", "amle", "dllp", "supervised")
 
@@ -109,11 +108,10 @@ class TrainingRecord:
     metrics: "EvalMetrics | None" = None
 
     def write_csv(self, path) -> None:
-        lines = (
-            ",".join("" if cell is None else repr(cell) for cell in astuple(row))
-            for row in self.rows
-        )
-        write_lines(path, itertools.chain([",".join(RECORD_HEADER)], lines))
+        """Write the curve CSV: one row per epoch, and an empty cell for
+        a None, as :func:`llpkit.files.write_csv` writes every CSV."""
+        columns = [[getattr(row, name) for row in self.rows] for name in RECORD_HEADER]
+        write_csv(path, RECORD_HEADER, columns)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ bagging with one size drawn per call.
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,6 +71,12 @@ def through_network(features, loss):
     """``loss_fn(params)`` for :func:`check_loss_gradient`: ``loss`` on the
     network's outputs over ``features``, chained back to the parameters."""
     return lambda params: network.backward(params, features, loss)
+
+
+def strip_labels(dataset: BagDataset) -> BagDataset:
+    """A copy of ``dataset`` with every ground-truth label removed, for
+    tests that show nothing reads instance labels."""
+    return replace(dataset, instances=Instances(dataset.instances.features))
 
 
 def logit(p):

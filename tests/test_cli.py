@@ -11,6 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from helpers import strip_labels
 from llpkit import cli, data, network, objectives, training
 from llpkit.cli import main
 
@@ -60,7 +61,7 @@ def unlabeled_csv(tmp_path, instance_csv):
 def unlabeled_bags_csv(tmp_path, bag_csv):
     """The bag file without its label column."""
     path = tmp_path / "unlabeled_bags.csv"
-    data.save_bags_csv(path, data.load_bags_csv(bag_csv).strip_labels())
+    data.save_bags_csv(path, strip_labels(data.load_bags_csv(bag_csv)))
     return path
 
 
@@ -562,6 +563,33 @@ class TestSweep:
         assert content.startswith(b"method,bag_size,mean_accuracy,std\r\n")
         assert content.count(b"\r\n") == 3
         assert content.count(b"\n") == 3
+
+    def test_bytes_match_csv_writer(self, tmp_path, instance_csv, capsys, monkeypatch):
+        """sweep.csv holds the bytes csv.writer writes for its rows, with
+        the accuracies in round-trip repr."""
+        rows = []
+        sweep = training.bag_size_sweep
+
+        def recorded(instances, sizes, config, k):
+            results = sweep(instances, sizes, config, k=k)
+            rows.extend((config.method, r.bag_size, r.mean_accuracy, r.std_accuracy)
+                        for r in results)
+            return results
+
+        monkeypatch.setattr(training, "bag_size_sweep", recorded)
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--data", str(instance_csv), "--sizes", "2,4",
+            "--methods", "dllp,supervised", "--folds", "3", "--epochs", "2",
+            "--hidden", "8", "--out", str(out),
+        )
+        assert code == 0 and len(rows) == 4
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["method", "bag_size", "mean_accuracy", "std"])
+            for method, size, mean, std in rows:
+                writer.writerow([method, size, repr(mean), repr(std)])
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_mle_runs_above_bag_size_64(self, tmp_path, instance_csv, capsys):
         out = tmp_path / "r.csv"

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import csv_write_bags, csv_write_instances, make_bags_loop
-from llpkit import data
+from helpers import csv_write_bags, csv_write_instances, make_bags_loop, strip_labels
+from llpkit import data, files
 from llpkit.data import (
     BagDataset,
     Instances,
@@ -296,7 +296,7 @@ class TestBagCsv:
 
     def test_unlabeled_round_trip(self, tmp_path):
         instances = generate_synthetic(20, 2, 2.0, 0.5, seed=23)
-        dataset = make_bags(instances, 2, 4, seed=6).strip_labels()
+        dataset = strip_labels(make_bags(instances, 2, 4, seed=6))
         path = tmp_path / "bags.csv"
         save_bags_csv(path, dataset)
         loaded = load_bags_csv(path)
@@ -568,6 +568,8 @@ class TestCsvDifferential:
             "bag_id,y,n\n0,1,1\n0,7,1\n",
             # An instance row with an id and nothing after it.
             "bag_id,y,n\n0,0,1\n0,7\n",
+            # An instance row of its bag id alone.
+            "bag_id,y,n\n0,0,1\n0\n",
         ],
     )
     def test_bag_rows_without_a_feature(self, tmp_path, text):
@@ -706,7 +708,7 @@ class TestCsvDifferential:
         save_instances_csv(tmp_path / "labeled.csv", instances)
         save_instances_csv(tmp_path / "unlabeled.csv", Instances(instances.features))
         save_bags_csv(tmp_path / "bags.csv", dataset)
-        save_bags_csv(tmp_path / "stripped.csv", dataset.strip_labels())
+        save_bags_csv(tmp_path / "stripped.csv", strip_labels(dataset))
         bom = tmp_path / "bom.csv"
         bom.write_bytes(codecs.BOM_UTF8 + (tmp_path / "bags.csv").read_bytes())
         lf = tmp_path / "lf.csv"
@@ -726,6 +728,28 @@ class TestCsvDifferential:
             _assert_same(load_instances_csv(tmp_path / name), exact[name])
         for name in bag_files:
             _assert_same(load_bags_csv(tmp_path / name), exact[name])
+
+    @pytest.mark.parametrize("error", [MemoryError, TypeError])
+    def test_faults_are_not_retried(self, tmp_path, monkeypatch, error):
+        """Only a decline of the numpy reader falls back to the csv.reader
+        parse; any other error of the fast path is raised as it is."""
+        dataset = make_bags(generate_synthetic(12, 2, 2.0, 0.5, seed=9), 1, 3, seed=3)
+        save_instances_csv(tmp_path / "data.csv", dataset.instances)
+        save_bags_csv(tmp_path / "bags.csv", dataset)
+
+        def loadtxt(lines, fields):
+            raise error("from _loadtxt")
+
+        def fallback(path):
+            raise AssertionError(f"{path} took the csv.reader parse")
+
+        monkeypatch.setattr(data, "_loadtxt", loadtxt)
+        monkeypatch.setattr(data, "_load_csv_instances", fallback)
+        monkeypatch.setattr(data, "_load_csv_bags", fallback)
+        with pytest.raises(error, match="from _loadtxt"):
+            load_instances_csv(tmp_path / "data.csv")
+        with pytest.raises(error, match="from _loadtxt"):
+            load_bags_csv(tmp_path / "bags.csv")
 
 
 class TestLabelColumn:
@@ -779,7 +803,7 @@ class TestWriters:
     @staticmethod
     def offsets(layout, n):
         """Bag offsets of ``n`` rows that span several blocks."""
-        block = data._BLOCK_ROWS
+        block = files._BLOCK_ROWS
         if layout == "bags-of-1":
             return np.arange(n + 1)
         if layout == "bag-over-a-block":
@@ -794,10 +818,10 @@ class TestWriters:
     def seeded(self, labeled):
         """Features of several blocks, of many magnitudes, with the edge
         floats around the first block edge."""
-        n = 3 * data._BLOCK_ROWS + 5
+        n = 3 * files._BLOCK_ROWS + 5
         rng = np.random.default_rng(4)
         features = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-30, 30, (n, 2))
-        features[data._BLOCK_ROWS - 1 : data._BLOCK_ROWS + 2] = self.FEATURES
+        features[files._BLOCK_ROWS - 1 : files._BLOCK_ROWS + 2] = self.FEATURES
         return Instances(features, rng.integers(0, 2, n) if labeled else None)
 
     @pytest.mark.parametrize("labeled", [True, False])
@@ -864,7 +888,7 @@ class TestDomainTypes:
 
     def test_strip_labels_hides_ground_truth(self):
         instances = Instances(np.array([[0.0, 0.0], [1.0, 1.0]]), [1, 0])
-        dataset = make_bags(instances, 1, 1, seed=0).strip_labels()
+        dataset = strip_labels(make_bags(instances, 1, 1, seed=0))
         assert dataset.instances.labels is None
         # Counts survive: they are the supervision, not the labels.
         assert dataset.counts.sum() == 1

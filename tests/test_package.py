@@ -1,8 +1,9 @@
 """Package-wide guarantees: outputs are written atomically and only by
-``llpkit.files``, the package imports nothing at run time beyond numpy
-and the standard library, the README names only flags the CLI accepts,
-its library example runs, a failing property test reports its example
-under the project's pytest settings, and the output digest tool runs."""
+``llpkit.files``, which alone ends CSV lines, the package imports nothing
+at run time beyond numpy and the standard library, the README names only
+flags the CLI accepts, its library example runs, a failing property test
+reports its example under the project's pytest settings, and the output
+digest tool runs."""
 
 import argparse
 import ast
@@ -82,15 +83,20 @@ def _open_writes(call):
     return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
 
 
-def test_only_files_module_writes():
-    """``llpkit.files`` is the one module that writes files, so one policy
-    (parent directories, temp file and rename) covers every output."""
+def other_modules():
+    """(file name, syntax tree) of every ``llpkit`` module but ``files.py``."""
     package = Path(llpkit.__file__).parent
     sources = [p for p in sorted(package.glob("*.py")) if p.name != "files.py"]
     assert sources
-    writes = []
     for source in sources:
-        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+        yield source.name, ast.parse(source.read_text(encoding="utf-8"), str(source))
+
+
+def test_only_files_module_writes():
+    """``llpkit.files`` is the one module that writes files, so one policy
+    (parent directories, temp file and rename) covers every output."""
+    writes = []
+    for name, tree in other_modules():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -100,8 +106,21 @@ def test_only_files_module_writes():
                 or isinstance(func, ast.Attribute) and func.attr in WRITING_METHODS
                 or isinstance(func, ast.Name) and func.id == "open" and _open_writes(node)
             ):
-                writes.append(f"{source.name}:{node.lineno} {ast.unparse(node)}")
+                writes.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert not writes, f"write outside llpkit.files: {writes}"
+
+
+def test_only_files_module_ends_csv_lines():
+    """Only ``llpkit.files`` spells the CSV line end ``\\r\\n``: every other
+    module hands its cells to ``files.write_csv``."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in other_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "\r\n" in node.value
+    ]
+    assert not found, f"CSV line ends outside llpkit.files: {found}"
 
 
 def subcommand_flags():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import adam_step, run_em_full_batch
+from helpers import adam_step, run_em_full_batch, strip_labels
 from llpkit.data import (
     BagDataset,
     Instances,
@@ -88,7 +88,7 @@ class TestTrain:
         dataset, _ = blob_bags(n=60)
         config = quick_config(method, max_epochs=8)
         with_labels, record_full = train(dataset, config)
-        without_labels, record_blind = train(dataset.strip_labels(), config)
+        without_labels, record_blind = train(strip_labels(dataset), config)
         assert with_labels.theta.tobytes() == without_labels.theta.tobytes()
         assert [r.loss for r in record_full.rows] == [
             r.loss for r in record_blind.rows
@@ -97,7 +97,7 @@ class TestTrain:
     def test_supervised_requires_labels(self):
         dataset, _ = blob_bags(n=30)
         with pytest.raises(UsageError):
-            train(dataset.strip_labels(), quick_config("supervised"))
+            train(strip_labels(dataset), quick_config("supervised"))
 
     def test_early_stop_respects_patience(self):
         dataset, _ = blob_bags(n=40)
@@ -405,7 +405,7 @@ class TestCrossValidate:
     def test_unlabeled_bags_fail_before_the_first_fold(self, monkeypatch):
         dataset, _ = blob_bags(n=40)
         config = quick_config("mle")
-        dataset = assign_folds(dataset, 2, config.seed).strip_labels()
+        dataset = strip_labels(assign_folds(dataset, 2, config.seed))
         monkeypatch.setattr(training, "train", None)
         with pytest.raises(UsageError, match="cross-validation needs labeled bags"):
             cross_validate(dataset, config)

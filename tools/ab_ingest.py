@@ -8,19 +8,22 @@ Usage, from the root of a checkout::
 checkouts, loaded side by side as ``tools/ab_train.py`` loads them.  For
 each shape, the labeled instances of the benchmark's workload of that name
 (``perfbench/workloads.py``: its instance count, bag sizes and class
-separation) are written once by each side.  Then three steps run
+separation) are written once by each side.  Then five steps run
 alternately, the parent first in even pairs and the change first in odd
 ones:
 
-- ``bag``: the ``llpkit bag`` command, through the side's ``cli.main``;
-- ``load_bags_csv`` of the bag file that side wrote;
+- ``bag``: the ``llpkit bag`` command, through the side's ``cli.main``:
+  load, bag and write;
+- ``save_instances_csv`` of the instances, and ``save_bags_csv`` of the
+  bags ``make_bags`` makes of them with ``bag``'s sizes and seed, so the
+  writers are timed apart from the loading and bagging inside ``bag``;
+- ``load_bags_csv`` of the bag file that side's ``bag`` wrote;
 - ``load_instances_csv`` of the instance file that side wrote.
 
 A sample is the mean of as many calls as take about a quarter of a second.
 Per shape and step it prints the median seconds of each side, the parent's
 interquartile range as a share of its median, and how many pairs the
-change won; per shape, whether the two sides' instance files and bag files
-have the same bytes.
+change won; per shape, whether the two sides' files have the same bytes.
 """
 
 import argparse
@@ -41,20 +44,22 @@ SHAPES = {
     "ingest": (100_000, (1, 8), 4.0),
     "em-small-bags": (3000, (2, 4), 2.0),
 }
-STEPS = ("bag", "load_bags_csv", "load_instances_csv")
+STEPS = ("bag", "save_instances_csv", "save_bags_csv", "load_bags_csv", "load_instances_csv")
+FILES = ("train.csv", "bags.csv", "saved_train.csv", "saved_bags.csv")
 
 
 def step_calls(pkg, directory: str, shape) -> dict:
-    """The three timed steps of ``pkg`` on the shape's instances, written to
+    """The timed steps of ``pkg`` on the shape's instances, written to
     ``directory``; the first run of ``bag`` writes the bag file."""
     n, (lo, hi), sep = shape
     rng = np.random.default_rng([0, 0, 0])
     labels = (rng.random(n) < 0.5).astype(np.int64)
     features = rng.standard_normal((n, 2))
     features[:, 0] += sep * labels
-    train = os.path.join(directory, "train.csv")
-    bags = os.path.join(directory, "bags.csv")
-    pkg.data.save_instances_csv(train, pkg.data.Instances(features, labels))
+    train, bags, saved_train, saved_bags = (os.path.join(directory, f) for f in FILES)
+    instances = pkg.data.Instances(features, labels)
+    dataset = pkg.data.make_bags(instances, lo, hi, 0)
+    pkg.data.save_instances_csv(train, instances)
     cli = importlib.import_module(f"{pkg.__name__}.cli")
     argv = ["bag", "--in", train, "--min", str(lo), "--max", str(hi), "--seed", "0", "--out", bags]
 
@@ -65,6 +70,8 @@ def step_calls(pkg, directory: str, shape) -> dict:
 
     return {
         "bag": bag,
+        "save_instances_csv": lambda: pkg.data.save_instances_csv(saved_train, instances),
+        "save_bags_csv": lambda: pkg.data.save_bags_csv(saved_bags, dataset),
         "load_bags_csv": lambda: pkg.data.load_bags_csv(bags),
         "load_instances_csv": lambda: pkg.data.load_instances_csv(train),
     }
@@ -108,7 +115,7 @@ def compare(name, parent, change, directory: str, pairs: int) -> None:
         )
     files = [
         f"{file} bytes {same_bytes(*(os.path.join(d, file) for d in dirs))}"
-        for file in ("train.csv", "bags.csv")
+        for file in FILES
     ]
     print(f"{name:14s} {'  '.join(files)}", flush=True)
 
