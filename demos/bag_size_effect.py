@@ -13,7 +13,7 @@ Run from the repository root:
 
 from pathlib import Path
 
-from llpkit import TrainConfig, bag_size_sweep, generate_synthetic
+from llpkit import TrainConfig, cross_validate, generate_synthetic, sweep_datasets
 
 OUT = Path("demo_output")
 
@@ -24,18 +24,21 @@ def main():
     print("tops out near 77% accuracy here, so every point matters.\n")
     instances = generate_synthetic(960, 2, 1.5, 0.5, seed=808)
     config = TrainConfig(method="mle", max_epochs=150, seed=13)
-    rows = bag_size_sweep(instances, [2, 4, 8, 16], config, k=5)
+    sizes = [2, 4, 8, 16]
+    datasets = sweep_datasets(instances, sizes, 5, config.seed)
+    rows = [(size, cross_validate(d, config)) for size, d in zip(sizes, datasets)]
 
     print(f"{'bag size':>8}  {'accuracy':<20}")
-    for row in rows:
-        bar = "#" * int((row.mean_accuracy - 0.5) * 100)
-        print(f"{row.bag_size:>8}  {row.mean_accuracy:.4f} +- {row.std_accuracy:.4f}  {bar}")
+    for size, result in rows:
+        mean, std = result.mean_accuracy, result.std_accuracy
+        bar = "#" * int((mean - 0.5) * 100)
+        print(f"{size:>8}  {mean:.4f} +- {std:.4f}  {bar}")
 
     path = OUT / "bag_size_effect.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bag_size,mean_accuracy,std\n")
-        for row in rows:
-            fh.write(f"{row.bag_size},{row.mean_accuracy!r},{row.std_accuracy!r}\n")
+        for size, result in rows:
+            fh.write(f"{size},{result.mean_accuracy!r},{result.std_accuracy!r}\n")
     print(f"\nTable written to {path}")
 
 

@@ -19,6 +19,7 @@ from .data import (
     make_bags,
     save_bags_csv,
     save_instances_csv,
+    sweep_datasets,
 )
 from .errors import FormatError, LlpError, NumericalError, UsageError
 from .network import (
@@ -36,7 +37,6 @@ from .training import (
     EvalMetrics,
     TrainConfig,
     TrainingRecord,
-    bag_size_sweep,
     cross_validate,
     evaluate,
     train,

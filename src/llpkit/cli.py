@@ -200,8 +200,11 @@ def cmd_sweep(args) -> int:
     if not methods:
         raise UsageError("--methods is empty")
     configs = [_train_config(args, method=method) for method in methods]
-    # Before anything is written: every size must give enough bags.
-    training.check_sweep(len(instances), sizes, args.folds)
+    # Before anything is written: every size must bag and fold, and every
+    # method run on them.  The methods share the seed, so share the bagging.
+    datasets = data.sweep_datasets(instances, sizes, args.folds, configs[0].seed)
+    for config in configs:
+        training.check_cross_validate(datasets[0], config)
 
     manifest = _manifest("sweep", configs[0], args.data, {"results": out})
     manifest["sizes"] = sizes
@@ -211,12 +214,11 @@ def cmd_sweep(args) -> int:
 
     results = []
     for config in configs:
-        for row in training.bag_size_sweep(instances, sizes, config, k=args.folds):
-            results.append((config.method, row.bag_size, row.mean_accuracy, row.std_accuracy))
-            print(
-                f"{config.method} size {row.bag_size}: accuracy "
-                f"{row.mean_accuracy:.6f} +- {row.std_accuracy:.6f}"
-            )
+        for size, dataset in zip(sizes, datasets):
+            result = training.cross_validate(dataset, config)
+            mean, std = result.mean_accuracy, result.std_accuracy
+            results.append((config.method, size, mean, std))
+            print(f"{config.method} size {size}: accuracy {mean:.6f} +- {std:.6f}")
     write_csv(out, ["method", "bag_size", "mean_accuracy", "std"], list(zip(*results)))
     print(f"wrote {out}")
     return 0

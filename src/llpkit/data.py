@@ -1,4 +1,5 @@
-"""Instances and bag datasets: CSV ingestion, bagging, synthetic blobs.
+"""Instances and bag datasets: CSV ingestion, bagging, the folded datasets
+of a bag-size sweep, synthetic blobs.
 
 Supervision model: a bag is a run of consecutive instance rows annotated
 only with the number of positive labels it contains.  Ground-truth
@@ -29,8 +30,9 @@ goes through the exact ``csv.reader`` parse, which accepts the same files
 and names the bad cell of a rejected one; any other error of the fast
 parse, such as a MemoryError, is raised as it is.  Parse errors name the
 file, the 1-based line and the 1-based column.  The writers pass their
-columns, and each bag's summary line, to :func:`llpkit.files.write_csv`,
-which writes the bytes ``csv.writer`` wrote in earlier versions.
+columns, and the cells of each bag's summary row, to
+:func:`llpkit.files.write_csv`, which writes the bytes ``csv.writer``
+wrote in earlier versions; this module builds no CSV text.
 """
 
 import codecs
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, LlpError, UsageError
+from .errors import FormatError, LlpError, UsageError, check_floats
 from .files import write_csv
 
 
@@ -173,6 +175,9 @@ def generate_synthetic(
         raise UsageError("need at least 2 instances")
     if feature_dim < 1:
         raise UsageError("feature dimension must be positive")
+    check_floats(
+        num_instances * feature_dim, f"{num_instances} instances of {feature_dim} features"
+    )
     if not (np.isfinite(class_separation) and class_separation >= 0):
         raise UsageError(
             "class separation must be finite and nonnegative, got "
@@ -425,6 +430,21 @@ def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
     return replace(dataset, fold_assignment=assignment)
 
 
+def sweep_datasets(instances: Instances, sizes, k: int, seed: int) -> list[BagDataset]:
+    """``instances`` in bags of each fixed size in ``sizes``, split into
+    ``k`` folds, all with ``seed``; a size that cannot be bagged or folded
+    is a UsageError that names it."""
+    if not sizes:
+        raise UsageError("no bag sizes given")
+    datasets = []
+    for size in sizes:
+        try:
+            datasets.append(assign_folds(make_bags(instances, size, size, seed), k, seed))
+        except UsageError as exc:
+            raise UsageError(f"bag size {size}: {exc}") from exc
+    return datasets
+
+
 def save_bags_csv(path, dataset: BagDataset) -> None:
     """Write a bag CSV; the label column is kept when labels are known."""
     bags = np.arange(dataset.num_bags)
@@ -432,10 +452,7 @@ def save_bags_csv(path, dataset: BagDataset) -> None:
     columns += list(dataset.instances.features.T)
     if dataset.instances.labels is not None:
         columns.append(dataset.instances.labels)
-    summaries = map(
-        "{},{},{}".format, bags.tolist(), dataset.counts.tolist(), dataset.sizes.tolist()
-    )
-    heads = dict(zip(dataset.offsets[:-1].tolist(), summaries))
+    heads = (dataset.offsets[:-1], [bags, dataset.counts, dataset.sizes])
     write_csv(path, ["bag_id", "y", "n"], columns, heads)
 
 

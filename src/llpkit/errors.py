@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one check that raises one."""
+
+import numpy as np
 
 
 class LlpError(Exception):
@@ -15,3 +17,10 @@ class FormatError(UsageError):
 
 class NumericalError(LlpError):
     """A computation produced a non-finite quantity."""
+
+
+def check_floats(entries: int, what: str) -> None:
+    """Raise UsageError if ``what``, ``entries`` float64 values, is more than
+    numpy makes one array of: its size in bytes must fit in ``np.intp``."""
+    if entries > np.iinfo(np.intp).max // 8:
+        raise UsageError(f"{what} would need {entries} floats, more than one array holds")

@@ -37,16 +37,20 @@ def write_csv(path, header, columns, heads=None) -> None:
 
     A number is written as round-trip text, a string as it is and None as
     an empty cell; a column that is None is empty on every row.  ``heads``
-    maps a row index to the text of a line written just before that row.
-    Rows are formatted ``_BLOCK_ROWS`` at a time from one row template
-    repeated over the block, one ``%``-format call per block."""
+    is a pair ``(rows, head_columns)`` of integer columns: just before row
+    ``rows[j]`` goes a line of cell j of each head column.  Rows are
+    formatted ``_BLOCK_ROWS`` at a time from one row template repeated over
+    the block, one ``%``-format call per block, and the head lines in one."""
     cells = [np.asarray(column) for column in columns if column is not None]
     # Only an object column, such as a list holding None, can hold None.
     cells = [np.where(np.equal(c, None), "", c) if c.dtype == object else c for c in cells]
     n = len(cells[0])
     lead = np.full(n, "", dtype=object)
-    if heads:
-        lead[list(heads)] = [f"{line}\r\n" for line in heads.values()]
+    if heads is not None:
+        rows, head_columns = heads
+        values = np.column_stack(head_columns).ravel().tolist()
+        template = ",".join(["%s"] * len(head_columns)) + "\r\n"
+        lead[rows] = (template * len(rows) % tuple(values)).splitlines(keepends=True)
     cells.insert(0, lead)
     row = "%s" + ",".join("" if column is None else "%s" for column in columns) + "\r\n"
 

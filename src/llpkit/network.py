@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import FormatError, NumericalError, UsageError
+from .errors import FormatError, NumericalError, UsageError, check_floats
 from .files import write_json
 
 CHECKPOINT_FORMAT = "llpkit-checkpoint"
@@ -68,7 +68,7 @@ class ClassifierParams:
     def __post_init__(self):
         sizes = tuple(int(w) for w in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
-        _validate_sizes(sizes)
+        check_layer_sizes(sizes)
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.shape != (param_count(sizes),):
             raise UsageError(
@@ -87,13 +87,16 @@ class ClassifierParams:
         return ClassifierParams(self.layer_sizes, theta)
 
 
-def _validate_sizes(layer_sizes) -> None:
+def check_layer_sizes(layer_sizes) -> None:
+    """Raise UsageError unless :func:`init_params` can make ``layer_sizes``:
+    two or more layers, none empty, a width-1 output, one array of weights."""
     if len(layer_sizes) < 2:
         raise UsageError("architecture needs at least an input and an output layer")
     if any(w < 1 for w in layer_sizes):
         raise UsageError(f"zero-width layer in architecture {tuple(layer_sizes)}")
     if layer_sizes[-1] != 1:
         raise UsageError("output layer must have width 1")
+    check_floats(param_count(layer_sizes), f"architecture {tuple(layer_sizes)}")
 
 
 @cache
@@ -122,7 +125,7 @@ def param_count(layer_sizes) -> int:
 def init_params(layer_sizes, seed: int) -> ClassifierParams:
     """Zero-mean weights scaled by 1/sqrt(fan_in), zero biases."""
     sizes = tuple(int(w) for w in layer_sizes)
-    _validate_sizes(sizes)
+    check_layer_sizes(sizes)
     rng = np.random.default_rng(seed)
     theta = np.zeros(param_count(sizes))
     for w, _, (fan_in, fan_out) in _layers(sizes):

@@ -1,4 +1,4 @@
-"""Epoch loop, cross-validation, and the bag-size sweep.
+"""Epoch loop and cross-validation.
 
 One :func:`train` call drives any of the four objectives:
 
@@ -25,6 +25,9 @@ Early stopping watches the training objective (count log-likelihood for
 ``patience`` consecutive epochs without a relative improvement above
 ``rel_tol``.  Everything is deterministic given (dataset, config, seed);
 wall-clock time only ever lands in the record's ``seconds`` column.
+
+A bag-size sweep is one :func:`cross_validate` per dataset that
+:func:`llpkit.data.sweep_datasets` returns.
 """
 
 import math
@@ -34,7 +37,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import network, objectives
-from .data import BagDataset, Instances, assign_folds, make_bags
+from .data import BagDataset, Instances
 from .errors import NumericalError, UsageError
 from .files import write_csv
 
@@ -294,6 +297,7 @@ def check_train(
     """Raise UsageError unless :func:`train` can run ``config`` on
     ``dataset`` and score ``eval_instances``, so that a run fails before
     its first epoch."""
+    network.check_layer_sizes((dataset.feature_dim, *config.hidden_widths, 1))
     if config.method == "supervised" and dataset.instances.labels is None:
         raise UsageError("supervised training requires instance labels")
     if eval_instances is not None:
@@ -358,46 +362,3 @@ def cross_validate(dataset: BagDataset, config: TrainConfig) -> CrossValResult:
     mean = float(np.mean(accuracies))
     std = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
     return CrossValResult(folds=results, mean_accuracy=mean, std_accuracy=std)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    bag_size: int
-    mean_accuracy: float
-    std_accuracy: float
-
-
-def check_sweep(num_instances: int, sizes, k: int) -> None:
-    """Raise UsageError unless ``k``-fold cross-validation can run at every
-    bag size, so that a sweep fails before its first fit."""
-    if not sizes:
-        raise UsageError("no bag sizes given")
-    if k < 2:
-        raise UsageError(f"need at least 2 folds, got {k}")
-    for size in sizes:
-        if size < 1:
-            raise UsageError(f"bag size must be positive, got {size}")
-        available = num_instances // size
-        if available < k:
-            raise UsageError(
-                f"bag size {size}: only {available} bags from "
-                f"{num_instances} instances, need at least {k} for "
-                f"{k}-fold cross-validation"
-            )
-
-
-def bag_size_sweep(
-    instances: Instances, sizes, config: TrainConfig, k: int = 10
-) -> list[SweepRow]:
-    """Rebag at each fixed size and cross-validate.
-
-    Every size uses the same instances and seed, so rows differ only in
-    how much the bag structure dilutes the supervision.
-    """
-    check_sweep(len(instances), sizes, k)
-    rows = []
-    for size in sizes:
-        bagged = make_bags(instances, size, size, config.seed)
-        result = cross_validate(assign_folds(bagged, k, config.seed), config)
-        rows.append(SweepRow(size, result.mean_accuracy, result.std_accuracy))
-    return rows

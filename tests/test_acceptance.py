@@ -28,12 +28,12 @@ from llpkit.data import (
     assign_folds,
     generate_synthetic,
     make_bags,
+    sweep_datasets,
 )
 from llpkit.network import init_params
 from llpkit.poisson_binomial import bag_log_likelihood, instance_posteriors
 from llpkit.training import (
     TrainConfig,
-    bag_size_sweep,
     cross_validate,
     evaluate,
     train,
@@ -239,15 +239,17 @@ def test_criterion_07_epoch_efficiency(convergence_runs):
 def test_criterion_08_bag_size_degradation():
     instances = generate_synthetic(1600, 2, 1.5, 0.5, seed=808)
     config = TrainConfig(method="mle", max_epochs=200, seed=13)
-    rows = bag_size_sweep(instances, [2, 4, 8, 16], config, k=10)
+    sizes = [2, 4, 8, 16]
+    datasets = sweep_datasets(instances, sizes, 10, config.seed)
+    rows = list(zip(sizes, (cross_validate(d, config) for d in datasets)))
     details = []
     ok = True
-    for a, b in zip(rows, rows[1:]):
+    for (size_a, a), (size_b, b) in zip(rows, rows[1:]):
         pooled = float(np.sqrt((a.std_accuracy**2 + b.std_accuracy**2) / 2.0))
         step_ok = b.mean_accuracy <= a.mean_accuracy + pooled
         ok = ok and step_ok
         details.append(
-            f"{a.bag_size}->{b.bag_size}: "
+            f"{size_a}->{size_b}: "
             f"{b.mean_accuracy - a.mean_accuracy:+.4f} vs {pooled:.4f}"
         )
     report(

@@ -111,6 +111,11 @@ class TestSynth:
             ("--sep", "-1", "class separation"),
             ("--sep", "nan", "class separation"),
             ("--sep", "inf", "class separation"),
+            # numpy refuses these arrays before it allocates anything.
+            ("--n", "99999999999999999999",
+             "99999999999999999999 instances of 2 features would need"),
+            ("--dim", "99999999999999999999",
+             "10 instances of 99999999999999999999 features would need"),
         ]:
             code, stdout, err = run(
                 capsys, "synth", "--n", "10", flag, value,
@@ -368,6 +373,30 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error: hidden layer widths")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--hidden", "99999999999999999999"],
+            ["--folds", "3", "--hidden", "99999999999999999999"],
+            ["--hidden", "4294967296,4294967296"],
+        ],
+        ids=["huge-width", "huge-width-folds", "huge-product"],
+    )
+    def test_oversized_network_writes_nothing(self, tmp_path, bag_csv, capsys, flags):
+        # numpy refuses the parameter vector before it allocates anything.
+        out_dir = tmp_path / "run"
+        code, stdout, err = run(
+            capsys, "train", "--method", "amle", "--bags", str(bag_csv), *flags,
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: architecture (2, ")
+        assert "would need" in lines[0]
+        assert not out_dir.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_diverging_fit_is_a_numerical_error(self, tmp_path, bag_csv, capsys):
         code, _, err = run(
@@ -568,15 +597,15 @@ class TestSweep:
         """sweep.csv holds the bytes csv.writer writes for its rows, with
         the accuracies in round-trip repr."""
         rows = []
-        sweep = training.bag_size_sweep
+        cross_validate = training.cross_validate
 
-        def recorded(instances, sizes, config, k):
-            results = sweep(instances, sizes, config, k=k)
-            rows.extend((config.method, r.bag_size, r.mean_accuracy, r.std_accuracy)
-                        for r in results)
-            return results
+        def recorded(dataset, config):
+            result = cross_validate(dataset, config)
+            size = int(dataset.sizes[0])
+            rows.append((config.method, size, result.mean_accuracy, result.std_accuracy))
+            return result
 
-        monkeypatch.setattr(training, "bag_size_sweep", recorded)
+        monkeypatch.setattr(training, "cross_validate", recorded)
         out = tmp_path / "sweep.csv"
         code, _, _ = run(
             capsys, "sweep", "--data", str(instance_csv), "--sizes", "2,4",
@@ -590,6 +619,24 @@ class TestSweep:
             for method, size, mean, std in rows:
                 writer.writerow([method, size, repr(mean), repr(std)])
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_each_size_is_bagged_once(self, tmp_path, instance_csv, capsys, monkeypatch):
+        """Every method of a sweep shares its seed, and so its bags."""
+        sizes = []
+        make_bags = data.make_bags
+
+        def counted(instances, min_size, max_size, seed):
+            sizes.append(min_size)
+            return make_bags(instances, min_size, max_size, seed)
+
+        monkeypatch.setattr(data, "make_bags", counted)
+        code, _, _ = run(
+            capsys, "sweep", "--data", str(instance_csv), "--sizes", "2,4",
+            "--methods", "dllp,supervised", "--folds", "3", "--epochs", "1",
+            "--hidden", "4", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert sizes == [2, 4]
 
     def test_mle_runs_above_bag_size_64(self, tmp_path, instance_csv, capsys):
         out = tmp_path / "r.csv"
@@ -614,17 +661,20 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            ({"--sizes": "2,1000"}, "bag size 1000: only 0 bags"),
-            ({"--folds": "1"}, "need at least 2 folds, got 1"),
+            ({"--sizes": "2,1000"},
+             "bag size 1000: need 1 <= min_size <= max_size <= 300, got [1000, 1000]"),
+            ({"--folds": "1"}, "bag size 2: need at least 2 folds, got 1"),
             ({"--sizes": ","}, "--sizes is empty"),
             ({"--hidden": "3,x"}, "--hidden expects a comma-separated integer list"),
             ({"--methods": ","}, "--methods is empty"),
             ({"--methods": "dllp,gan"}, "unknown method 'gan'"),
             ({"--data": "unlabeled.csv"}, "{data} has no label column"),
+            ({"--hidden": "99999999999999999999"},
+             "architecture (2, 99999999999999999999, 1) would need"),
         ],
         ids=[
             "size-too-large", "one-fold", "no-sizes", "bad-hidden", "no-methods",
-            "unknown-method", "unlabeled",
+            "unknown-method", "unlabeled", "huge-hidden",
         ],
     )
     def test_invalid_sweep_writes_nothing(

@@ -192,7 +192,8 @@ def test_failing_property_test_prints_its_example(tmp_path):
 
 def test_cli_digest_hashes_every_written_file(tmp_path):
     """tools/cli_digest.py, which byte-identity claims rest on, prints one
-    SHA-256 per file that its commands write."""
+    SHA-256 per file that its commands write, then one line per failing
+    command: exit 2, nothing written, one ``error:`` line."""
     env = dict(os.environ)
     src = str(Path(llpkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -201,8 +202,12 @@ def test_cli_digest_hashes_every_written_file(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
+    *lines, fold, size, hidden = result.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines), lines
+    for failed in (fold, size, hidden):
+        outcome = failed.split(": ", 1)[1]
+        assert outcome.startswith("exit 2, wrote nothing, stderr 'error: "), failed
+        assert outcome.endswith("\\n'") and outcome.count("\\n") == 1, failed
     runs = ("mle", "amle", "dllp", "supervised")
     expected = {
         "data.csv", "heldout.csv", "bags.csv", "sweep.csv", "sweep.csv.manifest.json",

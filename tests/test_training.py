@@ -13,6 +13,7 @@ from llpkit.data import (
     assign_folds,
     generate_synthetic,
     make_bags,
+    sweep_datasets,
 )
 from llpkit import network, objectives, training
 from llpkit.errors import NumericalError, UsageError
@@ -23,8 +24,6 @@ from llpkit.training import (
     EpochRow,
     TrainConfig,
     TrainingRecord,
-    bag_size_sweep,
-    check_sweep,
     cross_validate,
     evaluate,
     train,
@@ -417,32 +416,38 @@ class TestCrossValidate:
 
 
 class TestBagSizeSweep:
+    """A sweep is cross_validate on each dataset of sweep_datasets."""
+
     def test_row_per_size(self):
         instances = generate_synthetic(120, 2, 4.0, 0.5, seed=61)
-        rows = bag_size_sweep(
-            instances, [2, 4], quick_config("dllp", max_epochs=3), k=3
-        )
-        assert [row.bag_size for row in rows] == [2, 4]
+        datasets = sweep_datasets(instances, [2, 4], 3, seed=1)
+        assert [np.unique(d.sizes).tolist() for d in datasets] == [[2], [4]]
+        assert [set(d.fold_assignment.values()) for d in datasets] == [{0, 1, 2}] * 2
+        config = quick_config("dllp", max_epochs=3)
+        results = [cross_validate(d, config) for d in datasets]
+        assert [len(r.folds) for r in results] == [3, 3]
 
     def test_insufficient_instances_names_the_size(self):
         instances = generate_synthetic(30, 2, 4.0, 0.5, seed=62)
-        with pytest.raises(UsageError, match="bag size 16"):
-            bag_size_sweep(instances, [16], quick_config("dllp"), k=10)
+        with pytest.raises(UsageError, match="bag size 16: cannot split 1 bags"):
+            sweep_datasets(instances, [16], 10, seed=1)
 
     def test_sizes_must_be_given_and_positive(self):
+        instances = generate_synthetic(30, 2, 4.0, 0.5, seed=62)
         with pytest.raises(UsageError, match="no bag sizes given"):
-            check_sweep(30, [], 3)
-        with pytest.raises(UsageError, match="bag size must be positive, got 0"):
-            check_sweep(30, [2, 0], 3)
+            sweep_datasets(instances, [], 3, seed=1)
+        with pytest.raises(UsageError, match=r"bag size 0: need 1 <= min_size"):
+            sweep_datasets(instances, [2, 0], 3, seed=1)
 
     def test_singleton_bags_match_supervised(self):
         instances = generate_synthetic(240, 2, 4.0, 0.5, seed=63)
+        (dataset,) = sweep_datasets(instances, [1], 3, seed=1)
         config = quick_config("mle", max_epochs=40, patience=40)
-        rows = bag_size_sweep(instances, [1], config, k=3)
-        supervised = bag_size_sweep(
-            instances, [1], quick_config("supervised", max_epochs=40, patience=40), k=3
+        mle = cross_validate(dataset, config)
+        supervised = cross_validate(
+            dataset, quick_config("supervised", max_epochs=40, patience=40)
         )
-        assert abs(rows[0].mean_accuracy - supervised[0].mean_accuracy) <= 0.02
+        assert abs(mle.mean_accuracy - supervised.mean_accuracy) <= 0.02
 
 
 class TestFullBatchEm:

@@ -5,8 +5,10 @@ The commands run in process, in a temporary directory, on relative paths:
 --eval`` for every method, ``train --folds 3``, ``eval`` of each
 checkpoint, and ``sweep`` at bag sizes 2, 4 and 16.  Curve files are
 hashed without their wall-clock ``seconds`` column; every other file is
-hashed as written.  Two checkouts that print the same lines wrote
-byte-identical outputs.
+hashed as written.  Then it runs a fixed set of commands that must fail
+and prints, for each, its exit code (or the exception it raised), the
+files it wrote and its stderr.  Two checkouts that print the same lines
+wrote byte-identical outputs and failed alike.
 
 Run it against the checkout whose ``src`` is on the path, e.g.::
 
@@ -55,6 +57,32 @@ def commands():
            *TRAIN_FLAGS]
 
 
+def failing_commands():
+    yield ["sweep", "--data", "data.csv", "--sizes", "2", "--methods", "dllp",
+           "--folds", "1", "--out", "failed/sweep.csv"]
+    yield ["sweep", "--data", "data.csv", "--sizes", "2,1000", "--methods", "dllp",
+           "--folds", "3", "--out", "failed/sweep.csv"]
+    yield ["train", "--method", "dllp", "--bags", "bags.csv",
+           "--hidden", "99999999999999999999", "--out", "failed/train"]
+
+
+def files() -> set[str]:
+    return {p.as_posix() for p in Path(".").rglob("*") if p.is_file()}
+
+
+def run_failing(argv) -> str:
+    """One line: the command, how it ended, what it wrote, its stderr."""
+    before = files()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            outcome = f"exit {main(argv)}"
+        except Exception as exc:  # an uncaught error is a finding, not a crash
+            outcome = f"raised {type(exc).__name__}: {exc}"
+    written = sorted(files() - before) or "nothing"
+    return f"{' '.join(argv)}: {outcome}, wrote {written}, stderr {err.getvalue()!r}"
+
+
 def digest(path: Path) -> str:
     content = path.read_bytes()
     if path.name.startswith("curve"):
@@ -77,8 +105,10 @@ def run() -> None:
                     code = main(argv)
                 if code != 0:
                     raise SystemExit(f"llpkit {' '.join(argv)} exited {code}")
-            for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
-                print(digest(path), path.as_posix())
+            for path in sorted(files()):
+                print(digest(Path(path)), path)
+            for argv in failing_commands():
+                print(run_failing(argv))
         finally:
             os.chdir(home)
 
