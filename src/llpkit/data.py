@@ -40,11 +40,13 @@ import csv
 import itertools
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, LlpError, UsageError, check_floats
 from .files import write_csv
+from .poisson_binomial import PosteriorPlan
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +133,12 @@ class BagDataset:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @cached_property
+    def posterior_plan(self) -> PosteriorPlan:
+        """The E-step's grouping of these bags, built from their sizes and
+        counts at the first E-step and reused by every later one."""
+        return PosteriorPlan(self.sizes, self.counts)
 
     def bag_rows(self, bags) -> np.ndarray:
         """Row indices of the given bags, bag after bag in the given order."""

@@ -16,10 +16,13 @@ layer is multiplied alike.  The pad rows are cut off the outputs.
 :func:`forward` streams the batch through the network in chunks of whole
 blocks, so a pass allocates memory in proportion to the widest layer, not
 to the batch, and the blocks and their outputs are the same as in one pass
-over the whole batch.  The backward pass uses the batch's rows of each
-stored activation in plain BLAS products, and a broadcast product for a
-width-1 layer; gradients promise no row invariance, and the same batch
-shape gives the same sums, so reruns stay byte-identical.
+over the whole batch.  What does not depend on the rows, the weight views,
+the floating-point error state and the check for a non-finite output, it
+does once per pass, not once per chunk.  The backward pass uses the
+batch's rows of each stored activation in plain BLAS products, and a
+broadcast product for a width-1 layer; gradients promise no row
+invariance, and the same batch shape gives the same sums, so reruns stay
+byte-identical.
 
 Parameters live in one flat float64 vector with layout
 ``W0, b0, W1, b1, ...`` where each weight matrix is stored row-major with
@@ -152,20 +155,30 @@ def _check_batch(params: ClassifierParams, batch) -> np.ndarray:
     return batch
 
 
-def _forward_trace(params: ClassifierParams, batch: np.ndarray):
+def _weights(params: ClassifierParams):
+    """(weight matrix, bias vector) per layer, as views into ``theta``."""
+    theta = params.theta
+    return [
+        (theta[w].reshape(fan_in, fan_out), theta[b])
+        for w, b, (fan_in, fan_out) in _layers(params.layer_sizes)
+    ]
+
+
+def _forward_trace(weights, batch: np.ndarray):
     """Run the network, keeping each layer's activations for the backward pass.
 
-    The batch is padded once to whole blocks of ``BLOCK_ROWS`` rows, as one
-    C-ordered copy (or taken as it is when it already is that), and each
-    layer is one matmul over its ``(blocks, BLOCK_ROWS, fan_in)`` view.  The
-    activations keep the pad rows; only the first ``len(batch)`` rows of
-    each belong to the batch.  A rectifier writes over its input: its output
-    is positive exactly where the input was, which is all backward needs.
+    ``weights`` is :func:`_weights` of the parameters.  The batch is padded
+    once to whole blocks of ``BLOCK_ROWS`` rows, as one C-ordered copy (or
+    taken as it is when it already is that), and each layer is one matmul
+    over its ``(blocks, BLOCK_ROWS, fan_in)`` view.  The activations keep
+    the pad rows; only the first ``len(batch)`` rows of each belong to the
+    batch.  A rectifier writes over its input: its output is positive
+    exactly where the input was, which is all backward needs.
 
-    Raises NumericalError when an output is not finite; overflow on the
-    way there is not warned about, since the result is reported anyway.
+    The caller ignores overflow and invalid-value warnings around the call,
+    since a non-finite output is reported anyway, and checks the outputs
+    with :func:`_check_outputs`.
     """
-    theta = params.theta
     n = len(batch)
     blocks = -(-n // BLOCK_ROWS)
     a = batch
@@ -173,30 +186,32 @@ def _forward_trace(params: ClassifierParams, batch: np.ndarray):
         a = np.zeros((blocks * BLOCK_ROWS, batch.shape[1]))
         a[:n] = batch
     activations = [a]
-    last = len(params.layer_sizes) - 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx, (w, b, (fan_in, fan_out)) in enumerate(_layers(params.layer_sizes)):
-            z = np.matmul(
-                a.reshape(blocks, BLOCK_ROWS, fan_in),
-                theta[w].reshape(fan_in, fan_out),
-            ).reshape(-1, fan_out)
-            z += theta[b]
-            a = _sigmoid(z) if idx == last else np.maximum(z, 0.0, out=z)
-            activations.append(a)
-    probs = a[:n, 0]
+    last = len(weights) - 1
+    for idx, (weight, bias) in enumerate(weights):
+        fan_in, fan_out = weight.shape
+        z = np.matmul(a.reshape(blocks, BLOCK_ROWS, fan_in), weight).reshape(-1, fan_out)
+        z += bias
+        a = _sigmoid(z) if idx == last else np.maximum(z, 0.0, out=z)
+        activations.append(a)
+    return a[:n, 0], activations
+
+
+def _check_outputs(probs: np.ndarray) -> None:
     if not np.isfinite(probs).all():
         raise NumericalError("network output is not finite")
-    return probs, activations
 
 
 def forward(params: ClassifierParams, batch) -> np.ndarray:
     """Positive-class probability per batch row, each strictly in (0, 1)
     up to float64 saturation.  Raises NumericalError if one is not finite."""
     batch = _check_batch(params, batch)
+    weights = _weights(params)
     chunk = _chunk_rows(params.layer_sizes)
     probs = np.empty(len(batch))
-    for lo in range(0, len(batch), chunk):
-        probs[lo : lo + chunk] = _forward_trace(params, batch[lo : lo + chunk])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(batch), chunk):
+            probs[lo : lo + chunk] = _forward_trace(weights, batch[lo : lo + chunk])[0]
+    _check_outputs(probs)
     return probs
 
 
@@ -210,7 +225,10 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
     """
     batch = _check_batch(params, batch)
     n = len(batch)
-    probs, activations = _forward_trace(params, batch)
+    weights = _weights(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, activations = _forward_trace(weights, batch)
+    _check_outputs(probs)
     value, g = loss(probs)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != probs.shape:
@@ -218,22 +236,21 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
             f"loss gradient has shape {g.shape}, expected {probs.shape}"
         )
 
-    theta = params.theta
-    grad = np.empty_like(theta)
+    grad = np.empty_like(params.theta)
     layers = _layers(params.layer_sizes)
     with np.errstate(over="ignore", invalid="ignore"):
         # Sigmoid output layer: dz = dLoss/dprob * prob * (1 - prob).
         dz = (g * probs * (1.0 - probs))[:, None]
         for idx in range(len(layers) - 1, -1, -1):
-            w, b, (fan_in, fan_out) = layers[idx]
+            w, b, _ = layers[idx]
             grad[w] = (activations[idx][:n].T @ dz).reshape(-1)
             grad[b] = dz.sum(axis=0)
             if idx > 0:
                 # A width-1 layer's product has one term per entry, so the
                 # broadcast gives BLAS's bits, bar a zero's sign, which the
                 # sums into the gradient drop.
-                weight = theta[w].reshape(fan_in, fan_out).T
-                dz = dz * weight if fan_out == 1 else dz @ weight
+                weight = weights[idx][0].T
+                dz = dz * weight if weight.shape[0] == 1 else dz @ weight
                 dz *= activations[idx][:n] > 0.0
     return value, grad
 

@@ -5,8 +5,8 @@ Four ways to train the instance classifier:
 * count-likelihood EM ("mle"): maximize the exact Poisson binomial
   likelihood of the observed counts by alternating a posterior update
   (:func:`e_step`) with cross-entropy epochs against the resulting soft
-  targets (:func:`m_step_loss`).  One network pass and one batched
-  product-tree kernel give both the targets and the dataset's count
+  targets (:func:`m_step_loss`).  One network pass and one run of the
+  batched product-tree kernel give both the targets and the dataset's count
   log-likelihood at the same parameters, so the trainer, which refreshes
   targets after every epoch, gets that epoch's log-likelihood with them;
 * normal approximation ("amle"): replace the count likelihood with a
@@ -33,7 +33,7 @@ import numpy as np
 from . import network
 from .data import BagDataset
 from .errors import NumericalError, UsageError
-from .poisson_binomial import CLAMP_EPS, _clamp, batch_posteriors
+from .poisson_binomial import CLAMP_EPS, _clamp
 
 # Floor for the approximate bag-count variance: the Gaussian objective
 # divides by it and takes its log, both unbounded as predictions saturate.
@@ -57,12 +57,13 @@ def e_step(params, dataset: BagDataset) -> EmState:
     dataset's count log-likelihood.
 
     Runs the classifier once over the whole dataset, then conditions every
-    bag's Bernoulli field on its count in one :func:`batch_posteriors`
-    call.  Raises NumericalError naming the first bag whose posteriors or
-    log-likelihood are not finite.
+    bag's Bernoulli field on its count in one run of the dataset's
+    :class:`~llpkit.poisson_binomial.PosteriorPlan`, which the first
+    E-step on the dataset builds.  Raises NumericalError naming the first
+    bag whose posteriors or log-likelihood are not finite.
     """
     probs = _clamp(network.forward(params, dataset.instances.features))
-    phi, log_pb = batch_posteriors(probs, dataset.sizes, dataset.counts)
+    phi, log_pb = dataset.posterior_plan.run(probs)
     finite = np.isfinite(log_pb) & np.logical_and.reduceat(
         np.isfinite(phi), dataset.offsets[:-1]
     )

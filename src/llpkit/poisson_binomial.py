@@ -23,11 +23,19 @@ sum to its count.
 :func:`instance_posteriors` and :func:`bag_log_likelihood` are its one-bag
 forms.
 
+How bags are grouped, padded and chunked follows from their sizes and
+counts alone.  A :class:`PosteriorPlan` holds it, so that the E-step
+builds it once per dataset and runs it on each new probability vector;
+:func:`batch_posteriors` builds one and runs it once.  Only bags of more
+than 43 instances can need a tilt, so a run computes no other floors.
+
 The one-bag forms clamp probabilities into ``[CLAMP_EPS, 1 - CLAMP_EPS]``
 so that every consistent count has strictly positive probability and logs
 stay finite; :func:`batch_posteriors` expects them clamped already and does
 not clamp.
 """
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -47,9 +55,12 @@ _TABLE_BUDGET = 1 << 17
 # count probability of a subtree or of its outside, and every product of
 # two of them, in the tree is a sum of assignment probabilities of disjoint
 # sets of instances, each at least exp(floor); this bound keeps them
-# above the smallest normal float64, exp(-708.4).  Clamped bags of up to 43
-# instances always pass.
+# above the smallest normal float64, exp(-708.4).
 _LINEAR_FLOOR = -700.0
+
+# Largest bag that passes _LINEAR_FLOOR at any clamped probabilities, 43:
+# each instance adds at least log(CLAMP_EPS) to its bag's floor.
+_ALWAYS_LINEAR = int(_LINEAR_FLOOR / math.log(CLAMP_EPS))
 
 
 def clamp_probabilities(p) -> np.ndarray:
@@ -100,71 +111,135 @@ def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
     :func:`clamp_probabilities`; ``sizes`` and ``counts`` give each bag's
     length and positive count.  Returns ``(phi, log_pb)``: ``phi[i]`` is
     P(instance i positive | its bag's count) and ``log_pb[j]`` is
-    log pb(p_j, y_j).
-
-    Bags are grouped by the power of two at or above their size and by
-    whether their floor, sum_i log min(p_i, 1 - p_i), lies below
-    ``_LINEAR_FLOOR``, and padded to that width with p = 0 instances,
-    which leave every count distribution unchanged.  Each chunk of a group
-    goes through one linear-space product tree, :func:`_tree`; a chunk
-    below the floor is first tilted by :func:`_tilt`, so that its count
-    probabilities cannot underflow.  A tree holds every level's count
-    distributions and three arrays the size of the widest level, at most
-    width * (log2 width + 9) floats per bag; chunks are sized by that bound
-    to fit a fixed float budget, and a bag is never split.  A bag's results
-    are bit-identical whichever bags share its chunk: see :func:`_tree`.
-
-    A result that is not finite is returned as is; callers that need
-    finite values check for it.
+    log pb(p_j, y_j).  The same as ``PosteriorPlan(sizes, counts).run(probs)``.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if probs.ndim != 1 or sizes.ndim != 1 or sizes.shape != counts.shape:
-        raise UsageError(
-            "probabilities, sizes and counts must be 1-d, one size per count"
-        )
-    if sizes.size and sizes.min() < 0:
-        raise UsageError("bag sizes must be nonnegative")
-    if int(sizes.sum()) != probs.size:
-        raise UsageError(
-            f"bag sizes cover {int(sizes.sum())} of {probs.size} probabilities"
-        )
-    bad = np.flatnonzero((counts < 0) | (counts > sizes))
-    if bad.size:
-        j = int(bad[0])
-        raise UsageError(f"bag {j}: positive count {counts[j]} outside [0, {sizes[j]}]")
+    return PosteriorPlan(sizes, counts).run(probs)
 
-    phi = np.empty(probs.size)
-    log_pb = np.empty(sizes.size)
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    widths = 1 << np.ceil(np.log2(np.maximum(sizes, 1))).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        floor = np.bincount(
-            np.repeat(np.arange(sizes.size), sizes),
-            weights=np.minimum(np.log(probs), np.log1p(-probs)),
-            minlength=sizes.size,
-        )
-        # A NaN floor (NaN input) counts as below.
-        below = ~(floor >= _LINEAR_FLOOR)
-        for width, tilt in sorted(set(zip(widths.tolist(), below.tolist()))):
-            members = np.flatnonzero((widths == width) & (below == tilt))
-            per_chunk = max(1, _TABLE_BUDGET // (width * (width.bit_length() - 1 + 9)))
+
+class PosteriorPlan:
+    """What :func:`batch_posteriors` derives from bag sizes and counts
+    alone, built once and run on any number of probability vectors.
+
+    Bags are grouped by the power of two at or above their size and
+    padded to that width with p = 0 instances, which leave every count
+    distribution unchanged.  Each chunk of a group goes through one
+    linear-space product tree, :func:`_tree`.  A tree holds every level's
+    count distributions and three arrays the size of the widest level, at
+    most width * (log2 width + 9) floats per bag; chunks are sized by that
+    bound to fit a fixed float budget, and a bag is never split.  A bag's
+    results are bit-identical whichever bags share its chunk: see
+    :func:`_tree`.
+
+    A bag whose floor, sum_i log min(p_i, 1 - p_i), lies below
+    ``_LINEAR_FLOOR`` is tilted by :func:`_tilt` before its tree, so that
+    its count probabilities cannot underflow.  A clamped bag of at most
+    ``_ALWAYS_LINEAR`` instances never is, so a group of such bags is
+    chunked here, once.  A group with a larger bag is split by the floors
+    of its larger bags, computed over their instances only, and chunked
+    on every run.
+
+    Raises UsageError unless sizes and counts are 1-d, one per bag, with
+    sizes nonnegative and every count in [0, size].
+    """
+
+    def __init__(self, sizes, counts):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if sizes.ndim != 1 or sizes.shape != counts.shape:
+            raise UsageError(
+                "probabilities, sizes and counts must be 1-d, one size per count"
+            )
+        if sizes.size and sizes.min() < 0:
+            raise UsageError("bag sizes must be nonnegative")
+        bad = np.flatnonzero((counts < 0) | (counts > sizes))
+        if bad.size:
+            j = int(bad[0])
+            raise UsageError(
+                f"bag {j}: positive count {counts[j]} outside [0, {sizes[j]}]"
+            )
+        self.sizes, self.counts = sizes, counts
+        self.num_instances = int(sizes.sum())
+        offsets = np.cumsum(sizes) - sizes
+        widths = 1 << np.ceil(np.log2(np.maximum(sizes, 1))).astype(np.int64)
+        # Chunks of the groups that are never tilted, and (members, gather)
+        # of the groups that every run splits by their floors.  A chunk is
+        # (bags, gather): gather[k, c] is the row of probs at column c of
+        # bag k, or num_instances for a pad column.
+        self.linear, self.split = [], []
+        for width in sorted(set(widths.tolist())):
+            members = np.flatnonzero(widths == width)
             cols = np.arange(width)
-            for lo in range(0, members.size, per_chunk):
-                chunk = members[lo : lo + per_chunk]
-                real = cols < sizes[chunk, None]
-                rows = (offsets[chunk, None] + cols)[real]
-                p = np.zeros(real.shape)
-                p[real] = probs[rows]
+            gather = offsets[members, None] + cols
+            gather[cols >= sizes[members, None]] = self.num_instances
+            if sizes[members].max() <= _ALWAYS_LINEAR:
+                self.linear += _chunks(members, gather)
+            else:
+                self.split.append((members, gather))
+        # The rows of the bags whose floors a run computes, and which of
+        # those bags, large[floor_bags[i]], holds row floor_rows[i].
+        large = sizes > _ALWAYS_LINEAR
+        self.large = np.flatnonzero(large)
+        self.floor_rows = np.flatnonzero(np.repeat(large, sizes))
+        self.floor_bags = np.repeat(np.arange(self.large.size), sizes[self.large])
+
+    def run(self, probs) -> tuple[np.ndarray, np.ndarray]:
+        """``(phi, log_pb)`` for the planned bags at clamped ``probs``, as
+        :func:`batch_posteriors` documents them.
+
+        A result that is not finite is returned as is; callers that need
+        finite values check for it.  A NaN probability leaves every other
+        bag's results as they are.
+        """
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 1:
+            raise UsageError(
+                "probabilities, sizes and counts must be 1-d, one size per count"
+            )
+        if probs.size != self.num_instances:
+            raise UsageError(
+                f"bag sizes cover {self.num_instances} of {probs.size} probabilities"
+            )
+        # Pad columns gather the appended 0 and scatter into the last entry.
+        padded = np.append(probs, 0.0)
+        phi = np.empty(padded.size)
+        log_pb = np.empty(self.counts.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below = np.zeros(self.counts.size, dtype=bool)
+            if self.large.size:
+                p = probs[self.floor_rows]
+                floor = np.bincount(
+                    self.floor_bags,
+                    weights=np.minimum(np.log(p), np.log1p(-p)),
+                    minlength=self.large.size,
+                )
+                # A NaN floor (NaN input) counts as below.
+                below[self.large] = ~(floor >= _LINEAR_FLOOR)
+            routes = [(*chunk, False) for chunk in self.linear]
+            for members, gather in self.split:
+                for tilt in (False, True):
+                    pick = below[members] == tilt
+                    routes += [(*chunk, tilt) for chunk in _chunks(members[pick], gather[pick])]
+            for bags, gather, tilt in routes:
+                counts = self.counts[bags]
+                p = padded[gather]
                 q = 1.0 - p
                 if tilt:
-                    p, q, shift = _tilt(p, sizes[chunk], counts[chunk])
-                chunk_phi, log_pb[chunk] = _tree(p, q, counts[chunk])
+                    p, q, shift = _tilt(p, self.sizes[bags], counts)
+                phi[gather], log_pb[bags] = _tree(p, q, counts)
                 if tilt:
-                    log_pb[chunk] += shift
-                phi[rows] = chunk_phi[real]
-    return phi, log_pb
+                    log_pb[bags] += shift
+        return phi[:-1], log_pb
+
+
+def _chunks(bags, gather) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Bags of one width, with their gather rows, cut into chunks of as
+    many bags as fit ``_TABLE_BUDGET`` floats, at least one."""
+    width = gather.shape[1]
+    per_chunk = max(1, _TABLE_BUDGET // (width * (width.bit_length() - 1 + 9)))
+    return [
+        (bags[lo : lo + per_chunk], gather[lo : lo + per_chunk])
+        for lo in range(0, bags.size, per_chunk)
+    ]
 
 
 def _tilt(p, sizes, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

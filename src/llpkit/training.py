@@ -7,7 +7,9 @@ One :func:`train` call drives any of the four objectives:
   since the soft targets decouple instances inside an epoch; bags never
   need to fit in one batch.  One E-step runs before the first epoch and
   one after each epoch.  The one after epoch e gives that epoch's count
-  log-likelihood and the targets for epoch e + 1.
+  log-likelihood and the targets for epoch e + 1.  The first one builds
+  the grouping of the dataset's bags that the kernel runs on,
+  ``BagDataset.posterior_plan``, and every later one reuses it.
 * ``amle`` / ``dllp``: per-bag losses, batched as groups of whole bags.
 * ``supervised``: ordinary instance-level cross-entropy on true labels.
 

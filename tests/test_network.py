@@ -158,6 +158,18 @@ class TestForward:
         with pytest.raises(NumericalError, match="not finite"):
             forward(params, X)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_output_in_the_first_chunk(self):
+        # The same network; the overflowing row opens the stream, and the
+        # chunks after it score 0.5.
+        theta = np.array([1e200, 1e200, 1e200, 1e200, 0.0, 0.0, 1e200, -1e200, 0.0])
+        params = ClassifierParams((2, 2, 1), theta)
+        X = np.zeros((3 * _chunk_rows(params.layer_sizes) + 5, 2))
+        X[0] = [1e200, 1.0]
+        np.testing.assert_array_equal(forward(params, X[1:]), 0.5)
+        with pytest.raises(NumericalError, match="not finite"):
+            forward(params, X)
+
     def test_memory_is_bounded_by_the_chunk(self):
         """Scoring 50 000 rows allocates a chunk's activations and the
         output vector, not every layer's activations for the batch."""

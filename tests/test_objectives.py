@@ -21,7 +21,6 @@ from helpers import (
     pb_dp,
     through_network,
 )
-from llpkit import objectives
 from llpkit.data import BagDataset, Instances
 from llpkit.errors import NumericalError, UsageError
 from llpkit.network import ClassifierParams, forward, init_params, param_count
@@ -33,6 +32,7 @@ from llpkit.objectives import (
     predict,
 )
 from llpkit.poisson_binomial import (
+    PosteriorPlan,
     bag_log_likelihood,
     clamp_probabilities,
     instance_posteriors,
@@ -116,17 +116,17 @@ class TestEStep:
     @pytest.mark.parametrize("broken_bag", [1, 3])
     def test_non_finite_result_names_the_bag(self, monkeypatch, broken_bag):
         dataset = random_bag_dataset(np.random.default_rng(2))
-        kernel = objectives.batch_posteriors
+        kernel = PosteriorPlan.run
 
-        def corrupted(probs, sizes, counts):
-            phi, log_pb = kernel(probs, sizes, counts)
+        def corrupted(plan, probs):
+            phi, log_pb = kernel(plan, probs)
             if broken_bag == 1:
-                phi[sizes[0]] = np.nan  # first instance of bag 1
+                phi[plan.sizes[0]] = np.nan  # first instance of bag 1
             else:
                 log_pb[3] = -np.inf
             return phi, log_pb
 
-        monkeypatch.setattr(objectives, "batch_posteriors", corrupted)
+        monkeypatch.setattr(PosteriorPlan, "run", corrupted)
         with pytest.raises(NumericalError, match=f"bag {broken_bag}$"):
             e_step(init_params((2, 8, 1), seed=3), dataset)
 

@@ -25,11 +25,15 @@ from helpers import (
     pb_dp,
     pb_enumerated,
 )
-from llpkit import poisson_binomial
-from llpkit.errors import UsageError
+from llpkit import network, poisson_binomial
+from llpkit.data import BagDataset, Instances
+from llpkit.errors import NumericalError, UsageError
+from llpkit.network import init_params
+from llpkit.objectives import e_step
 from llpkit.poisson_binomial import (
     _LINEAR_FLOOR,
     CLAMP_EPS,
+    PosteriorPlan,
     _windows,
     bag_log_likelihood,
     batch_posteriors,
@@ -262,6 +266,72 @@ class TestBatchPosteriors:
             batch_posteriors([[0.5, 0.5]], [2], [1])
         with pytest.raises(UsageError, match="nonnegative"):
             batch_posteriors([0.5], [-1, 2], [0, 1])
+
+
+def plan_cases(rng):
+    """Bags of 1-4, 40-47 and 64 instances, on both sides of the largest
+    bag that is never tilted, and 16 bags of 128."""
+    sizes = np.concatenate([
+        rng.integers(1, 5, size=30), np.arange(40, 48), [64, 64], np.full(16, 128)
+    ])
+    counts = rng.integers(0, sizes + 1)
+    return sizes, counts
+
+
+def plan_probabilities(rng, sizes):
+    """Clamped probabilities for :func:`plan_cases`, with up to 60% of each
+    bag of 128 on a clamp edge, so that some of their floors lie below
+    _LINEAR_FLOOR and some above."""
+    p = rng.random(int(sizes.sum()))
+    share = np.repeat(np.where(sizes == 128, rng.uniform(0.0, 0.6, sizes.size), 0.0), sizes)
+    edge = rng.random(p.size) < share
+    p[edge] = rng.integers(0, 2, size=int(edge.sum()))
+    return clamp_probabilities(p)
+
+
+class TestPosteriorPlan:
+    def test_reused_plan_matches_fresh_calls(self):
+        # Bags of up to 43 instances are planned as never tilted.
+        assert poisson_binomial._ALWAYS_LINEAR == 43
+        rng = np.random.default_rng(11)
+        sizes, counts = plan_cases(rng)
+        plan = PosteriorPlan(sizes, counts)
+        tilted = 0
+        for _ in range(4):
+            probs = plan_probabilities(rng, sizes)
+            floors = [bag_floor(p) for p in split_rows(probs, sizes)]
+            tilted += sum(f < _LINEAR_FLOOR for f in floors)
+            phi, log_pb = plan.run(probs)
+            want, want_log = batch_posteriors(probs, sizes, counts)
+            assert phi.tobytes() == want.tobytes()
+            assert log_pb.tobytes() == want_log.tobytes()
+        assert 0 < tilted < 4 * 16
+
+    def test_nan_stays_in_its_bag(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        sizes, counts = plan_cases(rng)
+        probs = plan_probabilities(rng, sizes)
+        plan = PosteriorPlan(sizes, counts)
+        phi, log_pb = plan.run(probs)
+        starts = np.cumsum(sizes) - sizes
+        for bag in (3, 31, 40):
+            broken = probs.copy()
+            broken[starts[bag] + sizes[bag] // 2] = np.nan
+            got, got_log = plan.run(broken)
+            rows = np.arange(starts[bag], starts[bag] + sizes[bag])
+            others = np.setdiff1d(np.arange(probs.size), rows)
+            assert not np.isfinite(got_log[bag])
+            assert not np.isfinite(got[rows]).all()
+            assert np.delete(got_log, bag).tobytes() == np.delete(log_pb, bag).tobytes()
+            assert got[others].tobytes() == phi[others].tobytes()
+
+            # e_step clamps the network's outputs, which keeps the NaN.
+            dataset = BagDataset(
+                Instances(np.zeros((probs.size, 1))), np.append(starts, probs.size), counts
+            )
+            monkeypatch.setattr(network, "forward", lambda params, x: broken)
+            with pytest.raises(NumericalError, match=f"bag {bag}$"):
+                e_step(init_params((1, 2, 1), seed=0), dataset)
 
 
 class TestUnderflow:

@@ -11,13 +11,17 @@ both load into this process.  For each fit shape of the benchmark's four
 workloads (``perfbench/workloads.py``: the data, bag sizes, method, epochs,
 batch size and learning rate of its timed ``train`` call), the two
 ``train`` calls run alternately, the parent first in even pairs and the
-change first in odd ones, on datasets built from the same arrays.
+change first in odd ones, on datasets built from the same arrays.  Like
+the benchmark's fits, each one scores a held-out set after every epoch:
+2000 more instances from the same blobs for the ``em-*`` shapes, fold 0's
+instances for the two shapes that hold out a fold.
 
 A sample is the mean of as many calls as take about a quarter of a second.
 Per shape it prints the median seconds of each side, the parent's
 interquartile range as a share of its median, how many pairs the change
 won, and whether every pair's parameter vectors, and every pair's curve
-rows (``epoch``, ``loss``, ``log_likelihood``), have the same bytes.
+rows (``epoch``, ``loss``, ``log_likelihood``, ``test_accuracy``), have
+the same bytes.
 
 A host whose speed drifts between processes by tens of percent still
 keeps two interleaved calls in one process comparable: this resolves
@@ -39,13 +43,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the thread settings)
 
 # name: (method, instances, bag sizes, class separation, epochs, batch size,
-# learning rate, folds); with folds, the fit trains on all folds but fold 0.
+# learning rate, folds); with folds, the fit trains on all folds but fold 0
+# and scores fold 0's instances, and without, it scores HELDOUT instances
+# drawn like the benchmark's held-out CSV.
 SHAPES = {
     "em-small-bags": ("mle", 3000, (2, 4), 2.0, 10, 256, 1e-3, 0),
     "em-large-bags": ("mle", 3000, (16, 64), 4.0, 4, 256, 3e-3, 0),
     "baselines-cv": ("amle", 3000, (2, 4), 2.0, 10, 64, 1e-3, 5),
     "ingest": ("amle", 100_000, (1, 8), 4.0, 3, 64, 1e-3, 10),
 }
+HELDOUT = 2000
 
 
 def load_package(src: str, name: str, directory: str):
@@ -54,35 +61,41 @@ def load_package(src: str, name: str, directory: str):
     return importlib.import_module(name)
 
 
-def fit_call(pkg, shape):
-    """``() -> (theta, curve bytes)`` that trains ``pkg`` on the shape's
-    dataset."""
-    method, n, (lo, hi), sep, epochs, batch, rate, folds = shape
-    rng = np.random.default_rng([0, 0, 0])
+def blobs(pkg, role: int, n: int, sep: float):
+    """The benchmark's two 2-d Gaussian blobs, as ``pkg``'s ``Instances``."""
+    rng = np.random.default_rng([0, 0, role])
     labels = (rng.random(n) < 0.5).astype(np.int64)
     features = rng.standard_normal((n, 2))
     features[:, 0] += sep * labels
-    dataset = pkg.data.make_bags(pkg.data.Instances(features, labels), lo, hi, 0)
+    return pkg.data.Instances(features, labels)
+
+
+def fit_call(pkg, shape):
+    """``() -> (theta, curve bytes)`` that trains ``pkg`` on the shape's
+    dataset, scoring its held-out instances every epoch."""
+    method, n, (lo, hi), sep, epochs, batch, rate, folds = shape
+    dataset = pkg.data.make_bags(blobs(pkg, 0, n, sep), lo, hi, 0)
     if folds:
-        dataset = pkg.data.assign_folds(dataset, folds, 0).fold_split(0)[0]
+        dataset, held = pkg.data.assign_folds(dataset, folds, 0).fold_split(0)
+    else:
+        held = blobs(pkg, 1, HELDOUT, sep)
     config = pkg.training.TrainConfig(
         method=method, max_epochs=epochs, patience=epochs, batch_size=batch,
         learning_rate=rate, seed=0,
     )
 
     def fit():
-        params, record = pkg.training.train(dataset, config)
+        params, record = pkg.training.train(dataset, config, eval_instances=held)
         return params.theta, curve_bytes(record)
 
     return fit
 
 
 def curve_bytes(record) -> bytes:
-    """The ``epoch``, ``loss`` and ``log_likelihood`` of every curve row as
-    float64 bytes, with NaN for a blank log-likelihood."""
+    """The ``epoch``, ``loss``, ``log_likelihood`` and ``test_accuracy`` of
+    every curve row as float64 bytes, with NaN for a blank cell."""
     rows = [
-        (r.epoch, r.loss, np.nan if r.log_likelihood is None else r.log_likelihood)
-        for r in record.rows
+        (r.epoch, r.loss, r.log_likelihood, r.test_accuracy) for r in record.rows
     ]
     return np.array(rows, dtype=np.float64).tobytes()
 

@@ -9,7 +9,10 @@ one next to this script), so one copy of this script measures any checkout.
 It prints one JSON object whose ``kernel`` entry gives, for each of six
 fixed shapes, the median seconds of one ``batch_posteriors`` call over
 ``REPEATS`` samples, each sample the mean of as many calls as take about
-0.1 s, and the ``tracemalloc`` peak of one call in MiB.  The shapes: 1000
+0.1 s, and the ``tracemalloc`` peak of one call in MiB.  Beside them,
+``planned_median_s`` times one ``PosteriorPlan.run`` on a plan built
+outside the timed loop, which is what each E-step of a fit pays; it is
+null for a checkout without ``PosteriorPlan``.  The shapes: 1000
 bags of 2-4 and 79 bags of 16-64 (the bag sizes of the benchmark's
 ``em-small-bags`` and ``em-large-bags``), 16 bags of 256, 4 bags of 1024,
 16 bags of 128 with most probabilities on a clamp edge, whose floors all
@@ -101,7 +104,11 @@ def main(argv=None) -> int:
         kernel[name] = {
             "median_s": sample(call),
             "traced_peak_mib": traced_peak_mib(call),
+            "planned_median_s": None,
         }
+        if hasattr(pb, "PosteriorPlan"):
+            plan = pb.PosteriorPlan(sizes, counts)
+            kernel[name]["planned_median_s"] = sample(lambda: plan.run(p))
 
     print(json.dumps({
         "llpkit": str(Path(pb.__file__).parent),
