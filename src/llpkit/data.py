@@ -397,6 +397,14 @@ def make_bags(
     of label-1 instances it received, and each row's instance id is its
     index in ``instances``.
     """
+    order, offsets = _draw_bags(instances, min_size, max_size, seed)
+    return _bagged(instances.take(order[: offsets[-1]]), order, offsets)
+
+
+def _draw_bags(instances: Instances, min_size: int, max_size: int, seed: int):
+    """:func:`make_bags`'s checks and draws: (the seeded shuffle order of
+    all rows, the bag offsets into it).  The order depends on the seed and
+    the number of instances alone."""
     n = len(instances)
     if n == 0:
         raise UsageError("no instances to bag")
@@ -416,10 +424,14 @@ def make_bags(
     ends = np.cumsum(rng.integers(min_size, max_size + 1, n // min_size))
     made = np.searchsorted(ends, n - min_size, "right") + 1
     offsets = np.concatenate(([0], np.minimum(ends[:made], n)))
-    rows = order[: offsets[-1]]
-    bagged = instances.take(rows)
+    return order, offsets
+
+
+def _bagged(bagged: Instances, order, offsets) -> BagDataset:
+    """The dataset of ``bagged``, the rows ``order[:offsets[-1]]`` of the
+    instances, cut at ``offsets``."""
     counts = np.add.reduceat(bagged.labels, offsets[:-1])
-    return BagDataset(bagged, offsets, counts, instance_ids=rows)
+    return BagDataset(bagged, offsets, counts, instance_ids=order[: offsets[-1]])
 
 
 def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
@@ -441,13 +453,24 @@ def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
 def sweep_datasets(instances: Instances, sizes, k: int, seed: int) -> list[BagDataset]:
     """``instances`` in bags of each fixed size in ``sizes``, split into
     ``k`` folds, all with ``seed``; a size that cannot be bagged or folded
-    is a UsageError that names it."""
+    is a UsageError that names it.
+
+    Each dataset is ``assign_folds(make_bags(instances, size, size, seed),
+    k, seed)``.  Every size shuffles with the same seed, so each size's rows
+    are a prefix of one shuffled copy, and the datasets' features are views
+    of that one copy."""
     if not sizes:
         raise UsageError("no bag sizes given")
     datasets = []
+    shuffled = None
     for size in sizes:
         try:
-            datasets.append(assign_folds(make_bags(instances, size, size, seed), k, seed))
+            order, offsets = _draw_bags(instances, size, size, seed)
+            if shuffled is None:
+                shuffled = instances.take(order)
+            rows = slice(offsets[-1])
+            bagged = Instances(shuffled.features[rows], shuffled.labels[rows])
+            datasets.append(assign_folds(_bagged(bagged, order, offsets), k, seed))
         except UsageError as exc:
             raise UsageError(f"bag size {size}: {exc}") from exc
     return datasets

@@ -16,9 +16,13 @@ layer is multiplied alike.  The pad rows are cut off the outputs.
 :func:`forward` streams the batch through the network in chunks of whole
 blocks, so a pass allocates memory in proportion to the widest layer, not
 to the batch, and the blocks and their outputs are the same as in one pass
-over the whole batch.  What does not depend on the rows, the weight views,
-the floating-point error state and the check for a non-finite output, it
-does once per pass, not once per chunk.  The backward pass uses the
+over the whole batch.  What does not depend on the rows it does once per
+pass, not once per chunk: the weight views, each layer's bias repeated into
+one chunk's rows (a chunk adds a contiguous block, not a broadcast row), the
+floating-point error state and the check for a non-finite output.  The
+chunks write their output pre-activations into the output vector, and the
+sigmoid runs over it in blocks of ``_STREAM_FLOATS`` rows, which keeps the
+pass's extra memory bounded.  The backward pass uses the
 batch's rows of each stored activation in plain BLAS products, and a
 broadcast product for a width-1 layer; gradients promise no row
 invariance, and the same batch shape gives the same sums, so reruns stay
@@ -26,7 +30,9 @@ byte-identical.
 
 Parameters live in one flat float64 vector with layout
 ``W0, b0, W1, b1, ...`` where each weight matrix is stored row-major with
-shape (fan_in, fan_out).
+shape (fan_in, fan_out).  :func:`init_params` and :func:`load_checkpoint`
+allocate it on a 64-byte boundary, where BLAS runs the layer products
+fastest.
 
 :func:`optimizer_step` is one Adam step, written in place into that
 vector and its two moment vectors.  The moments are not part of
@@ -57,7 +63,8 @@ ADAM_EPS = 1e-8
 BLOCK_ROWS = 64
 
 # Floats in one layer's activations for one chunk of forward's stream
-# (64 KiB), rounded down to whole blocks and at least one block.
+# (64 KiB), rounded down to whole blocks and at least one block; also the
+# rows of forward's output per sigmoid call.
 _STREAM_FLOATS = 1 << 13
 
 
@@ -130,10 +137,22 @@ def init_params(layer_sizes, seed: int) -> ClassifierParams:
     sizes = tuple(int(w) for w in layer_sizes)
     check_layer_sizes(sizes)
     rng = np.random.default_rng(seed)
-    theta = np.zeros(param_count(sizes))
+    theta = _aligned(np.zeros(param_count(sizes)))
     for w, _, (fan_in, fan_out) in _layers(sizes):
         theta[w] = rng.standard_normal(fan_in * fan_out) / np.sqrt(fan_in)
     return ClassifierParams(sizes, theta)
+
+
+def _aligned(values) -> np.ndarray:
+    """A float64 copy of ``values`` whose data starts on a 64-byte boundary."""
+    values = np.asarray(values, dtype=np.float64)
+    # numpy's allocations are 8-byte aligned at least, so 7 spare floats
+    # always hold a 64-byte boundary.
+    buffer = np.empty(values.size + 7)
+    start = -buffer.ctypes.data % 64 // 8
+    theta = buffer[start : start + values.size]
+    theta[:] = values
+    return theta
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -156,24 +175,29 @@ def _check_batch(params: ClassifierParams, batch) -> np.ndarray:
 
 
 def _weights(params: ClassifierParams):
-    """(weight matrix, bias vector) per layer, as views into ``theta``."""
+    """(weight matrix, bias row) per layer, as views into ``theta``; the
+    bias is a ``(1, fan_out)`` row."""
     theta = params.theta
     return [
-        (theta[w].reshape(fan_in, fan_out), theta[b])
+        (theta[w].reshape(fan_in, fan_out), theta[b].reshape(1, fan_out))
         for w, b, (fan_in, fan_out) in _layers(params.layer_sizes)
     ]
 
 
 def _forward_trace(weights, batch: np.ndarray):
-    """Run the network, keeping each layer's activations for the backward pass.
+    """Run the network up to its output pre-activation, keeping each
+    layer's input for the backward pass.
 
-    ``weights`` is :func:`_weights` of the parameters.  The batch is padded
-    once to whole blocks of ``BLOCK_ROWS`` rows, as one C-ordered copy (or
-    taken as it is when it already is that), and each layer is one matmul
-    over its ``(blocks, BLOCK_ROWS, fan_in)`` view.  The activations keep
-    the pad rows; only the first ``len(batch)`` rows of each belong to the
-    batch.  A rectifier writes over its input: its output is positive
-    exactly where the input was, which is all backward needs.
+    ``weights`` is :func:`_weights` of the parameters, or the same with
+    each bias repeated over at least as many rows as the padded batch has.
+    The batch is padded once to whole blocks of ``BLOCK_ROWS`` rows, as one
+    C-ordered copy (or taken as it is when it already is that), and each
+    layer is one matmul over its ``(blocks, BLOCK_ROWS, fan_in)`` view.
+    The activations keep the pad rows; only the first ``len(batch)`` rows
+    of each belong to the batch.  A rectifier writes over its input: its
+    output is positive exactly where the input was, which is all backward
+    needs.  Returns the batch's output pre-activations and the activations;
+    the caller applies :func:`_sigmoid`.
 
     The caller ignores overflow and invalid-value warnings around the call,
     since a non-finite output is reported anyway, and checks the outputs
@@ -190,10 +214,11 @@ def _forward_trace(weights, batch: np.ndarray):
     for idx, (weight, bias) in enumerate(weights):
         fan_in, fan_out = weight.shape
         z = np.matmul(a.reshape(blocks, BLOCK_ROWS, fan_in), weight).reshape(-1, fan_out)
-        z += bias
-        a = _sigmoid(z) if idx == last else np.maximum(z, 0.0, out=z)
-        activations.append(a)
-    return a[:n, 0], activations
+        z += bias[: len(z)]
+        if idx < last:
+            a = np.maximum(z, 0.0, out=z)
+            activations.append(a)
+    return z[:n, 0], activations
 
 
 def _check_outputs(probs: np.ndarray) -> None:
@@ -205,12 +230,16 @@ def forward(params: ClassifierParams, batch) -> np.ndarray:
     """Positive-class probability per batch row, each strictly in (0, 1)
     up to float64 saturation.  Raises NumericalError if one is not finite."""
     batch = _check_batch(params, batch)
-    weights = _weights(params)
+    n = len(batch)
     chunk = _chunk_rows(params.layer_sizes)
-    probs = np.empty(len(batch))
+    rows = min(chunk, -(-n // BLOCK_ROWS) * BLOCK_ROWS)
+    weights = [(w, np.repeat(b, rows, axis=0)) for w, b in _weights(params)]
+    probs = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(batch), chunk):
+        for lo in range(0, n, chunk):
             probs[lo : lo + chunk] = _forward_trace(weights, batch[lo : lo + chunk])[0]
+        for lo in range(0, n, _STREAM_FLOATS):
+            probs[lo : lo + _STREAM_FLOATS] = _sigmoid(probs[lo : lo + _STREAM_FLOATS])
     _check_outputs(probs)
     return probs
 
@@ -227,7 +256,8 @@ def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
     n = len(batch)
     weights = _weights(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        probs, activations = _forward_trace(weights, batch)
+        z, activations = _forward_trace(weights, batch)
+        probs = _sigmoid(z)
     _check_outputs(probs)
     value, g = loss(probs)
     g = np.asarray(g, dtype=np.float64)
@@ -330,8 +360,7 @@ def load_checkpoint(path) -> tuple[ClassifierParams, None]:
 
     try:
         params = ClassifierParams(
-            tuple(field("layer_sizes", {int})),
-            np.asarray(field("theta", {int, float}), dtype=np.float64),
+            tuple(field("layer_sizes", {int})), _aligned(field("theta", {int, float}))
         )
     except (UsageError, OverflowError) as exc:
         # OverflowError: an integer in theta beyond float range.

@@ -64,10 +64,11 @@ def e_step(params, dataset: BagDataset) -> EmState:
     """
     probs = _clamp(network.forward(params, dataset.instances.features))
     phi, log_pb = dataset.posterior_plan.run(probs)
-    finite = np.isfinite(log_pb) & np.logical_and.reduceat(
-        np.isfinite(phi), dataset.offsets[:-1]
-    )
-    if not finite.all():
+    # One scan of each result; the per-bag scan only runs to name the bag.
+    if not (np.isfinite(phi).all() and np.isfinite(log_pb).all()):
+        finite = np.isfinite(log_pb) & np.logical_and.reduceat(
+            np.isfinite(phi), dataset.offsets[:-1]
+        )
         raise NumericalError(
             f"non-finite E-step posterior or log-likelihood in bag "
             f"{int(np.argmin(finite))}"

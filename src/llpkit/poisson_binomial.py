@@ -27,7 +27,8 @@ How bags are grouped, padded and chunked follows from their sizes and
 counts alone.  A :class:`PosteriorPlan` holds it, so that the E-step
 builds it once per dataset and runs it on each new probability vector;
 :func:`batch_posteriors` builds one and runs it once.  Only bags of more
-than 43 instances can need a tilt, so a run computes no other floors.
+than 43 instances can need a tilt, so a run computes floors only in the
+chunks that hold one.
 
 The one-bag forms clamp probabilities into ``[CLAMP_EPS, 1 - CLAMP_EPS]``
 so that every consistent count has strictly positive probability and logs
@@ -133,10 +134,11 @@ class PosteriorPlan:
     A bag whose floor, sum_i log min(p_i, 1 - p_i), lies below
     ``_LINEAR_FLOOR`` is tilted by :func:`_tilt` before its tree, so that
     its count probabilities cannot underflow.  A clamped bag of at most
-    ``_ALWAYS_LINEAR`` instances never is, so a group of such bags is
-    chunked here, once.  A group with a larger bag is split by the floors
-    of its larger bags, computed over their instances only, and chunked
-    on every run.
+    ``_ALWAYS_LINEAR`` instances never is, so every chunk is cut here,
+    once, and only a chunk with a larger bag computes floors on a run:
+    over its gathered rows, for its larger bags.  When one of them lies
+    below, the chunk's tilted bags and its other bags each take a tree of
+    their own.
 
     Raises UsageError unless sizes and counts are 1-d, one per bag, with
     sizes nonnegative and every count in [0, size].
@@ -161,26 +163,19 @@ class PosteriorPlan:
         self.num_instances = int(sizes.sum())
         offsets = np.cumsum(sizes) - sizes
         widths = 1 << np.ceil(np.log2(np.maximum(sizes, 1))).astype(np.int64)
-        # Chunks of the groups that are never tilted, and (members, gather)
-        # of the groups that every run splits by their floors.  A chunk is
-        # (bags, gather): gather[k, c] is the row of probs at column c of
-        # bag k, or num_instances for a pad column.
-        self.linear, self.split = [], []
+        # A chunk is (bags, gather, may_tilt): gather[k, c] is the row of
+        # probs at column c of bag k, or num_instances for a pad column, and
+        # may_tilt says whether a bag of the chunk is over _ALWAYS_LINEAR.
+        self.chunks = []
         for width in sorted(set(widths.tolist())):
             members = np.flatnonzero(widths == width)
             cols = np.arange(width)
             gather = offsets[members, None] + cols
             gather[cols >= sizes[members, None]] = self.num_instances
-            if sizes[members].max() <= _ALWAYS_LINEAR:
-                self.linear += _chunks(members, gather)
-            else:
-                self.split.append((members, gather))
-        # The rows of the bags whose floors a run computes, and which of
-        # those bags, large[floor_bags[i]], holds row floor_rows[i].
-        large = sizes > _ALWAYS_LINEAR
-        self.large = np.flatnonzero(large)
-        self.floor_rows = np.flatnonzero(np.repeat(large, sizes))
-        self.floor_bags = np.repeat(np.arange(self.large.size), sizes[self.large])
+            self.chunks += [
+                (bags, rows, bool(sizes[bags].max() > _ALWAYS_LINEAR))
+                for bags, rows in _chunks(members, gather)
+            ]
 
     def run(self, probs) -> tuple[np.ndarray, np.ndarray]:
         """``(phi, log_pb)`` for the planned bags at clamped ``probs``, as
@@ -204,31 +199,36 @@ class PosteriorPlan:
         phi = np.empty(padded.size)
         log_pb = np.empty(self.counts.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            below = np.zeros(self.counts.size, dtype=bool)
-            if self.large.size:
-                p = probs[self.floor_rows]
-                floor = np.bincount(
-                    self.floor_bags,
-                    weights=np.minimum(np.log(p), np.log1p(-p)),
-                    minlength=self.large.size,
-                )
-                # A NaN floor (NaN input) counts as below.
-                below[self.large] = ~(floor >= _LINEAR_FLOOR)
-            routes = [(*chunk, False) for chunk in self.linear]
-            for members, gather in self.split:
-                for tilt in (False, True):
-                    pick = below[members] == tilt
-                    routes += [(*chunk, tilt) for chunk in _chunks(members[pick], gather[pick])]
-            for bags, gather, tilt in routes:
-                counts = self.counts[bags]
-                p = padded[gather]
-                q = 1.0 - p
-                if tilt:
-                    p, q, shift = _tilt(p, self.sizes[bags], counts)
-                phi[gather], log_pb[bags] = _tree(p, q, counts)
-                if tilt:
-                    log_pb[bags] += shift
+            for chunk, rows, may_tilt in self.chunks:
+                p = padded[rows]
+                parts = [(chunk, rows, p, False)]
+                if may_tilt and (below := self._below(chunk, p)).any():
+                    parts = [
+                        (chunk[pick], rows[pick], p[pick], tilt)
+                        for tilt, pick in ((False, ~below), (True, below))
+                        if pick.any()
+                    ]
+                for bags, gather, p, tilt in parts:
+                    counts = self.counts[bags]
+                    q = 1.0 - p
+                    if tilt:
+                        p, q, shift = _tilt(p, self.sizes[bags], counts)
+                    phi[gather], log_pb[bags] = _tree(p, q, counts)
+                    if tilt:
+                        log_pb[bags] += shift
         return phi[:-1], log_pb
+
+    def _below(self, bags, p) -> np.ndarray:
+        """Which of ``bags``, gathered into ``p``, have more than
+        ``_ALWAYS_LINEAR`` instances and a floor below ``_LINEAR_FLOOR``.
+
+        A floor adds its bag's terms one after another, in row order; a
+        NaN floor (NaN input) counts as below.
+        """
+        sizes = self.sizes[bags]
+        terms = np.minimum(np.log(p), np.log1p(-p))
+        floor = np.cumsum(terms, axis=1)[np.arange(bags.size), sizes - 1]
+        return (sizes > _ALWAYS_LINEAR) & ~(floor >= _LINEAR_FLOOR)
 
 
 def _chunks(bags, gather) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -621,15 +621,16 @@ class TestSweep:
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_each_size_is_bagged_once(self, tmp_path, instance_csv, capsys, monkeypatch):
-        """Every method of a sweep shares its seed, and so its bags."""
+        """Every method of a sweep shares its seed, and so its bags: each
+        size draws its bags once, through the draw that make_bags makes."""
         sizes = []
-        make_bags = data.make_bags
+        draw_bags = data._draw_bags
 
         def counted(instances, min_size, max_size, seed):
             sizes.append(min_size)
-            return make_bags(instances, min_size, max_size, seed)
+            return draw_bags(instances, min_size, max_size, seed)
 
-        monkeypatch.setattr(data, "make_bags", counted)
+        monkeypatch.setattr(data, "_draw_bags", counted)
         code, _, _ = run(
             capsys, "sweep", "--data", str(instance_csv), "--sizes", "2,4",
             "--methods", "dllp,supervised", "--folds", "3", "--epochs", "1",

@@ -20,6 +20,7 @@ from llpkit.errors import FormatError, NumericalError, UsageError
 from llpkit.network import (
     BLOCK_ROWS,
     ClassifierParams,
+    _STREAM_FLOATS,
     _chunk_rows,
     _sigmoid,
     backward,
@@ -60,6 +61,12 @@ class TestInit:
     def test_rejects_wrong_output_width(self):
         with pytest.raises(UsageError):
             init_params((4, 8, 2), seed=0)
+
+    @pytest.mark.parametrize("layer_sizes", [(2, 1), (2, 32, 32, 1), (3, 7, 1)])
+    def test_theta_is_64_byte_aligned(self, layer_sizes):
+        # Kept alive together, so that no two share an address.
+        params = [init_params(layer_sizes, seed) for seed in range(8)]
+        assert [p.theta.ctypes.data % 64 for p in params] == [0] * 8
 
     def test_rejects_mismatched_theta(self):
         with pytest.raises(UsageError):
@@ -157,6 +164,32 @@ class TestForward:
         np.testing.assert_array_equal(forward(params, X[:-1]), 0.5)
         with pytest.raises(NumericalError, match="not finite"):
             forward(params, X)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_output_in_the_last_sigmoid_block(self):
+        # The same network; the overflowing row is alone in the last block
+        # of _STREAM_FLOATS rows that the sigmoid runs over.
+        theta = np.array([1e200, 1e200, 1e200, 1e200, 0.0, 0.0, 1e200, -1e200, 0.0])
+        params = ClassifierParams((2, 2, 1), theta)
+        X = np.zeros((2 * _STREAM_FLOATS + 1, 2))
+        X[-1] = [1e200, 1.0]
+        np.testing.assert_array_equal(forward(params, X[:-1]), 0.5)
+        with pytest.raises(NumericalError, match="not finite"):
+            forward(params, X)
+
+    def test_rows_across_a_sigmoid_block_boundary(self):
+        """Past _STREAM_FLOATS rows, where a sigmoid block ends inside a
+        chunk, every row scores as it does alone and in other batches."""
+        params = init_params((3, 5, 1), seed=4)
+        chunk = _chunk_rows(params.layer_sizes)
+        assert _STREAM_FLOATS % chunk
+        n = _STREAM_FLOATS + chunk + 3
+        X = 3.0 * np.random.default_rng(6).standard_normal((n, 3))
+        full = forward(params, X)
+        singles = np.array([forward(params, X[i : i + 1])[0] for i in range(n)])
+        assert full.tobytes() == singles.tobytes()
+        for lo, hi in [(1, n), (0, _STREAM_FLOATS + 1), (chunk + 7, n - 2), (5, 70)]:
+            assert forward(params, X[lo:hi]).tobytes() == full[lo:hi].tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_output_in_the_first_chunk(self):
@@ -386,6 +419,14 @@ class TestCheckpoint:
         assert loaded.layer_sizes == params.layer_sizes
         assert loaded.theta.tobytes() == params.theta.tobytes()
         assert path.read_text().endswith('"optimizer": null}\n')
+
+    @pytest.mark.parametrize("layer_sizes", [(2, 1), (2, 32, 32, 1), (3, 7, 1)])
+    def test_loaded_theta_is_64_byte_aligned(self, tmp_path, layer_sizes):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(layer_sizes, seed=2))
+        # Kept alive together, so that no two share an address.
+        params = [load_checkpoint(path)[0] for _ in range(8)]
+        assert [p.theta.ctypes.data % 64 for p in params] == [0] * 8
 
     def test_round_trip_without_optimizer(self, tmp_path):
         params = init_params((2, 4, 1), seed=3)

@@ -120,6 +120,12 @@ class TestTrain:
         _, record = train(dataset, quick_config("dllp", max_epochs=2))
         assert all(row.log_likelihood is None for row in record.rows)
 
+    @pytest.mark.parametrize("method", ["mle", "amle"])
+    def test_returned_theta_is_64_byte_aligned(self, method):
+        dataset, _ = blob_bags(n=60)
+        params, _ = train(dataset, quick_config(method, max_epochs=2))
+        assert params.theta.ctypes.data % 64 == 0
+
     @pytest.mark.parametrize(
         "method,extra_passes", [("amle", 0), ("dllp", 0), ("supervised", 0), ("mle", 1)]
     )
@@ -426,6 +432,23 @@ class TestBagSizeSweep:
         config = quick_config("dllp", max_epochs=3)
         results = [cross_validate(d, config) for d in datasets]
         assert [len(r.folds) for r in results] == [3, 3]
+
+    def test_sizes_share_one_shuffled_copy(self):
+        """Each size's rows are a prefix of one shuffled copy of the
+        instances, and its dataset is the one make_bags would make."""
+        instances = generate_synthetic(1000, 2, 4.0, 0.5, seed=64)
+        sizes = [2, 4, 8, 16]
+        datasets = sweep_datasets(instances, sizes, 3, seed=1)
+        for size, got in zip(sizes, datasets):
+            want = assign_folds(make_bags(instances, size, size, seed=1), 3, seed=1)
+            assert got.instances.features.tobytes() == want.instances.features.tobytes()
+            np.testing.assert_array_equal(got.instances.labels, want.instances.labels)
+            np.testing.assert_array_equal(got.offsets, want.offsets)
+            np.testing.assert_array_equal(got.counts, want.counts)
+            np.testing.assert_array_equal(got.instance_ids, want.instance_ids)
+            assert got.fold_assignment == want.fold_assignment
+            assert np.shares_memory(got.instances.features, datasets[0].instances.features)
+            assert not np.shares_memory(got.instances.features, instances.features)
 
     def test_insufficient_instances_names_the_size(self):
         instances = generate_synthetic(30, 2, 4.0, 0.5, seed=62)

@@ -1,4 +1,5 @@
-"""Time and memory of the E-step kernel, ``poisson_binomial.batch_posteriors``.
+"""Time and memory of the E-step kernel, ``poisson_binomial.batch_posteriors``,
+and time of the inference pass, ``network.forward``.
 
 Usage, from the root of a checkout::
 
@@ -20,6 +21,13 @@ lie below ``_LINEAR_FLOOR``, so that the whole group is tilted, and 781
 bags of 64, one width group that fills six chunks of at most 136 bags.
 Probabilities are uniform and clamped, except the edge ones; counts are
 drawn from the probabilities, so that every bag is a likely one.
+
+The ``forward`` entry gives the median seconds of one ``network.forward``
+call on 2000, 3000 and 10^5 rows (an E-step's and a held-out set's pass in
+the benchmark's fits, and ``llpkit eval`` of the ``ingest`` workload) at
+layer sizes ``(2, 32, 32, 1)``, with the parameter vector copied to each of
+the eight 8-byte offsets from a 64-byte boundary, keyed by that offset in
+bytes.
 
 BLAS runs single-threaded, as in the benchmark.  Every input comes from a
 fixed seed.
@@ -51,6 +59,9 @@ SHAPES = {
     "16 tilted bags of 128": (16, 128, 128, 0.8),
     "781 bags of 64": (781, 64, 64, 0.0),
 }
+
+FORWARD_SIZES = (2, 32, 32, 1)
+FORWARD_ROWS = (2000, 3000, 100_000)
 
 
 def kernel_inputs(pb, shape, seed):
@@ -90,11 +101,31 @@ def traced_peak_mib(call):
         tracemalloc.stop()
 
 
+def forward_times(network):
+    """{rows: {offset in bytes: median seconds of network.forward}}."""
+    params = network.init_params(FORWARD_SIZES, 0)
+    size = params.theta.size
+    buffer = np.empty(size + 15)
+    base = -buffer.ctypes.data % 64 // 8
+    times = {}
+    for seed, rows in enumerate(FORWARD_ROWS):
+        batch = np.random.default_rng(seed).standard_normal((rows, FORWARD_SIZES[0]))
+        times[f"{rows} rows"] = per_offset = {}
+        for k in range(8):
+            theta = buffer[base + k : base + k + size]
+            theta[:] = params.theta
+            placed = network.ClassifierParams(FORWARD_SIZES, theta)
+            assert placed.theta.ctypes.data % 64 == 8 * k
+            per_offset[str(8 * k)] = sample(lambda: network.forward(placed, batch))
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    from llpkit import network
     from llpkit import poisson_binomial as pb
 
     kernel = {}
@@ -114,6 +145,7 @@ def main(argv=None) -> int:
         "llpkit": str(Path(pb.__file__).parent),
         "numpy": np.__version__,
         "kernel": kernel,
+        "forward": forward_times(network),
     }, indent=1))
     return 0
 
