@@ -34,13 +34,17 @@ shape (fan_in, fan_out).  :func:`init_params` and :func:`load_checkpoint`
 allocate it on a 64-byte boundary, where BLAS runs the layer products
 fastest.
 
-:func:`optimizer_step` is one Adam step, written in place into that
-vector and its two moment vectors.  The moments are not part of
-:class:`ClassifierParams`: the trainer allocates them once per run and
-counts the steps.
+Training runs one :class:`TrainingStep` per fit.  It builds once what
+depends only on the fit: the weight views into the parameter vector, the
+gradient vector with a view per layer, and Adam's two moments, two scratch
+vectors and step count.  Each call runs the network pass, the loss, the
+chain rule, the gradient's scaling and one Adam step, in place on
+``params.theta``.  :func:`backward` and :func:`optimizer_step` are its
+one-shot forms: the same chain rule and the same Adam, on fresh buffers.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -157,9 +161,10 @@ def _aligned(values) -> np.ndarray:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Stable in both tails: never exponentiates a positive argument.  The
-    # exponent is -|z| as min(z, -z), which keeps a NaN's sign.
+    # exponent is -|z| as min(z, -z), which keeps a NaN's sign; the result
+    # is 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere.
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
 
 
 def _check_batch(params: ClassifierParams, batch) -> np.ndarray:
@@ -244,72 +249,150 @@ def forward(params: ClassifierParams, batch) -> np.ndarray:
     return probs
 
 
-def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
-    """One network pass over ``batch``, the loss on its outputs, and the
-    chain rule back through the same pass.
+class TrainingStep:
+    """One fit's training step: a network pass over a batch, the loss on
+    its outputs, the chain rule back through the same pass, the gradient's
+    scaling and one Adam step, in place on ``params.theta``.
 
-    ``loss(probs)`` returns ``(value, dvalue/dprobs)`` with one gradient
-    entry per batch row; the result is ``(value, dvalue/dtheta)`` with the
-    gradient in the layout of ``params.theta``.
+    Built once per fit, so that a step pays none of it: the weight views
+    into ``params.theta`` and their transposes, which the chain rule
+    multiplies by; the gradient vector :attr:`grad`, written through one
+    ``(fan_in, fan_out)`` and one bias view per layer; and Adam's two
+    moments, two scratch vectors and step count.
     """
-    batch = _check_batch(params, batch)
-    n = len(batch)
-    weights = _weights(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, activations = _forward_trace(weights, batch)
-        probs = _sigmoid(z)
-    _check_outputs(probs)
-    value, g = loss(probs)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != probs.shape:
-        raise UsageError(
-            f"loss gradient has shape {g.shape}, expected {probs.shape}"
-        )
 
-    grad = np.empty_like(params.theta)
-    layers = _layers(params.layer_sizes)
-    with np.errstate(over="ignore", invalid="ignore"):
+    def __init__(self, params: ClassifierParams, learning_rate: float):
+        theta = params.theta
+        self.params = params
+        self.learning_rate = learning_rate
+        self._weights = _weights(params)
+        self.grad = np.empty_like(theta)
+        # Per layer: the gradient's weight and bias views, and the weight
+        # matrix's transpose as a view; BLAS sums ``dz @ weight.T`` in
+        # another order for some row counts when the transpose is a copy.
+        self._per_layer = [
+            (self.grad[w].reshape(fan_in, fan_out), self.grad[b], weight.T)
+            for (w, b, (fan_in, fan_out)), (weight, _) in zip(
+                _layers(params.layer_sizes), self._weights
+            )
+        ]
+        self.first_moment = np.zeros_like(theta)
+        self.second_moment = np.zeros_like(theta)
+        self._scratch = (np.empty_like(theta), np.empty_like(theta))
+        self.steps = 0
+
+    def __call__(self, batch: np.ndarray, loss, items: int) -> float:
+        """Train on ``batch``, a float64 matrix as wide as the network's
+        input, and return ``loss``'s value on it.  The gradient is divided
+        by ``items`` before the Adam step.
+
+        Raises NumericalError for a non-finite output or loss, and as
+        :func:`optimizer_step` does for the gradient and the update;
+        UsageError for a loss gradient not shaped like the outputs.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self._gradient(batch, loss)
+            if not math.isfinite(value):
+                raise NumericalError("non-finite loss")
+            self.grad /= items
+            self.steps += 1
+            _adam(
+                self.params.theta,
+                self.first_moment,
+                self.second_moment,
+                self.steps,
+                self.learning_rate,
+                self.grad,
+                self._scratch,
+            )
+        return value
+
+    def _gradient(self, batch: np.ndarray, loss):
+        """``loss``'s value on the network's outputs over ``batch``, with
+        d value / d theta written into :attr:`grad`; run under an
+        ``errstate`` that ignores overflow and invalid values."""
+        n = len(batch)
+        z, activations = _forward_trace(self._weights, batch)
+        probs = _sigmoid(z)
+        _check_outputs(probs)
+        value, g = loss(probs)
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != probs.shape:
+            raise UsageError(
+                f"loss gradient has shape {g.shape}, expected {probs.shape}"
+            )
         # Sigmoid output layer: dz = dLoss/dprob * prob * (1 - prob).
         dz = (g * probs * (1.0 - probs))[:, None]
-        for idx in range(len(layers) - 1, -1, -1):
-            w, b, _ = layers[idx]
-            grad[w] = (activations[idx][:n].T @ dz).reshape(-1)
-            grad[b] = dz.sum(axis=0)
+        for idx in range(len(self._per_layer) - 1, -1, -1):
+            grad_weight, grad_bias, weight = self._per_layer[idx]
+            np.matmul(activations[idx][:n].T, dz, out=grad_weight)
+            np.add.reduce(dz, axis=0, out=grad_bias)
             if idx > 0:
                 # A width-1 layer's product has one term per entry, so the
                 # broadcast gives BLAS's bits, bar a zero's sign, which the
                 # sums into the gradient drop.
-                weight = weights[idx][0].T
                 dz = dz * weight if weight.shape[0] == 1 else dz @ weight
                 dz *= activations[idx][:n] > 0.0
-    return value, grad
+        return value
+
+
+def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
+    """One network pass over ``batch``, the loss on its outputs, and the
+    chain rule back through the same pass: :class:`TrainingStep`'s without
+    its Adam step.
+
+    ``loss(probs)`` returns ``(value, dvalue/dprobs)`` with one gradient
+    entry per batch row; the result is ``(value, dvalue/dtheta)`` with a
+    fresh gradient in the layout of ``params.theta``.
+    """
+    batch = _check_batch(params, batch)
+    # A one-shot step takes no Adam step, so its learning rate is never read.
+    step = TrainingStep(params, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = step._gradient(batch, loss)
+    return value, step.grad
 
 
 def optimizer_step(
     theta, first_moment, second_moment, step: int, learning_rate: float, grad
 ) -> None:
     """Adam step number ``step`` (from 1), bias-corrected, in place on
-    ``theta`` and its two moment vectors.
+    ``theta`` and its two moment vectors: :class:`TrainingStep`'s Adam step
+    on fresh scratch vectors.
 
     Raises NumericalError, before anything is written, for a non-finite
     gradient entry; and, leaving ``theta`` as it was, for a non-finite
     update.
     """
+    scratch = (np.empty_like(theta), np.empty_like(theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _adam(theta, first_moment, second_moment, step, learning_rate, grad, scratch)
+
+
+def _adam(theta, first_moment, second_moment, step, learning_rate, grad, scratch):
+    """:func:`optimizer_step` through the two vectors of ``scratch``, under
+    the caller's ``errstate``."""
     if not np.isfinite(grad).all():
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericalError(f"non-finite gradient entry at index {bad}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        first_moment *= ADAM_BETA1
-        first_moment += (1.0 - ADAM_BETA1) * grad
-        second_moment *= ADAM_BETA2
-        # Multiplied left to right: (1 - beta2) * (g * g) rounds differently.
-        second_moment += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = first_moment / (1.0 - ADAM_BETA1**step)
-        v_hat = second_moment / (1.0 - ADAM_BETA2**step)
-        updated = theta - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if not np.isfinite(updated).all():
+    a, b = scratch
+    first_moment *= ADAM_BETA1
+    first_moment += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
+    second_moment *= ADAM_BETA2
+    # Multiplied left to right: (1 - beta2) * (g * g) rounds differently.
+    np.multiply(1.0 - ADAM_BETA2, grad, out=a)
+    second_moment += np.multiply(a, grad, out=a)
+    # theta - learning_rate * m_hat / (sqrt(v_hat) + eps), left to right.
+    np.divide(first_moment, 1.0 - ADAM_BETA1**step, out=a)
+    np.multiply(learning_rate, a, out=a)
+    np.divide(second_moment, 1.0 - ADAM_BETA2**step, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    np.subtract(theta, a, out=a)
+    if not np.isfinite(a).all():
         raise NumericalError("parameter update is not finite")
-    theta[:] = updated
+    np.copyto(theta, a)
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:

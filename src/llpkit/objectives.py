@@ -18,11 +18,11 @@ Four ways to train the instance classifier:
 
 Every loss is a function of the network's outputs alone, clamped into
 ``[CLAMP_EPS, 1 - CLAMP_EPS]`` before any log, and returns ``(value,
-dvalue/doutputs)``; :func:`network.backward` runs the one network pass
-per training step and maps that gradient onto parameters.  A loss checks
-only the shapes of its arguments.  It assumes finite outputs, which
-``forward`` guarantees, and targets in [0, 1], as ``e_step`` posteriors
-and ``Instances`` labels are.  The count losses only ever receive outputs
+dvalue/doutputs)``; :class:`network.TrainingStep` runs the one network
+pass per training step and maps that gradient onto parameters.  A loss
+checks only the shapes of its arguments.  It assumes finite outputs, which
+``forward`` guarantees, and targets in [0, 1], as ``e_step`` posteriors and
+``Instances`` labels are.  The count losses only ever receive outputs
 and bag counts; ground-truth labels cannot reach them by construction.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 from . import network
 from .data import BagDataset
 from .errors import NumericalError, UsageError
-from .poisson_binomial import CLAMP_EPS, _clamp
+from .poisson_binomial import _clamp
 
 # Floor for the approximate bag-count variance: the Gaussian objective
 # divides by it and takes its log, both unbounded as predictions saturate.
@@ -87,7 +87,7 @@ def m_step_loss(probs, soft_targets) -> tuple[float, np.ndarray]:
     t = np.asarray(soft_targets, dtype=np.float64)
     if t.shape != f.shape:
         raise UsageError(f"{t.shape} targets for {f.shape} outputs")
-    loss = -float(np.sum(t * np.log(f) + (1.0 - t) * np.log1p(-f)))
+    loss = -float(np.add.reduce(t * np.log(f) + (1.0 - t) * np.log1p(-f)))
     grads = (f - t) / (f * (1.0 - f))
     return loss, grads
 
@@ -112,7 +112,7 @@ def amle_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
     floored = raw_var < VARIANCE_FLOOR
     var = np.where(floored, VARIANCE_FLOOR, raw_var)
     residual = ys - mu
-    loss = float(np.sum(residual * residual / var + np.log(var)))
+    loss = float(np.add.reduce(residual * residual / var + np.log(var)))
     base = -2.0 * residual / var
     var_path = np.where(
         floored, 0.0, -(residual * residual) / (var * var) + 1.0 / var
@@ -131,8 +131,10 @@ def dllp_batch_loss(probs, sizes, positive_counts) -> tuple[float, np.ndarray]:
     """
     f, sizes, ys, starts = _bag_arrays(probs, sizes, positive_counts)
     rho = ys / sizes
-    rho_hat = np.clip(np.add.reduceat(f, starts) / sizes, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    loss = float(-np.sum(rho * np.log(rho_hat) + (1.0 - rho) * np.log1p(-rho_hat)))
+    rho_hat = _clamp(np.add.reduceat(f, starts) / sizes)
+    loss = float(
+        -np.add.reduce(rho * np.log(rho_hat) + (1.0 - rho) * np.log1p(-rho_hat))
+    )
     per_bag = (rho_hat - rho) / (rho_hat * (1.0 - rho_hat) * sizes)
     return loss, np.repeat(per_bag, sizes)
 
@@ -148,9 +150,10 @@ def _bag_arrays(probs, sizes, positive_counts):
         raise UsageError(f"{ys.shape} counts for {sizes.shape} bag sizes")
     if (sizes < 1).any():
         raise UsageError("bag sizes must be at least 1")
-    if f.size != int(sizes.sum()):
+    ends = np.cumsum(sizes)
+    if f.size != (int(ends[-1]) if ends.size else 0):
         raise UsageError("bag sizes do not cover the outputs")
-    return f, sizes, ys, np.cumsum(sizes) - sizes
+    return f, sizes, ys, ends - sizes
 
 
 def predict(params, features, threshold: float = 0.5) -> np.ndarray:

@@ -82,8 +82,10 @@ def clamp_probabilities(p) -> np.ndarray:
 
 def _clamp(p: np.ndarray) -> np.ndarray:
     """:func:`clamp_probabilities` without its checks, for float64 values
-    already known to be finite, such as the outputs of ``network.forward``."""
-    return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    already known to be finite, such as the outputs of ``network.forward``.
+    It gives the bits of ``np.clip``, NaN and signed zeros included, in
+    less time per call."""
+    return np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS)
 
 
 def instance_posteriors(p, y: int) -> np.ndarray:

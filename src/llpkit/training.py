@@ -17,10 +17,11 @@ All four share one minibatch loop over items: whole bags for ``amle`` and
 ``dllp``, single instances for ``mle`` and ``supervised``.  An item is its
 bag's rows (or one row) with its size and count (or its target).  Each
 epoch gathers the shuffled items' features and entries once, and a batch
-of ``batch_size`` items is a slice of that gather.  Each step runs the
-network once over the batch, in :func:`network.backward`, then takes one
-Adam step, :func:`network.optimizer_step`, in place on the parameter
-vector and on two moment vectors that :func:`train` allocates once per run.
+of ``batch_size`` items is a slice of that gather.  :func:`train` builds
+one :class:`network.TrainingStep` per fit, which holds the weight views,
+the gradient buffer and the Adam state; each step runs the network once
+over the batch, the method's loss, the chain rule and one Adam step, in
+place on the parameter vector.
 
 Early stopping watches the training objective (count log-likelihood for
 ``mle``, mean epoch loss otherwise), never test data: it stops after
@@ -184,8 +185,7 @@ def train(
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
     )
-    first_moment = np.zeros_like(params.theta)
-    second_moment = np.zeros_like(params.theta)
+    step = network.TrainingStep(params, config.learning_rate)
     rng = np.random.default_rng(int(shuffle_seed))
     features = dataset.instances.features
 
@@ -216,7 +216,6 @@ def train(
     start = time.perf_counter()
     best = None
     stale = 0
-    steps = 0
     for epoch in range(1, config.max_epochs + 1):
         # One gather per epoch, in shuffled order; a batch is a slice of it:
         # items lo:hi are feature rows bounds[lo]:bounds[hi].  Targets only
@@ -235,28 +234,14 @@ def train(
                 return batch_loss(probs, *items)
 
             try:
-                loss, grad = network.backward(
-                    params, epoch_features[bounds[lo] : bounds[hi]], loss_fn
-                )
-                if not math.isfinite(loss):
-                    raise NumericalError("non-finite loss")
-                # backward returns a fresh gradient, so it is scaled in place.
-                grad /= hi - lo
-                steps += 1
-                network.optimizer_step(
-                    params.theta,
-                    first_moment,
-                    second_moment,
-                    steps,
-                    config.learning_rate,
-                    grad,
+                total += step(
+                    epoch_features[bounds[lo] : bounds[hi]], loss_fn, hi - lo
                 )
             except NumericalError as exc:
                 where = f"epoch {epoch}, batch {bi}"
                 if bag_level:
                     where += f", bags {order[lo:hi].tolist()}"
                 raise NumericalError(f"{exc} at {where}") from exc
-            total += loss
         epoch_loss = total / rows.size
 
         log_likelihood = accuracy = None

@@ -7,9 +7,9 @@ configurations and by a linear-space convolution DP, instance posteriors
 by leave-one-out DPs, configuration marginals and a log-space
 forward-backward sweep, the EM lower bound, a textbook full-batch EM loop,
 the per-bag losses in Python floats, Adam out of place, the logistic
-function on masked halves, the network pass on one BLAS call per block
-with a zero-padded tail, the CSV writers as ``csv.writer`` rows, and
-bagging with one size drawn per call.
+function on masked halves and in its two-branch form, the network pass on
+one BLAS call per block with a zero-padded tail, the CSV writers as
+``csv.writer`` rows, and bagging with one size drawn per call.
 """
 
 import csv
@@ -383,6 +383,14 @@ def sigmoid_masked(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def sigmoid_two_branch(z):
+    """The logistic function with both branches divided apart, then
+    selected: the oracle for ``network._sigmoid``'s one division, which
+    must give the same bits."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from helpers import (
     finite_difference_gradient,
     max_relative_error,
     sigmoid_masked,
+    sigmoid_two_branch,
 )
 from llpkit import objectives
 from llpkit.errors import FormatError, NumericalError, UsageError
 from llpkit.network import (
     BLOCK_ROWS,
     ClassifierParams,
+    TrainingStep,
     _STREAM_FLOATS,
     _chunk_rows,
     _sigmoid,
@@ -91,6 +94,15 @@ class TestForward:
         draws = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-3, 3, 10_000)
         z = np.concatenate([edges, draws])
         assert _sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
+
+    def test_sigmoid_is_the_two_branch_form_bit_for_bit(self):
+        # The one division of the selected numerator gives the bits of the
+        # two divisions it replaced, in both tails and on NaN.
+        edges = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 745.0, -745.0]
+        edges += [1e308, -1e308]
+        draws = np.random.default_rng(12).standard_normal(100_000) * 20.0
+        z = np.concatenate([edges, draws])
+        assert _sigmoid(z).tobytes() == sigmoid_two_branch(z).tobytes()
 
     def test_outputs_strictly_inside_unit_interval(self):
         params = init_params((3, 8, 1), seed=3)
@@ -404,6 +416,86 @@ class TestOptimizer:
             assert [a.tobytes() for a in (theta, m, v)] == [
                 a.tobytes() for a in expected
             ]
+
+
+class TestTrainingStep:
+    """One step object driven over batches of changing size is the chain of
+    one-shot ``backward`` calls and the out-of-place Adam formula."""
+
+    SIZES = (2, 32, 32, 1)
+
+    def batches(self, loss_name):
+        """(batch, loss, items) for batches of 1, 63, 64, 65 and 298 rows,
+        in that order, so that the step's buffers serve shrinking and
+        growing batches."""
+        rng = np.random.default_rng(21)
+        for n in (1, 63, 64, 65, 298):
+            X = 2.0 * rng.standard_normal((n, self.SIZES[0]))
+            if loss_name == "m_step_loss":
+                targets = rng.random(n)
+                yield X, partial(objectives.m_step_loss, soft_targets=targets), n
+                continue
+            cuts = rng.integers(1, n + 1, n // 3)
+            sizes = np.diff(np.unique(np.concatenate(([0, n], cuts))))
+            counts = rng.integers(0, sizes + 1)
+            batch_loss = getattr(objectives, f"{loss_name}_batch_loss")
+            loss = partial(batch_loss, sizes=sizes, positive_counts=counts)
+            yield X, loss, sizes.size
+
+    @pytest.mark.parametrize("loss_name", ["m_step_loss", "amle", "dllp"])
+    def test_steps_match_backward_and_out_of_place_adam(self, loss_name):
+        params = init_params(self.SIZES, seed=3)
+        theta, m, v = adam_buffers(params)
+        step = TrainingStep(params, 2e-3)
+        for k, (X, loss, items) in enumerate(self.batches(loss_name), start=1):
+            value = step(X, loss, items)
+            want_value, grad = backward(ClassifierParams(self.SIZES, theta), X, loss)
+            theta, m, v = adam_step(theta, m, v, k, 2e-3, grad / items)
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert [a.tobytes() for a in (params.theta, step.first_moment)] == [
+                a.tobytes() for a in (theta, m)
+            ]
+            assert step.second_moment.tobytes() == v.tobytes()
+        assert step.steps == 5
+
+    def test_non_finite_update_keeps_the_last_parameters(self):
+        params = init_params(self.SIZES, seed=4)
+        step = TrainingStep(params, 1e-3)
+        batches = self.batches("m_step_loss")
+        for _ in range(2):
+            step(*next(batches))
+        before = params.theta.tobytes()
+        step.learning_rate = float("inf")
+        with pytest.raises(NumericalError, match="parameter update is not finite"):
+            step(*next(batches))
+        assert params.theta.tobytes() == before
+
+    def test_non_finite_gradient_writes_nothing(self):
+        params = init_params(self.SIZES, seed=5)
+        step = TrainingStep(params, 1e-3)
+        batches = self.batches("m_step_loss")
+        step(*next(batches))
+        state = (params.theta, step.first_moment, step.second_moment)
+        before = [a.tobytes() for a in state]
+        X, _, items = next(batches)
+
+        def loss(probs):
+            g = np.zeros_like(probs)
+            g[0] = np.nan
+            return 0.0, g
+
+        with pytest.raises(NumericalError, match="non-finite gradient entry"):
+            step(X, loss, items)
+        assert [a.tobytes() for a in state] == before
+
+    def test_non_finite_loss(self):
+        params = init_params(self.SIZES, seed=6)
+        step = TrainingStep(params, 1e-3)
+        X = np.zeros((3, self.SIZES[0]))
+        before = params.theta.tobytes()
+        with pytest.raises(NumericalError, match="non-finite loss"):
+            step(X, lambda probs: (float("nan"), np.zeros_like(probs)), 3)
+        assert params.theta.tobytes() == before
 
 
 class TestCheckpoint:

@@ -344,6 +344,16 @@ class TestBatchedBagLosses:
         with pytest.raises(UsageError, match="bag sizes must be at least 1"):
             batched([0.5, 0.5, 0.9], [3, -1, 1], [1, 0, 1])
 
+    @pytest.mark.parametrize(
+        "batched", [amle_batch_loss, dllp_batch_loss], ids=["amle", "dllp"]
+    )
+    def test_no_bags(self, batched):
+        # No sizes cover no outputs, and nothing else.
+        loss, grads = batched(np.array([]), [], [])
+        assert loss == 0.0 and grads.shape == (0,)
+        with pytest.raises(UsageError, match="sizes do not cover the outputs"):
+            batched(np.full(3, 0.5), [], [])
+
 
 class TestPredict:
     def test_tie_goes_to_positive(self):

@@ -137,6 +137,17 @@ class TestPmf:
             clamp_probabilities(np.full((2, 2), 0.5))
 
 
+class TestClamp:
+    def test_clamp_is_np_clip_bit_for_bit(self):
+        hi = 1.0 - CLAMP_EPS
+        edges = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0]
+        for edge in (CLAMP_EPS, hi):
+            edges += [np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)]
+        p = np.array(edges)
+        want = np.clip(p, CLAMP_EPS, hi)
+        assert poisson_binomial._clamp(p).tobytes() == want.tobytes()
+
+
 class TestConfigurationPosterior:
     def test_symmetric_pair(self):
         post = configuration_posterior([0.5, 0.5], 1)

@@ -29,6 +29,15 @@ layer sizes ``(2, 32, 32, 1)``, with the parameter vector copied to each of
 the eight 8-byte offsets from a 64-byte boundary, keyed by that offset in
 bytes.
 
+The ``step`` entry gives the median microseconds of one training step,
+``network.TrainingStep`` (network pass, loss, chain rule, gradient scaling
+and Adam), at the step sizes of the four fit shapes of
+``tools/ab_train.py``: 256 instances under ``m_step_loss`` (both ``em-*``
+shapes), and 64 bags of 2-4 (about 184-192 rows, ``baselines-cv``) and of
+1-8 (about 288 rows, ``ingest``) under ``amle_batch_loss``, all at layer
+sizes ``(2, 32, 32, 1)``.  It is null for a checkout without
+``TrainingStep``.
+
 BLAS runs single-threaded, as in the benchmark.  Every input comes from a
 fixed seed.
 """
@@ -62,6 +71,14 @@ SHAPES = {
 
 FORWARD_SIZES = (2, 32, 32, 1)
 FORWARD_ROWS = (2000, 3000, 100_000)
+
+# name: (method, items per step, smallest bag, largest bag); mle's items
+# are instances.
+STEP_SHAPES = {
+    "em-*: 256 instances, m_step_loss": ("mle", 256, 1, 1),
+    "baselines-cv: 64 bags of 2-4, amle": ("amle", 64, 2, 4),
+    "ingest: 64 bags of 1-8, amle": ("amle", 64, 1, 8),
+}
 
 
 def kernel_inputs(pb, shape, seed):
@@ -120,12 +137,41 @@ def forward_times(network):
     return times
 
 
+def step_times(network, objectives):
+    """{shape: {"rows": batch rows, "median_us": one step}}, or None."""
+    if not hasattr(network, "TrainingStep"):
+        return None
+    times = {}
+    for seed, (name, (method, items, lo, hi)) in enumerate(STEP_SHAPES.items()):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(lo, hi + 1, size=items)
+        batch = rng.standard_normal((int(sizes.sum()), FORWARD_SIZES[0]))
+        if method == "mle":
+            targets = rng.random(items)
+
+            def loss(probs, targets=targets):
+                return objectives.m_step_loss(probs, targets)
+
+        else:
+            counts = rng.integers(0, sizes + 1).astype(np.float64)
+
+            def loss(probs, sizes=sizes, counts=counts):
+                return objectives.amle_batch_loss(probs, sizes, counts)
+
+        step = network.TrainingStep(network.init_params(FORWARD_SIZES, seed), 1e-3)
+        times[name] = {
+            "rows": len(batch),
+            "median_us": 1e6 * sample(lambda: step(batch, loss, items)),
+        }
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    from llpkit import network
+    from llpkit import network, objectives
     from llpkit import poisson_binomial as pb
 
     kernel = {}
@@ -146,6 +192,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "kernel": kernel,
         "forward": forward_times(network),
+        "step": step_times(network, objectives),
     }, indent=1))
     return 0
 
