@@ -24,7 +24,7 @@ from .data import (
 from .errors import FormatError, LlpError, NumericalError, UsageError
 from .network import (
     ClassifierParams,
-    backward,
+    TrainingStep,
     forward,
     init_params,
     load_checkpoint,

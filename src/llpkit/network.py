@@ -38,9 +38,9 @@ Training runs one :class:`TrainingStep` per fit.  It builds once what
 depends only on the fit: the weight views into the parameter vector, the
 gradient vector with a view per layer, and Adam's two moments, two scratch
 vectors and step count.  Each call runs the network pass, the loss, the
-chain rule, the gradient's scaling and one Adam step, in place on
-``params.theta``.  :func:`backward` and :func:`optimizer_step` are its
-one-shot forms: the same chain rule and the same Adam, on fresh buffers.
+chain rule (:meth:`TrainingStep.gradient`), the gradient's scaling and one
+Adam step (:meth:`TrainingStep.update`), in place on ``params.theta``: the
+package's one chain rule and one Adam.
 """
 
 import json
@@ -200,9 +200,9 @@ def _forward_trace(weights, batch: np.ndarray):
     layer is one matmul over its ``(blocks, BLOCK_ROWS, fan_in)`` view.
     The activations keep the pad rows; only the first ``len(batch)`` rows
     of each belong to the batch.  A rectifier writes over its input: its
-    output is positive exactly where the input was, which is all backward
-    needs.  Returns the batch's output pre-activations and the activations;
-    the caller applies :func:`_sigmoid`.
+    output is positive exactly where the input was, which is all the chain
+    rule needs.  Returns the batch's output pre-activations and the
+    activations; the caller applies :func:`_sigmoid`.
 
     The caller ignores overflow and invalid-value warnings around the call,
     since a non-finite output is reported anyway, and checks the outputs
@@ -265,6 +265,7 @@ class TrainingStep:
         theta = params.theta
         self.params = params
         self.learning_rate = learning_rate
+        self._row_shape = (params.input_dim,)
         self._weights = _weights(params)
         self.grad = np.empty_like(theta)
         # Per layer: the gradient's weight and bias views, and the weight
@@ -282,35 +283,31 @@ class TrainingStep:
         self.steps = 0
 
     def __call__(self, batch: np.ndarray, loss, items: int) -> float:
-        """Train on ``batch``, a float64 matrix as wide as the network's
-        input, and return ``loss``'s value on it.  The gradient is divided
-        by ``items`` before the Adam step.
-
-        Raises NumericalError for a non-finite output or loss, and as
-        :func:`optimizer_step` does for the gradient and the update;
-        UsageError for a loss gradient not shaped like the outputs.
+        """Train on ``batch``: :meth:`gradient`, the gradient divided by
+        ``items``, then :meth:`update`, under one ``errstate``.  Returns the
+        loss value; raises as those two do, and NumericalError for a
+        non-finite loss.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            value = self._gradient(batch, loss)
+            value = self.gradient(batch, loss)
             if not math.isfinite(value):
                 raise NumericalError("non-finite loss")
             self.grad /= items
-            self.steps += 1
-            _adam(
-                self.params.theta,
-                self.first_moment,
-                self.second_moment,
-                self.steps,
-                self.learning_rate,
-                self.grad,
-                self._scratch,
-            )
+            self.update()
         return value
 
-    def _gradient(self, batch: np.ndarray, loss):
-        """``loss``'s value on the network's outputs over ``batch``, with
-        d value / d theta written into :attr:`grad`; run under an
-        ``errstate`` that ignores overflow and invalid values."""
+    def gradient(self, batch: np.ndarray, loss) -> float:
+        """One network pass over ``batch``, a float64 matrix as wide as the
+        network's input, ``loss(probs) -> (value, dvalue/dprobs)`` on its
+        outputs, and the chain rule back through the same pass into
+        :attr:`grad`; returns the value.
+
+        Raises UsageError for a batch or a loss gradient of the wrong shape
+        and NumericalError for a non-finite output.  Outside the ``errstate``
+        of :meth:`__call__`, numpy may warn before such an error.
+        """
+        if batch.shape[1:] != self._row_shape:
+            raise UsageError(f"batch has shape {batch.shape}, not (n, {self._row_shape[0]})")
         n = len(batch)
         z, activations = _forward_trace(self._weights, batch)
         probs = _sigmoid(z)
@@ -335,64 +332,41 @@ class TrainingStep:
                 dz *= activations[idx][:n] > 0.0
         return value
 
+    def update(self) -> None:
+        """Adam step number ``steps + 1``, bias-corrected, from :attr:`grad`,
+        in place on ``params.theta`` and the two moments, through the two
+        scratch vectors; :attr:`steps` counts it once ``theta`` is written.
 
-def backward(params: ClassifierParams, batch, loss) -> tuple[float, np.ndarray]:
-    """One network pass over ``batch``, the loss on its outputs, and the
-    chain rule back through the same pass: :class:`TrainingStep`'s without
-    its Adam step.
-
-    ``loss(probs)`` returns ``(value, dvalue/dprobs)`` with one gradient
-    entry per batch row; the result is ``(value, dvalue/dtheta)`` with a
-    fresh gradient in the layout of ``params.theta``.
-    """
-    batch = _check_batch(params, batch)
-    # A one-shot step takes no Adam step, so its learning rate is never read.
-    step = TrainingStep(params, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = step._gradient(batch, loss)
-    return value, step.grad
-
-
-def optimizer_step(
-    theta, first_moment, second_moment, step: int, learning_rate: float, grad
-) -> None:
-    """Adam step number ``step`` (from 1), bias-corrected, in place on
-    ``theta`` and its two moment vectors: :class:`TrainingStep`'s Adam step
-    on fresh scratch vectors.
-
-    Raises NumericalError, before anything is written, for a non-finite
-    gradient entry; and, leaving ``theta`` as it was, for a non-finite
-    update.
-    """
-    scratch = (np.empty_like(theta), np.empty_like(theta))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _adam(theta, first_moment, second_moment, step, learning_rate, grad, scratch)
-
-
-def _adam(theta, first_moment, second_moment, step, learning_rate, grad, scratch):
-    """:func:`optimizer_step` through the two vectors of ``scratch``, under
-    the caller's ``errstate``."""
-    if not np.isfinite(grad).all():
-        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise NumericalError(f"non-finite gradient entry at index {bad}")
-    a, b = scratch
-    first_moment *= ADAM_BETA1
-    first_moment += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
-    second_moment *= ADAM_BETA2
-    # Multiplied left to right: (1 - beta2) * (g * g) rounds differently.
-    np.multiply(1.0 - ADAM_BETA2, grad, out=a)
-    second_moment += np.multiply(a, grad, out=a)
-    # theta - learning_rate * m_hat / (sqrt(v_hat) + eps), left to right.
-    np.divide(first_moment, 1.0 - ADAM_BETA1**step, out=a)
-    np.multiply(learning_rate, a, out=a)
-    np.divide(second_moment, 1.0 - ADAM_BETA2**step, out=b)
-    np.sqrt(b, out=b)
-    b += ADAM_EPS
-    a /= b
-    np.subtract(theta, a, out=a)
-    if not np.isfinite(a).all():
-        raise NumericalError("parameter update is not finite")
-    np.copyto(theta, a)
+        Raises NumericalError, before anything is written, for a non-finite
+        gradient entry; and for a non-finite update, which leaves ``theta``
+        and :attr:`steps` as they were and the moments advanced.  Warns as
+        :meth:`gradient` does outside an ``errstate``.
+        """
+        grad = self.grad
+        if not np.isfinite(grad).all():
+            bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+            raise NumericalError(f"non-finite gradient entry at index {bad}")
+        a, b = self._scratch
+        m, v = self.first_moment, self.second_moment
+        step = self.steps + 1
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
+        v *= ADAM_BETA2
+        # Multiplied left to right: (1 - beta2) * (g * g) rounds differently.
+        np.multiply(1.0 - ADAM_BETA2, grad, out=a)
+        v += np.multiply(a, grad, out=a)
+        # theta - learning_rate * m_hat / (sqrt(v_hat) + eps), left to right.
+        np.divide(m, 1.0 - ADAM_BETA1**step, out=a)
+        np.multiply(self.learning_rate, a, out=a)
+        np.divide(v, 1.0 - ADAM_BETA2**step, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        np.subtract(self.params.theta, a, out=a)
+        if not np.isfinite(a).all():
+            raise NumericalError("parameter update is not finite")
+        np.copyto(self.params.theta, a)
+        self.steps = step
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:

@@ -18,9 +18,9 @@ Four ways to train the instance classifier:
 
 Every loss is a function of the network's outputs alone, clamped into
 ``[CLAMP_EPS, 1 - CLAMP_EPS]`` before any log, and returns ``(value,
-dvalue/doutputs)``; :class:`network.TrainingStep` runs the one network
-pass per training step and maps that gradient onto parameters.  A loss
-checks only the shapes of its arguments.  It assumes finite outputs, which
+dvalue/doutputs)``; :meth:`network.TrainingStep.gradient` maps that
+gradient onto parameters through a step's one network pass.  A loss checks
+only the shapes of its arguments.  It assumes finite outputs, which
 ``forward`` guarantees, and targets in [0, 1], as ``e_step`` posteriors and
 ``Instances`` labels are.  The count losses only ever receive outputs
 and bag counts; ground-truth labels cannot reach them by construction.

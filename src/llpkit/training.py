@@ -19,9 +19,9 @@ bag's rows (or one row) with its size and count (or its target).  Each
 epoch gathers the shuffled items' features and entries once, and a batch
 of ``batch_size`` items is a slice of that gather.  :func:`train` builds
 one :class:`network.TrainingStep` per fit, which holds the weight views,
-the gradient buffer and the Adam state; each step runs the network once
-over the batch, the method's loss, the chain rule and one Adam step, in
-place on the parameter vector.
+the gradient buffer and the Adam state; each step runs its ``gradient``
+(the network once over the batch, the method's loss and the chain rule)
+and its ``update`` (one Adam step), in place on the parameter vector.
 
 Early stopping watches the training objective (count log-likelihood for
 ``mle``, mean epoch loss otherwise), never test data: it stops after

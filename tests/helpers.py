@@ -67,10 +67,22 @@ def check_loss_gradient(loss_fn, params: ClassifierParams, tol=1e-5, step=1e-4):
     return err
 
 
+def network_gradient(params: ClassifierParams, batch, loss):
+    """(loss value, dvalue/dtheta) of ``loss`` on the network's outputs over
+    ``batch``: ``gradient`` of a fresh ``network.TrainingStep``, under the
+    ``errstate`` that a step's call runs it in.  The gradient is the step's
+    own vector."""
+    # No update runs, so the learning rate is never read.
+    step = network.TrainingStep(params, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = step.gradient(batch, loss)
+    return value, step.grad
+
+
 def through_network(features, loss):
     """``loss_fn(params)`` for :func:`check_loss_gradient`: ``loss`` on the
     network's outputs over ``features``, chained back to the parameters."""
-    return lambda params: network.backward(params, features, loss)
+    return lambda params: network_gradient(params, features, loss)
 
 
 def strip_labels(dataset: BagDataset) -> BagDataset:
@@ -240,7 +252,7 @@ def run_em_full_batch(
             worst = max(worst, abs(bound - exact))
         gaps.append(worst)
         for _ in range(inner_steps):
-            _, grad = network.backward(
+            _, grad = network_gradient(
                 params,
                 all_features,
                 lambda probs: objectives.m_step_loss(probs, state.targets),
@@ -365,7 +377,7 @@ def dllp_loss(probs, positive_count):
 def adam_step(theta, first_moment, second_moment, step, learning_rate, grad):
     """One bias-corrected Adam step (Kingma and Ba, ICLR 2015) as new arrays
     ``(theta, first_moment, second_moment)``: the oracle for the in-place
-    ``network.optimizer_step``, which must give the same bits."""
+    ``network.TrainingStep.update``, which must give the same bits."""
     m = 0.9 * first_moment + (1.0 - 0.9) * grad
     v = 0.999 * second_moment + (1.0 - 0.999) * grad * grad
     m_hat = m / (1.0 - 0.9**step)
@@ -396,8 +408,8 @@ def sigmoid_two_branch(z):
 # ---------------------------------------------------------------------------
 # The network pass and its chain rule as separate products per block: full
 # blocks as views of the batch, the tail copied into one zero-padded block.
-# ``network.backward`` must give the same value and gradient bytes on a
-# C-ordered batch.
+# ``network.TrainingStep.gradient`` must give the same value and gradient
+# bytes on a C-ordered batch.
 # ---------------------------------------------------------------------------
 
 
@@ -445,7 +457,7 @@ def forward_trace_blocks(params: ClassifierParams, batch):
 
 def backward_blocks(params: ClassifierParams, batch, loss):
     """(loss value, dvalue/dtheta) through :func:`forward_trace_blocks`:
-    the oracle for ``network.backward``."""
+    the oracle for ``network.TrainingStep.gradient``."""
     batch = np.asarray(batch, dtype=np.float64)
     probs, pre, activations = forward_trace_blocks(params, batch)
     value, g = loss(probs)

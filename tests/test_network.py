@@ -14,6 +14,7 @@ from helpers import (
     backward_blocks,
     finite_difference_gradient,
     max_relative_error,
+    network_gradient,
     sigmoid_masked,
     sigmoid_two_branch,
 )
@@ -26,11 +27,9 @@ from llpkit.network import (
     _STREAM_FLOATS,
     _chunk_rows,
     _sigmoid,
-    backward,
     forward,
     init_params,
     load_checkpoint,
-    optimizer_step,
     param_count,
     save_checkpoint,
 )
@@ -252,7 +251,7 @@ class TestBackward:
     def test_zero_output_grads(self):
         params = init_params((3, 8, 1), seed=2)
         X = np.random.default_rng(5).standard_normal((7, 3))
-        _, grad = backward(params, X, weighted_sum(np.zeros(7)))
+        _, grad = network_gradient(params, X, weighted_sum(np.zeros(7)))
         np.testing.assert_array_equal(grad, np.zeros_like(params.theta))
 
     def test_linear_in_output_grads(self):
@@ -261,9 +260,9 @@ class TestBackward:
         X = rng.standard_normal((7, 3))
         g1 = rng.standard_normal(7)
         g2 = rng.standard_normal(7)
-        _, combined = backward(params, X, weighted_sum(g1 + g2))
-        _, first = backward(params, X, weighted_sum(g1))
-        _, second = backward(params, X, weighted_sum(g2))
+        _, combined = network_gradient(params, X, weighted_sum(g1 + g2))
+        _, first = network_gradient(params, X, weighted_sum(g1))
+        _, second = network_gradient(params, X, weighted_sum(g2))
         np.testing.assert_allclose(combined, first + second, rtol=1e-12, atol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -275,7 +274,7 @@ class TestBackward:
         def value(theta):
             return float(weights @ forward(params.with_theta(theta), X))
 
-        loss, analytic = backward(params, X, weighted_sum(weights))
+        loss, analytic = network_gradient(params, X, weighted_sum(weights))
         assert loss == value(params.theta)
         numeric = finite_difference_gradient(value, params.theta)
         assert max_relative_error(analytic, numeric) <= 1e-5
@@ -289,13 +288,13 @@ class TestBackward:
             seen.append(probs)
             return 0.0, np.zeros_like(probs)
 
-        backward(params, X, loss)
+        network_gradient(params, X, loss)
         np.testing.assert_array_equal(seen[0], forward(params, X))
 
     def test_shape_mismatch(self):
         params = init_params((3, 4, 1), seed=0)
         with pytest.raises(UsageError):
-            backward(params, np.zeros((5, 3)), lambda probs: (0.0, np.zeros(4)))
+            network_gradient(params, np.zeros((5, 3)), lambda probs: (0.0, np.zeros(4)))
 
     @given(
         layer_sizes=st.sampled_from(
@@ -341,86 +340,104 @@ class TestBackward:
             def loss(probs):
                 return batch_loss(probs, sizes, counts)
 
-        value, grad = backward(params, X, loss)
+        value, grad = network_gradient(params, X, loss)
         want_value, want_grad = backward_blocks(params, np.ascontiguousarray(X), loss)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
 
 def adam_buffers(params):
-    """A copy of ``params.theta`` and two zero moment vectors: the buffers
-    that ``train`` owns."""
+    """A copy of ``params.theta`` and two zero moment vectors: the state of
+    a fresh step, for the out-of-place Adam formula."""
     theta = params.theta.copy()
     return theta, np.zeros_like(theta), np.zeros_like(theta)
+
+
+def adam_update(step, grad):
+    """Write ``grad`` into ``step``'s gradient and run its Adam update, under
+    the ``errstate`` that a step's call runs it in."""
+    np.copyto(step.grad, grad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step.update()
+
+
+def adam_state(step):
+    """The bytes of ``step``'s parameters and moments."""
+    return [a.tobytes() for a in (step.params.theta, step.first_moment, step.second_moment)]
 
 
 class TestOptimizer:
     def test_zero_gradient_leaves_parameters(self):
         params = init_params((2, 4, 1), seed=0)
-        theta, m, v = adam_buffers(params)
-        optimizer_step(theta, m, v, 1, 1e-3, np.zeros_like(theta))
-        assert theta.tobytes() == params.theta.tobytes()
-        assert not m.any() and not v.any()
+        before = params.theta.tobytes()
+        step = TrainingStep(params, 1e-3)
+        adam_update(step, np.zeros_like(params.theta))
+        assert params.theta.tobytes() == before
+        assert not step.first_moment.any() and not step.second_moment.any()
 
     def test_first_step_is_bounded_by_learning_rate(self):
         params = init_params((2, 4, 1), seed=0)
-        theta, m, v = adam_buffers(params)
+        theta = params.theta.copy()
         grad = np.random.default_rng(8).standard_normal(theta.size)
-        optimizer_step(theta, m, v, 1, 1e-3, grad)
-        delta = theta - params.theta
+        adam_update(TrainingStep(params, 1e-3), grad)
+        delta = params.theta - theta
         # At step one bias corrections cancel: delta = -lr * g / (|g| + eps).
         assert np.all(np.abs(delta) <= 1e-3 * (1.0 + 1e-9))
         moved = np.abs(grad) > 1e-12
         assert np.all(np.sign(delta[moved]) == -np.sign(grad[moved]))
 
     def test_rejects_non_finite_gradient(self):
-        theta, m, v = adam_buffers(init_params((2, 4, 1), seed=0))
+        step = TrainingStep(init_params((2, 4, 1), seed=0), 1e-3)
         rng = np.random.default_rng(4)
-        optimizer_step(theta, m, v, 1, 1e-3, rng.standard_normal(theta.size))
-        before = [a.tobytes() for a in (theta, m, v)]
-        grad = rng.standard_normal(theta.size)
+        adam_update(step, rng.standard_normal(step.grad.size))
+        before = adam_state(step)
+        grad = rng.standard_normal(step.grad.size)
         grad[3] = np.nan
         with pytest.raises(NumericalError, match="index 3"):
-            optimizer_step(theta, m, v, 2, 1e-3, grad)
-        assert [a.tobytes() for a in (theta, m, v)] == before
+            adam_update(step, grad)
+        assert adam_state(step) == before
+        assert step.steps == 1
 
     def test_rejects_non_finite_update(self):
         params = init_params((2, 4, 1), seed=0)
-        theta, m, v = adam_buffers(params)
+        before = params.theta.tobytes()
+        step = TrainingStep(params, float("inf"))
         with pytest.raises(NumericalError, match="update is not finite"):
-            optimizer_step(theta, m, v, 1, float("inf"), np.ones_like(theta))
-        assert theta.tobytes() == params.theta.tobytes()
+            adam_update(step, np.ones_like(params.theta))
+        assert params.theta.tobytes() == before
+        assert step.steps == 0
 
     def test_trajectory_is_deterministic(self):
         def run():
-            theta, m, v = adam_buffers(init_params((2, 4, 1), seed=1))
+            params = init_params((2, 4, 1), seed=1)
+            step = TrainingStep(params, 1e-2)
             rng = np.random.default_rng(9)
-            for step in range(1, 26):
-                grad = rng.standard_normal(theta.size)
-                optimizer_step(theta, m, v, step, 1e-2, grad)
-            return theta
+            for _ in range(25):
+                adam_update(step, rng.standard_normal(params.theta.size))
+            return params.theta
 
         np.testing.assert_array_equal(run(), run())
 
     def test_in_place_step_is_the_out_of_place_formula(self):
         # Gradients over 12 decades, so that a reassociated product rounds
         # differently somewhere.
-        theta, m, v = adam_buffers(init_params((3, 8, 1), seed=5))
-        expected = (theta.copy(), m.copy(), v.copy())
+        params = init_params((3, 8, 1), seed=5)
+        expected = adam_buffers(params)
+        step = TrainingStep(params, 2e-3)
         rng = np.random.default_rng(6)
-        for step in range(1, 41):
-            scale = 10.0 ** rng.uniform(-6, 6, theta.size)
-            grad = rng.standard_normal(theta.size) * scale
-            optimizer_step(theta, m, v, step, 2e-3, grad)
-            expected = adam_step(*expected, step, 2e-3, grad)
-            assert [a.tobytes() for a in (theta, m, v)] == [
-                a.tobytes() for a in expected
-            ]
+        for k in range(1, 41):
+            scale = 10.0 ** rng.uniform(-6, 6, params.theta.size)
+            grad = rng.standard_normal(params.theta.size) * scale
+            adam_update(step, grad)
+            expected = adam_step(*expected, k, 2e-3, grad)
+            assert adam_state(step) == [a.tobytes() for a in expected]
+        assert step.steps == 40
 
 
 class TestTrainingStep:
     """One step object driven over batches of changing size is the chain of
-    one-shot ``backward`` calls and the out-of-place Adam formula."""
+    the block oracle's gradients (``helpers.backward_blocks``) and the
+    out-of-place Adam formula (``helpers.adam_step``)."""
 
     SIZES = (2, 32, 32, 1)
 
@@ -449,7 +466,7 @@ class TestTrainingStep:
         step = TrainingStep(params, 2e-3)
         for k, (X, loss, items) in enumerate(self.batches(loss_name), start=1):
             value = step(X, loss, items)
-            want_value, grad = backward(ClassifierParams(self.SIZES, theta), X, loss)
+            want_value, grad = backward_blocks(ClassifierParams(self.SIZES, theta), X, loss)
             theta, m, v = adam_step(theta, m, v, k, 2e-3, grad / items)
             assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
             assert [a.tobytes() for a in (params.theta, step.first_moment)] == [
@@ -469,6 +486,7 @@ class TestTrainingStep:
         with pytest.raises(NumericalError, match="parameter update is not finite"):
             step(*next(batches))
         assert params.theta.tobytes() == before
+        assert step.steps == 2
 
     def test_non_finite_gradient_writes_nothing(self):
         params = init_params(self.SIZES, seed=5)
@@ -487,6 +505,17 @@ class TestTrainingStep:
         with pytest.raises(NumericalError, match="non-finite gradient entry"):
             step(X, loss, items)
         assert [a.tobytes() for a in state] == before
+        assert step.steps == 1
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5,), (5, 2, 1)])
+    def test_rejects_a_batch_of_the_wrong_shape(self, shape):
+        params = init_params(self.SIZES, seed=7)
+        step = TrainingStep(params, 1e-3)
+        before = params.theta.tobytes()
+        with pytest.raises(UsageError, match=r"batch has shape .*, not \(n, 2\)"):
+            step(np.zeros(shape), lambda probs: (0.0, np.zeros_like(probs)), 5)
+        assert params.theta.tobytes() == before
+        assert step.steps == 0
 
     def test_non_finite_loss(self):
         params = init_params(self.SIZES, seed=6)
@@ -496,14 +525,14 @@ class TestTrainingStep:
         with pytest.raises(NumericalError, match="non-finite loss"):
             step(X, lambda probs: (float("nan"), np.zeros_like(probs)), 3)
         assert params.theta.tobytes() == before
+        assert step.steps == 0
 
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params((3, 8, 1), seed=13)
         grad = np.random.default_rng(10).standard_normal(params.theta.size)
-        _, m, v = adam_buffers(params)
-        optimizer_step(params.theta, m, v, 1, 2e-3, grad)
+        adam_update(TrainingStep(params, 2e-3), grad)
 
         path = tmp_path / "model.json"
         save_checkpoint(path, params)

@@ -2,8 +2,9 @@
 ``llpkit.files``, which alone ends CSV lines, the package imports nothing
 at run time beyond numpy and the standard library, the README names only
 flags the CLI accepts, its library example runs, a failing property test
-reports its example under the project's pytest settings, and the output
-digest tool runs."""
+reports its example under the project's pytest settings, the output
+digest tool runs, and every definition in the package is named somewhere in
+it."""
 
 import argparse
 import ast
@@ -67,6 +68,62 @@ def test_imports_only_numpy_and_stdlib():
                 assert top == "numpy" or top in sys.stdlib_module_names, (
                     f"{source.name}:{node.lineno} imports {name}"
                 )
+
+
+# Definitions in src/llpkit that nothing there names, and why they stay.
+UNNAMED_BUT_KEPT = {
+    "ClassifierParams.with_theta": "perfbench/test_perfbench.py:126 calls it",
+}
+
+
+def test_every_definition_is_named_or_exported():
+    """Every function, class and method in ``src/llpkit`` is named somewhere
+    else in the package, or imported by ``llpkit/__init__.py``: code that
+    nothing calls is deleted, not kept for the tests.  Dunder methods are
+    called by Python itself.  A definition counts as named when its name is
+    read as a variable, an attribute, an import (so ``__init__.py``'s
+    exports count) or a string anywhere in the package."""
+    package = Path(llpkit.__file__).parent
+    trees = {
+        source.stem: ast.parse(source.read_text(encoding="utf-8"), str(source))
+        for source in sorted(package.glob("*.py"))
+    }
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+
+    def definitions(node, prefix):
+        """(qualified name, name) of every definition below ``node``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield prefix + child.name, child.name
+                yield from definitions(child, f"{prefix}{child.name}.")
+            else:
+                yield from definitions(child, prefix)
+
+    unnamed = sorted(
+        f"{module}.{qualified}"
+        for module, tree in trees.items()
+        for qualified, name in definitions(tree, "")
+        if name not in named
+        and not (name.startswith("__") and name.endswith("__"))
+        and qualified not in UNNAMED_BUT_KEPT
+    )
+    assert not unnamed, f"defined in llpkit but named nowhere else: {unnamed}"
+    still_unnamed = [
+        qualified
+        for qualified in UNNAMED_BUT_KEPT
+        if qualified.rsplit(".", 1)[1] not in named
+    ]
+    assert still_unnamed == list(UNNAMED_BUT_KEPT), "an exemption is no longer needed"
 
 
 # Calls that write, rename, remove or create a file or directory.

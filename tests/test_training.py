@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import adam_step, run_em_full_batch, strip_labels
+from helpers import adam_step, network_gradient, run_em_full_batch, strip_labels
 from llpkit.data import (
     BagDataset,
     Instances,
@@ -164,10 +164,10 @@ class TestTrain:
 
 
 def reference_loop(dataset, config):
-    """The epoch loop of any method with separate passes and the
-    out-of-place Adam formula (``helpers.adam_step``): for mle, an E-step at
-    the start of every epoch and the count log-likelihood after each
-    epoch.  No early stopping."""
+    """The epoch loop of any method with a fresh step's chain rule per
+    batch (``helpers.network_gradient``) and the out-of-place Adam formula
+    (``helpers.adam_step``): for mle, an E-step at the start of every epoch
+    and the count log-likelihood after each epoch.  No early stopping."""
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).generate_state(2)
     params = network.init_params(
         (dataset.feature_dim, *config.hidden_widths, 1), int(init_seed)
@@ -193,13 +193,13 @@ def reference_loop(dataset, config):
             sel = order[lo : lo + config.batch_size]
             if bag_level:
                 sizes, counts = dataset.sizes[sel], dataset.counts[sel]
-                loss, grad = network.backward(
+                loss, grad = network_gradient(
                     params,
                     features[dataset.bag_rows(sel)],
                     lambda probs: batch_loss(probs, sizes, counts),
                 )
             else:
-                loss, grad = network.backward(
+                loss, grad = network_gradient(
                     params,
                     features[sel],
                     lambda probs: m_step_loss(probs, targets[sel]),
