@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, LlpError, UsageError, check_floats
+from .errors import FormatError, LlpError, UsageError, check_floats, check_whole
 from .files import write_csv
 from .poisson_binomial import PosteriorPlan
 
@@ -98,21 +98,21 @@ class BagDataset:
 
     def __post_init__(self):
         n = len(self.instances)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        offsets = check_whole(self.offsets, "bag offsets")
+        counts = check_whole(self.counts, "bag counts")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "counts", counts)
-        if offsets.ndim != 1 or offsets.size < 2:
+        if np.ndim(offsets) != 1 or np.size(offsets) < 2:
             raise UsageError("dataset needs at least one bag")
         sizes = self.sizes
         if offsets[0] != 0 or offsets[-1] != n or sizes.min() < 1:
             raise UsageError(f"bag offsets must rise strictly from 0 to {n}")
-        if counts.shape != sizes.shape or np.any((counts < 0) | (counts > sizes)):
+        if np.shape(counts) != sizes.shape or np.any((counts < 0) | (counts > sizes)):
             raise UsageError("each bag needs a positive count in [0, bag size]")
         if self.instance_ids is not None:
-            ids = np.asarray(self.instance_ids, dtype=np.int64)
-            if ids.shape != (n,):
-                raise UsageError(f"{ids.size} instance ids for {n} rows")
+            ids = check_whole(self.instance_ids, "instance ids")
+            if np.shape(ids) != (n,):
+                raise UsageError(f"{np.size(ids)} instance ids for {n} rows")
             object.__setattr__(self, "instance_ids", ids)
         if self.fold_assignment is not None:
             if set(self.fold_assignment) != set(range(self.num_bags)):
@@ -179,6 +179,9 @@ def generate_synthetic(
     Both classes have unit isotropic covariance; labels are drawn first
     with probability ``positive_prior``.  Bit-identical for the same arguments.
     """
+    num_instances = check_whole(num_instances, "number of instances")
+    feature_dim = check_whole(feature_dim, "feature dimension")
+    seed = check_whole(seed, "seed")
     if num_instances < 2:
         raise UsageError("need at least 2 instances")
     if feature_dim < 1:
@@ -406,6 +409,9 @@ def _draw_bags(instances: Instances, min_size: int, max_size: int, seed: int):
     all rows, the bag offsets into it).  The order depends on the seed and
     the number of instances alone."""
     n = len(instances)
+    min_size = check_whole(min_size, "min_size")
+    max_size = check_whole(max_size, "max_size")
+    seed = check_whole(seed, "seed")
     if n == 0:
         raise UsageError("no instances to bag")
     if instances.labels is None:
@@ -436,6 +442,8 @@ def _bagged(bagged: Instances, order, offsets) -> BagDataset:
 
 def assign_folds(dataset: BagDataset, k: int, seed: int) -> BagDataset:
     """Seeded partition of bags into k folds with sizes differing by <= 1."""
+    k = check_whole(k, "number of folds")
+    seed = check_whole(seed, "seed")
     if k < 2:
         raise UsageError(f"need at least 2 folds, got {k}")
     if dataset.num_bags < k:

@@ -7,33 +7,31 @@ two quantities from it: the log pmf of each bag's observed count and the
 per-instance posterior probabilities given that count (the soft
 cross-entropy targets).
 
-Both come from one kernel, :func:`batch_posteriors`.  It runs a product
-tree over count distributions in linear space (Tarlow, Swersky, Zemel,
-Adams and Frey, "Fast Exact Inference for Recursive Cardinality Models",
-UAI 2012) for many bags at once: one upward pass builds the count
-distribution of every subtree, one downward pass the count distribution
-outside it, each as one batched product per tree level.  That is O(n * y)
-time and about n * (log2 n + 9) floats per bag, in O(log n) numpy calls
-per group of bags.  A bag whose terms could leave the normal
-float64 range is first tilted: its odds are scaled until its count is
-typical, which leaves its posteriors unchanged and shifts its log pmf by a
-known amount.  So the kernel holds at any bag size: a bag whose pmf
-underflows float64 still gets finite log-likelihoods and posteriors that
-sum to its count.
-:func:`instance_posteriors` and :func:`bag_log_likelihood` are its one-bag
-forms.
+Both come from one kernel, entered only through :class:`PosteriorPlan`.
+It runs a product tree over count distributions in linear space (Tarlow,
+Swersky, Zemel, Adams and Frey, "Fast Exact Inference for Recursive
+Cardinality Models", UAI 2012) for many bags at once: one upward pass
+builds the count distribution of every subtree, one downward pass the
+count distribution outside it, each as one batched product per tree
+level.  That is O(n * y) time and about n * (log2 n + 9) floats per bag,
+in O(log n) numpy calls per chunk of bags.  A bag whose terms could leave
+the normal float64 range is first tilted: its odds are scaled until its
+count is typical, which leaves its posteriors unchanged and shifts its log
+pmf by a known amount.  So the kernel holds at any bag size: a bag whose
+pmf underflows float64 still gets finite log-likelihoods and posteriors
+that sum to its count.
 
 How bags are grouped, padded and chunked follows from their sizes and
-counts alone.  A :class:`PosteriorPlan` holds it, so that the E-step
-builds it once per dataset and runs it on each new probability vector;
-:func:`batch_posteriors` builds one and runs it once.  Only bags of more
+counts alone.  A plan holds it, so that the E-step builds it once per
+dataset and runs it on each new probability vector.  Only bags of more
 than 43 instances can need a tilt, so a run computes floors only in the
-chunks that hold one.
+chunks that hold one.  :func:`instance_posteriors` and
+:func:`bag_log_likelihood` run a one-bag plan.
 
 The one-bag forms clamp probabilities into ``[CLAMP_EPS, 1 - CLAMP_EPS]``
 so that every consistent count has strictly positive probability and logs
-stay finite; :func:`batch_posteriors` expects them clamped already and does
-not clamp.
+stay finite; :meth:`PosteriorPlan.run` expects them clamped already and
+does not clamp.
 """
 
 import math
@@ -41,18 +39,18 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import UsageError
+from .errors import UsageError, check_whole
 
 # Clamp width for instance probabilities; keeps pb(p, y) > 0 for any valid y
 # while perturbing well-scaled probabilities by at most 1e-7.
 CLAMP_EPS = 1e-7
 
-# Floats that one chunk of batch_posteriors may hold in its tree (1 MiB), so
+# Floats that one chunk of a PosteriorPlan may hold in its tree (1 MiB), so
 # the kernel's working memory does not grow with the number of bags.
 _TABLE_BUDGET = 1 << 17
 
 # Lowest bag floor, sum_i log min(p_i, 1 - p_i) over the bag's instances,
-# at which batch_posteriors runs the bag's tree untilted.  Every nonzero
+# at which a PosteriorPlan runs the bag's tree untilted.  Every nonzero
 # count probability of a subtree or of its outside, and every product of
 # two of them, in the tree is a sum of assignment probabilities of disjoint
 # sets of instances, each at least exp(floor); this bound keeps them
@@ -91,11 +89,11 @@ def _clamp(p: np.ndarray) -> np.ndarray:
 def instance_posteriors(p, y: int) -> np.ndarray:
     """P(instance i is positive | bag count y), for every instance.
 
-    One bag through :func:`batch_posteriors`; the y = 0 and y = n bags come
-    out as exact 0/1 targets.
+    One bag through a :class:`PosteriorPlan`; the y = 0 and y = n bags
+    come out as exact 0/1 targets.
     """
     p = clamp_probabilities(p)
-    phi, _ = batch_posteriors(p, [p.size], [y])
+    phi, _ = PosteriorPlan([p.size], [y]).run(p)
     return phi
 
 
@@ -103,25 +101,15 @@ def bag_log_likelihood(p, y: int) -> float:
     """Log pmf of the observed count; finite thanks to clamping, at any
     bag size."""
     p = clamp_probabilities(p)
-    _, log_pb = batch_posteriors(p, [p.size], [y])
+    _, log_pb = PosteriorPlan([p.size], [y]).run(p)
     return float(log_pb[0])
 
 
-def batch_posteriors(probs, sizes, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Instance posteriors and log pmf of the observed count, for many bags.
-
-    ``probs`` stacks the bags' instance probabilities, clamped as by
-    :func:`clamp_probabilities`; ``sizes`` and ``counts`` give each bag's
-    length and positive count.  Returns ``(phi, log_pb)``: ``phi[i]`` is
-    P(instance i positive | its bag's count) and ``log_pb[j]`` is
-    log pb(p_j, y_j).  The same as ``PosteriorPlan(sizes, counts).run(probs)``.
-    """
-    return PosteriorPlan(sizes, counts).run(probs)
-
-
 class PosteriorPlan:
-    """What :func:`batch_posteriors` derives from bag sizes and counts
-    alone, built once and run on any number of probability vectors.
+    """Instance posteriors and log pmf of the observed count, for many
+    bags: the kernel's one entry point.  ``sizes`` and ``counts`` give each
+    bag's length and positive count; what follows from them alone is built
+    here once, and :meth:`run` takes any number of probability vectors.
 
     Bags are grouped by the power of two at or above their size and
     padded to that width with p = 0 instances, which leave every count
@@ -138,18 +126,18 @@ class PosteriorPlan:
     its count probabilities cannot underflow.  A clamped bag of at most
     ``_ALWAYS_LINEAR`` instances never is, so every chunk is cut here,
     once, and only a chunk with a larger bag computes floors on a run:
-    over its gathered rows, for its larger bags.  When one of them lies
-    below, the chunk's tilted bags and its other bags each take a tree of
-    their own.
+    over its gathered rows, for its larger bags.  The bags that lie below
+    are tilted in place, and the chunk still runs one tree.
 
-    Raises UsageError unless sizes and counts are 1-d, one per bag, with
-    sizes nonnegative and every count in [0, size].
+    Raises UsageError unless sizes and counts are 1-d arrays of whole
+    numbers, one per bag, with sizes nonnegative and every count in
+    [0, size].
     """
 
     def __init__(self, sizes, counts):
-        sizes = np.asarray(sizes, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if sizes.ndim != 1 or sizes.shape != counts.shape:
+        sizes = check_whole(sizes, "bag sizes")
+        counts = check_whole(counts, "bag counts")
+        if np.ndim(sizes) != 1 or np.shape(sizes) != np.shape(counts):
             raise UsageError(
                 "probabilities, sizes and counts must be 1-d, one size per count"
             )
@@ -168,20 +156,25 @@ class PosteriorPlan:
         # A chunk is (bags, gather, may_tilt): gather[k, c] is the row of
         # probs at column c of bag k, or num_instances for a pad column, and
         # may_tilt says whether a bag of the chunk is over _ALWAYS_LINEAR.
+        # Each chunk holds as many bags of one width as fit _TABLE_BUDGET
+        # floats, at least one.
         self.chunks = []
         for width in sorted(set(widths.tolist())):
             members = np.flatnonzero(widths == width)
             cols = np.arange(width)
             gather = offsets[members, None] + cols
             gather[cols >= sizes[members, None]] = self.num_instances
-            self.chunks += [
-                (bags, rows, bool(sizes[bags].max() > _ALWAYS_LINEAR))
-                for bags, rows in _chunks(members, gather)
-            ]
+            per_chunk = max(1, _TABLE_BUDGET // (width * (width.bit_length() - 1 + 9)))
+            for lo in range(0, members.size, per_chunk):
+                bags = members[lo : lo + per_chunk]
+                may_tilt = bool(sizes[bags].max() > _ALWAYS_LINEAR)
+                self.chunks.append((bags, gather[lo : lo + per_chunk], may_tilt))
 
     def run(self, probs) -> tuple[np.ndarray, np.ndarray]:
-        """``(phi, log_pb)`` for the planned bags at clamped ``probs``, as
-        :func:`batch_posteriors` documents them.
+        """``(phi, log_pb)`` for the planned bags at ``probs``, which stacks
+        the bags' instance probabilities, clamped as by
+        :func:`clamp_probabilities`: ``phi[i]`` is P(instance i positive |
+        its bag's count) and ``log_pb[j]`` is log pb(p_j, y_j).
 
         A result that is not finite is returned as is; callers that need
         finite values check for it.  A NaN probability leaves every other
@@ -201,23 +194,19 @@ class PosteriorPlan:
         phi = np.empty(padded.size)
         log_pb = np.empty(self.counts.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for chunk, rows, may_tilt in self.chunks:
+            for bags, rows, may_tilt in self.chunks:
                 p = padded[rows]
-                parts = [(chunk, rows, p, False)]
-                if may_tilt and (below := self._below(chunk, p)).any():
-                    parts = [
-                        (chunk[pick], rows[pick], p[pick], tilt)
-                        for tilt, pick in ((False, ~below), (True, below))
-                        if pick.any()
-                    ]
-                for bags, gather, p, tilt in parts:
-                    counts = self.counts[bags]
-                    q = 1.0 - p
-                    if tilt:
-                        p, q, shift = _tilt(p, self.sizes[bags], counts)
-                    phi[gather], log_pb[bags] = _tree(p, q, counts)
-                    if tilt:
-                        log_pb[bags] += shift
+                q = 1.0 - p
+                counts = self.counts[bags]
+                tilted = None
+                if may_tilt and (below := self._below(bags, p)).any():
+                    tilted = bags[below]
+                    p[below], q[below], shift = _tilt(
+                        p[below], self.sizes[tilted], counts[below]
+                    )
+                phi[rows], log_pb[bags] = _tree(p, q, counts)
+                if tilted is not None:
+                    log_pb[tilted] += shift
         return phi[:-1], log_pb
 
     def _below(self, bags, p) -> np.ndarray:
@@ -231,17 +220,6 @@ class PosteriorPlan:
         terms = np.minimum(np.log(p), np.log1p(-p))
         floor = np.cumsum(terms, axis=1)[np.arange(bags.size), sizes - 1]
         return (sizes > _ALWAYS_LINEAR) & ~(floor >= _LINEAR_FLOOR)
-
-
-def _chunks(bags, gather) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Bags of one width, with their gather rows, cut into chunks of as
-    many bags as fit ``_TABLE_BUDGET`` floats, at least one."""
-    width = gather.shape[1]
-    per_chunk = max(1, _TABLE_BUDGET // (width * (width.bit_length() - 1 + 9)))
-    return [
-        (bags[lo : lo + per_chunk], gather[lo : lo + per_chunk])
-        for lo in range(0, bags.size, per_chunk)
-    ]
 
 
 def _tilt(p, sizes, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,6 +307,6 @@ def _windows(x, length) -> np.ndarray:
 
     The view of ``sliding_window_view(x, length, axis=-1)``, without its
     argument handling: that costs about 15 us more per call, and one
-    ``batch_posteriors`` call on 79 bags of 16-64 makes 30 such views."""
+    :meth:`PosteriorPlan.run` on 79 bags of 16-64 makes 30 such views."""
     shape = x.shape[:-1] + (x.shape[-1] - length + 1, length)
     return as_strided(x, shape, x.strides + x.strides[-1:], writeable=False)

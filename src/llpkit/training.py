@@ -41,7 +41,7 @@ import numpy as np
 
 from . import network, objectives
 from .data import BagDataset, Instances
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, check_whole
 from .files import write_csv
 
 METHODS = ("mle", "amle", "dllp", "supervised")
@@ -52,7 +52,8 @@ class TrainConfig:
     """Everything a run needs besides the data.
 
     ``batch_size`` counts instances for mle/supervised and whole bags for
-    amle/dllp.  Every step is an Adam step.
+    amle/dllp.  Every step is an Adam step.  The integer fields, and each
+    hidden width, must be whole numbers; they are stored as ints.
     """
 
     method: str
@@ -68,6 +69,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise UsageError(f"unknown method {self.method!r}, expected {METHODS}")
+        for name in ("max_epochs", "batch_size", "patience", "seed"):
+            object.__setattr__(self, name, check_whole(getattr(self, name), name))
+        widths = tuple(check_whole(w, "hidden layer widths") for w in self.hidden_widths)
+        object.__setattr__(self, "hidden_widths", widths)
         if self.max_epochs < 1:
             raise UsageError("max_epochs must be at least 1")
         if self.batch_size < 1:
@@ -86,7 +91,6 @@ class TrainConfig:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
             raise UsageError(f"threshold must be in (0, 1), got {self.threshold}")
-        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         if any(w < 1 for w in self.hidden_widths):
             raise UsageError(
                 f"hidden layer widths must be at least 1, got {self.hidden_widths}"

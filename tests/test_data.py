@@ -124,6 +124,12 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 0, 1.0, 0.5, seed=0)
         with pytest.raises(UsageError):
             generate_synthetic(10, 2, 1.0, 1.0, seed=0)
+        with pytest.raises(UsageError, match="number of instances must be a whole number"):
+            generate_synthetic(10.5, 2, 1.0, 0.5, seed=0)
+        with pytest.raises(UsageError, match="feature dimension must be a whole number"):
+            generate_synthetic(10, None, 1.0, 0.5, seed=0)
+        with pytest.raises(UsageError, match="seed must be a whole number"):
+            generate_synthetic(10, 2, 1.0, 0.5, seed="1")
 
 
 def bag_ids(dataset):
@@ -184,6 +190,14 @@ class TestMakeBags:
             make_bags(self.labeled(5), 3, 2, seed=0)
         with pytest.raises(UsageError):
             make_bags(self.labeled(5), 1, 6, seed=0)
+        with pytest.raises(UsageError, match="min_size must be a whole number"):
+            make_bags(self.labeled(5), 2.5, 4, seed=0)
+        with pytest.raises(UsageError, match="max_size must be a whole number"):
+            make_bags(self.labeled(5), 1, "4", seed=0)
+        with pytest.raises(UsageError, match="seed must be a whole number"):
+            make_bags(self.labeled(5), 1, 4, seed=1.5)
+        whole = make_bags(self.labeled(5), 2.0, np.int32(3), seed=np.uint8(4))
+        self.assert_same_bags(whole, make_bags(self.labeled(5), 2, 3, seed=4))
 
     def test_deterministic(self):
         instances = self.labeled(40, seed=6)
@@ -268,6 +282,12 @@ class TestAssignFolds:
             assign_folds(self.bagged(5), 1, seed=0)
         with pytest.raises(UsageError, match="seed must be nonnegative"):
             assign_folds(self.bagged(5), 2, seed=-1)
+        with pytest.raises(UsageError, match="number of folds must be a whole number"):
+            assign_folds(self.bagged(5), 2.5, seed=0)
+        with pytest.raises(UsageError, match="seed must be a whole number"):
+            assign_folds(self.bagged(5), 2, seed=float("nan"))
+        whole = assign_folds(self.bagged(5), 2.0, seed=np.int64(0))
+        assert whole.fold_assignment == assign_folds(self.bagged(5), 2, seed=0).fold_assignment
 
 
 class TestBagCsv:
@@ -885,6 +905,23 @@ class TestDomainTypes:
             BagDataset(instances, [0, 2, 3], [0, 0], instance_ids=[0, 1])
         with pytest.raises(UsageError, match="fold assignment must cover every bag exactly once"):
             BagDataset(instances, [0, 2, 3], [0, 0], fold_assignment={0: 0})
+        # Offsets, counts and ids are whole numbers, never truncated.
+        for offsets, counts, ids, what in [
+            ([0, 2.5, 3], [1, 1], None, "bag offsets"),
+            ([0, np.nan, 3], [0, 0], None, "bag offsets"),
+            (["0", "2", "3"], [0, 0], None, "bag offsets"),
+            ([0, 2, 3], [1.5, 1], None, "bag counts"),
+            ([0, 2, 3], [0, "1"], None, "bag counts"),
+            ([0, 2, 3], [0, 0], [0, 1.5, 2], "instance ids"),
+        ]:
+            with pytest.raises(UsageError, match=what):
+                BagDataset(instances, offsets, counts, instance_ids=ids)
+        # Whole numbers of any numeric type still load as int64.
+        dataset = BagDataset(
+            instances, np.array([0.0, 2.0, 3.0]), np.array([1, 0], dtype=np.uint8)
+        )
+        assert dataset.offsets.dtype == dataset.counts.dtype == np.int64
+        assert dataset.offsets.tolist() == [0, 2, 3] and dataset.counts.tolist() == [1, 0]
 
     def test_strip_labels_hides_ground_truth(self):
         instances = Instances(np.array([[0.0, 0.0], [1.0, 1.0]]), [1, 0])

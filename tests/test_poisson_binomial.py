@@ -36,7 +36,6 @@ from llpkit.poisson_binomial import (
     PosteriorPlan,
     _windows,
     bag_log_likelihood,
-    batch_posteriors,
     clamp_probabilities,
     instance_posteriors,
 )
@@ -241,8 +240,8 @@ class TestBatchPosteriors:
         # A small table budget splits every bucket above width 8 into
         # chunks of one bag.
         with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 256):
-            phi, log_pb = batch_posteriors(
-                np.concatenate([p for p, _ in bags]), sizes, counts
+            phi, log_pb = PosteriorPlan(sizes, counts).run(
+                np.concatenate([p for p, _ in bags])
             )
         for (p, y), got, log_value in zip(bags, split_rows(phi, sizes), log_pb):
             assert got.min() >= 0.0 and got.max() <= 1.0
@@ -260,23 +259,41 @@ class TestBatchPosteriors:
         # Chunks are sized by the bound of 64 * (log2 64 + 9) floats per bag.
         assert sizes.size * 64 * (6 + 9) > 2 * poisson_binomial._TABLE_BUDGET
         probs = clamp_probabilities(rng.random(int(sizes.sum())))
-        phi, log_pb = batch_posteriors(probs, sizes, counts)
+        phi, log_pb = PosteriorPlan(sizes, counts).run(probs)
         pairs = zip(split_rows(probs, sizes), split_rows(phi, sizes))
         for j, (p, got) in enumerate(pairs):
-            alone, alone_log = batch_posteriors(p, [p.size], [counts[j]])
+            alone, alone_log = PosteriorPlan([p.size], [counts[j]]).run(p)
             np.testing.assert_allclose(got, alone, rtol=0, atol=1e-14)
             assert log_pb[j] == alone_log[0]
             assert abs(got.sum() - counts[j]) <= 1e-10
 
     def test_rejects_inconsistent_shapes(self):
         with pytest.raises(UsageError):
-            batch_posteriors([0.5, 0.5], [3], [1])
+            PosteriorPlan([3], [1]).run([0.5, 0.5])
         with pytest.raises(UsageError, match="bag 1"):
-            batch_posteriors([0.5, 0.5, 0.5], [1, 2], [1, 3])
+            PosteriorPlan([1, 2], [1, 3]).run([0.5, 0.5, 0.5])
         with pytest.raises(UsageError, match="1-d"):
-            batch_posteriors([[0.5, 0.5]], [2], [1])
+            PosteriorPlan([2], [1]).run([[0.5, 0.5]])
         with pytest.raises(UsageError, match="nonnegative"):
-            batch_posteriors([0.5], [-1, 2], [0, 1])
+            PosteriorPlan([-1, 2], [0, 1]).run([0.5])
+        # Sizes and counts are whole numbers, never truncated.
+        for sizes, counts, what in [
+            ([2.7], [1], "bag sizes"),
+            ([2, 2], [1.5, 1], "bag counts"),
+            ([np.nan], [0], "bag sizes"),
+            (["2"], [1], "bag sizes"),
+            ([2], [None], "bag counts"),
+        ]:
+            with pytest.raises(UsageError, match=what):
+                PosteriorPlan(sizes, counts)
+        with pytest.raises(UsageError, match="bag counts"):
+            bag_log_likelihood([0.5, 0.5], 1.5)
+        with pytest.raises(UsageError, match="bag counts"):
+            instance_posteriors([0.5, 0.5], 1.9)
+        # Whole numbers of any numeric type still plan as ints.
+        plan = PosteriorPlan(np.array([2.0, 3.0]), np.array([1, 0], dtype=np.uint8))
+        assert plan.sizes.dtype == plan.counts.dtype == np.int64
+        assert plan.sizes.tolist() == [2, 3] and plan.counts.tolist() == [1, 0]
 
 
 def plan_cases(rng):
@@ -313,7 +330,7 @@ class TestPosteriorPlan:
             floors = [bag_floor(p) for p in split_rows(probs, sizes)]
             tilted += sum(f < _LINEAR_FLOOR for f in floors)
             phi, log_pb = plan.run(probs)
-            want, want_log = batch_posteriors(probs, sizes, counts)
+            want, want_log = PosteriorPlan(sizes, counts).run(probs)
             assert phi.tobytes() == want.tobytes()
             assert log_pb.tobytes() == want_log.tobytes()
         assert 0 < tilted < 4 * 16
@@ -429,8 +446,8 @@ class TestLinearRoute:
         # A small table budget splits every bucket above width 8 into
         # chunks of one bag.
         with mock.patch.object(poisson_binomial, "_TABLE_BUDGET", 256):
-            phi, log_pb = batch_posteriors(
-                np.concatenate([p for p, _ in bags]), sizes, counts
+            phi, log_pb = PosteriorPlan(sizes, counts).run(
+                np.concatenate([p for p, _ in bags])
             )
         for (p, y), got, got_log in zip(bags, split_rows(phi, sizes), log_pb):
             want, want_log = log_sweep(
@@ -448,7 +465,7 @@ class TestLinearRoute:
     def test_tilted_bag_degenerate_counts(self, y):
         p = np.tile([CLAMP_EPS, 1.0 - CLAMP_EPS], 32)
         assert bag_floor(p) < _LINEAR_FLOOR
-        phi, log_pb = batch_posteriors(p, [64], [y])
+        phi, log_pb = PosteriorPlan([64], [y]).run(p)
         np.testing.assert_array_equal(phi, np.full(64, y / 64))
         expected = np.log(p).sum() if y else np.log1p(-p).sum()
         assert log_pb[0] == pytest.approx(expected, rel=1e-12)
@@ -461,9 +478,14 @@ class TestLinearRoute:
         edge_bag = np.tile([CLAMP_EPS, 1.0 - CLAMP_EPS], 32)
         assert bag_floor(linear_bag) >= _LINEAR_FLOOR > bag_floor(edge_bag)
         bags, sizes, counts = [linear_bag, edge_bag], [50, 64], [23, 32]
-        phi, log_pb = batch_posteriors(np.concatenate(bags), sizes, counts)
+        tree = poisson_binomial._tree
+        with mock.patch.object(poisson_binomial, "_tree", wraps=tree) as spy:
+            phi, log_pb = PosteriorPlan(sizes, counts).run(np.concatenate(bags))
+        # Both bags are 64 wide and share one chunk, which runs one tree
+        # although only the edge bag is tilted.
+        assert spy.call_count == 1
         for j, (p, got) in enumerate(zip(bags, split_rows(phi, sizes))):
-            alone, alone_log = batch_posteriors(p, [p.size], [counts[j]])
+            alone, alone_log = PosteriorPlan([p.size], [counts[j]]).run(p)
             np.testing.assert_array_equal(got, alone)
             assert log_pb[j] == alone_log[0]
 
@@ -487,7 +509,7 @@ class TestLinearRoute:
         p[0] = 1.0 - s
         y = n // 2
         assert (bag_floor(p) >= _LINEAR_FLOOR) == (n <= 43)
-        phi, log_pb = batch_posteriors(p, [n], [y])
+        phi, log_pb = PosteriorPlan([n], [y]).run(p)
         log_total = two_level_log_pmf(1.0 - s, 1, s, n - 1, y)
         if expected is not None:
             assert log_total == pytest.approx(expected, abs=5e-3)
@@ -530,12 +552,12 @@ class TestTreeEdges:
         cases = tree_cases(n)
         sizes = [p.size for p, _ in cases]
         counts = [y for _, y in cases]
-        phi, log_pb = batch_posteriors(
-            np.concatenate([p for p, _ in cases]), sizes, counts
+        phi, log_pb = PosteriorPlan(sizes, counts).run(
+            np.concatenate([p for p, _ in cases])
         )
         for j, ((p, y), got) in enumerate(zip(cases, split_rows(phi, sizes))):
             # Alone, the bag's tree is cut off at its own count, not at n.
-            alone, alone_log = batch_posteriors(p, [n], [y])
+            alone, alone_log = PosteriorPlan([n], [y]).run(p)
             assert got.tobytes() == alone.tobytes()
             assert log_pb[j].tobytes() == alone_log[0].tobytes()
             if y == 0:
@@ -566,7 +588,7 @@ class TestTreeEdges:
         assert bag_floor(p) < _LINEAR_FLOOR
         tracemalloc.start()
         try:
-            phi, log_pb = batch_posteriors(p, [n], [y])
+            phi, log_pb = PosteriorPlan([n], [y]).run(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -572,6 +572,31 @@ class TestConfigValidation:
                 TrainConfig(method="mle", hidden_widths=widths)
         with pytest.raises(UsageError, match="seed"):
             TrainConfig(method="mle", seed=-1)
+        # Integer fields are whole numbers, never truncated.
+        for name, value in [
+            ("max_epochs", 2.5),
+            ("batch_size", 1.5),
+            ("patience", float("nan")),
+            ("seed", 1.5),
+            ("seed", "1"),
+        ]:
+            with pytest.raises(UsageError, match=f"{name} must be a whole number"):
+                TrainConfig(method="mle", **{name: value})
+        for widths in ((2.5,), (8, float("inf")), ("8",)):
+            with pytest.raises(UsageError, match="hidden layer widths must be a whole"):
+                TrainConfig(method="mle", hidden_widths=widths)
+
+    def test_whole_numbers_are_stored_as_ints(self):
+        config = TrainConfig(
+            method="mle", max_epochs=3.0, batch_size=np.int32(16), patience=np.uint8(2),
+            seed=np.int64(5), hidden_widths=np.array([8.0, 4.0]),
+        )
+        fields = (config.max_epochs, config.batch_size, config.patience, config.seed)
+        assert fields == (3, 16, 2, 5)
+        assert config.hidden_widths == (8, 4)
+        assert all(type(v) is int for v in (*fields, *config.hidden_widths))
+        # A width too large for int64 still reaches the architecture check.
+        assert TrainConfig(method="mle", hidden_widths=(10**20,)).hidden_widths == (10**20,)
 
     def test_no_hidden_layer_is_valid(self):
         assert TrainConfig(method="mle", hidden_widths=()).hidden_widths == ()

@@ -1,4 +1,4 @@
-"""Time and memory of the E-step kernel, ``poisson_binomial.batch_posteriors``,
+"""Time and memory of the E-step kernel, ``poisson_binomial.PosteriorPlan``,
 and time of the inference pass, ``network.forward``.
 
 Usage, from the root of a checkout::
@@ -8,13 +8,15 @@ Usage, from the root of a checkout::
 ``SRC`` is the ``src`` directory whose ``llpkit`` is measured (default: the
 one next to this script), so one copy of this script measures any checkout.
 It prints one JSON object whose ``kernel`` entry gives, for each of six
-fixed shapes, the median seconds of one ``batch_posteriors`` call over
-``REPEATS`` samples, each sample the mean of as many calls as take about
-0.1 s, and the ``tracemalloc`` peak of one call in MiB.  Beside them,
+fixed shapes, the median seconds of one one-shot call,
+``PosteriorPlan(sizes, counts).run(p)``, over ``REPEATS`` samples, each
+sample the mean of as many calls as take about 0.1 s, and the
+``tracemalloc`` peak of one call in MiB.  Beside them,
 ``planned_median_s`` times one ``PosteriorPlan.run`` on a plan built
-outside the timed loop, which is what each E-step of a fit pays; it is
-null for a checkout without ``PosteriorPlan``.  The shapes: 1000
-bags of 2-4 and 79 bags of 16-64 (the bag sizes of the benchmark's
+outside the timed loop, which is what each E-step of a fit pays.  A
+checkout that predates ``PosteriorPlan`` times its ``batch_posteriors``
+as the one-shot call, and its ``planned_median_s`` is null.  The shapes:
+1000 bags of 2-4 and 79 bags of 16-64 (the bag sizes of the benchmark's
 ``em-small-bags`` and ``em-large-bags``), 16 bags of 256, 4 bags of 1024,
 16 bags of 128 with most probabilities on a clamp edge, whose floors all
 lie below ``_LINEAR_FLOOR``, so that the whole group is tilted, and 781
@@ -177,13 +179,17 @@ def main(argv=None) -> int:
     kernel = {}
     for seed, (name, shape) in enumerate(SHAPES.items()):
         p, sizes, counts = kernel_inputs(pb, shape, seed)
-        call = lambda: pb.batch_posteriors(p, sizes, counts)  # noqa: E731
+        planned = hasattr(pb, "PosteriorPlan")
+        if planned:
+            call = lambda: pb.PosteriorPlan(sizes, counts).run(p)  # noqa: E731
+        else:
+            call = lambda: pb.batch_posteriors(p, sizes, counts)  # noqa: E731
         kernel[name] = {
             "median_s": sample(call),
             "traced_peak_mib": traced_peak_mib(call),
             "planned_median_s": None,
         }
-        if hasattr(pb, "PosteriorPlan"):
+        if planned:
             plan = pb.PosteriorPlan(sizes, counts)
             kernel[name]["planned_median_s"] = sample(lambda: plan.run(p))
 
