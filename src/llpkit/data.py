@@ -16,8 +16,10 @@ Bag CSV (written by the ``bag`` CLI command): header line ``bag_id,y,n``,
 then for each bag one summary row ``bag_id,y,n`` followed by exactly ``n``
 instance rows ``bag_id,instance_id,f0,...,f{d-1}[,label]``.  The summary
 row's ``n`` says how many instance rows follow, so the two row kinds never
-need to be distinguished by shape; an instance row's ``bag_id`` must be its
-summary's, so that with distinct bag ids a miscounted ``n`` is an error.
+need to be distinguished by shape: the loader finds the summary rows by
+walking from one ``n`` to the next, then parses all their cells in one call.
+An instance row's ``bag_id`` must be its summary's, so that with distinct bag
+ids a miscounted ``n`` is an error.
 ``instance_id`` is an integer on every row or empty on every row.  A file
 of the header alone holds no bags and is rejected.
 
@@ -38,6 +40,7 @@ wrote in earlier versions; this module builds no CSV text.
 import codecs
 import csv
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -222,7 +225,9 @@ def _plain_lines(path) -> list[str]:
         raw = fh.read().removeprefix(codecs.BOM_UTF8)
     if raw.translate(None, _PLAIN):
         raise ValueError(f"{path}: not plain ASCII text")
-    lines = list(filter(None, raw.decode("ascii").splitlines()))
+    lines = raw.decode("ascii").splitlines()
+    if not all(lines):
+        lines = list(filter(None, lines))
     if len(lines) < 2:
         raise ValueError(f"{path}: fewer than two lines")
     if max(map(len, lines)) > csv.field_size_limit():
@@ -287,22 +292,21 @@ def _parse_cells(path, rows, first_col, width, file_rows, parse):
     ``parse`` (``float`` or ``int``) into a (len(rows), width) array of
     finite values; ``file_rows[k]`` is row k's nonblank-row index."""
     cells = [c for row in rows for c in row[first_col : first_col + width]]
-    k = 0
-
-    def values():
-        nonlocal k  # the cell being parsed, if parsing raises
-        for k, cell in enumerate(cells):
-            yield parse(cell)
-
+    dtype = np.float64 if parse is float else np.int64
     try:
-        dtype = np.float64 if parse is float else np.int64
-        parsed = np.fromiter(values(), dtype, len(cells))
+        parsed = np.fromiter(map(parse, cells), dtype, len(cells))
+    except (ValueError, OverflowError):
+        # The first cell that parse() rejects or whose value dtype cannot hold.
+        for k, cell in enumerate(cells):
+            try:
+                np.array(parse(cell), dtype)
+            except (ValueError, OverflowError):
+                break
+    else:
         bad = np.flatnonzero(~np.isfinite(parsed))
         if not bad.size:
             return parsed.reshape(len(rows), width)
         k = int(bad[0])
-    except (ValueError, OverflowError):
-        pass
     row, col = divmod(k, width)
     kind = "a finite number" if parse is float else "an integer"
     raise FormatError(
@@ -495,15 +499,54 @@ def save_bags_csv(path, dataset: BagDataset) -> None:
     write_csv(path, ["bag_id", "y", "n"], columns, heads)
 
 
-def _bag_members(path, rows, cells):
+def _bag_members(path, rows, cells, parse):
     """Walk a bag file's summary rows by their ``n``: (the instance rows,
     the bag offsets, the counts, the bag ids).  ``cells(row)`` splits a row
-    into cells."""
+    into cells; ``parse(summaries, heads)`` parses the summary rows, of
+    three cells each and at nonblank-row indices ``heads``, into a (B, 3)
+    int64 array in one call, or raises one of ``_DECLINES``.
+
+    The walk reads each summary's ``n`` alone.  :func:`_summaries` names
+    whatever stops it, and any summary that the parse or the count check
+    rejects, so the first fault in file order is the one reported."""
     if [c.strip() for c in cells(rows[0])] != ["bag_id", "y", "n"]:
         raise FormatError(f"{path}: header must be bag_id,y,n, got {cells(rows[0])}")
-    members, offsets, counts, ids = [], [0], [], []
-    idx = 1
-    while idx < len(rows):
+    heads, idx, end = [], 1, len(rows)
+    try:
+        while idx < end:
+            summary = cells(rows[idx])
+            n = int(summary[-1])
+            if len(summary) != 3 or n < 1 or idx + n >= end:
+                break
+            heads.append(idx)
+            idx += 1 + n
+    except ValueError:
+        pass
+    if idx < end:
+        _summaries(path, rows, heads + [idx], cells)
+    if not heads:
+        raise FormatError(f"{path}: no bags")
+    sizes = np.diff(heads + [end]) - 1
+    try:
+        values = parse([rows[i] for i in heads], heads)
+        ids, counts = np.ascontiguousarray(values[:, :2].T)
+        if np.any((counts < 0) | (counts > sizes)):
+            raise ValueError(f"{path}: a count is not in [0, n]")
+    except _DECLINES:
+        ids, counts = _summaries(path, rows, heads, cells)
+    is_member = np.ones(end, np.bool_)
+    is_member[0] = False
+    is_member[heads] = False
+    members = list(itertools.compress(rows, is_member.tobytes()))
+    return members, np.concatenate(([0], np.cumsum(sizes))), counts, ids
+
+
+def _summaries(path, rows, heads, cells):
+    """(bag ids, counts) of the summary rows at ``heads``, each read with
+    ``int()``; FormatError for the first that is not three integers, has
+    ``n < 1`` or ``y`` outside [0, n], or runs past the end of the file."""
+    ids, counts = [], []
+    for idx in heads:
         try:
             bag_id, y, n = map(int, cells(rows[idx]))
         except ValueError:
@@ -515,14 +558,9 @@ def _bag_members(path, rows, cells):
             raise FormatError(f"{path}: bag {bag_id}: invalid counts y={y}, n={n}")
         if idx + 1 + n > len(rows):
             raise FormatError(f"{path}: bag {bag_id}: file ends mid-bag")
-        members.extend(rows[idx + 1 : idx + 1 + n])
-        offsets.append(offsets[-1] + n)
-        counts.append(y)
         ids.append(bag_id)
-        idx += 1 + n
-    if not counts:
-        raise FormatError(f"{path}: no bags")
-    return members, np.array(offsets), np.array(counts), np.array(ids)
+        counts.append(y)
+    return np.array(ids), np.array(counts)
 
 
 def load_bags_csv(path) -> BagDataset:
@@ -546,7 +584,10 @@ def _load_plain_bags(path) -> BagDataset:
         # No instance rows, or no instance ids: numpy's reader rejects an
         # empty id cell, but only after the walk, so skip to the exact parse.
         raise ValueError(f"{path}: no instance rows or ids")
-    members, offsets, counts, ids = _bag_members(path, lines, lambda line: line.split(","))
+    members, offsets, counts, ids = _bag_members(
+        path, lines, lambda line: line.split(","),
+        lambda summaries, heads: _loadtxt(summaries, [("cells", np.int64, (3,))])["cells"],
+    )
     width = members[0].count(",") + 1
     if width < 3:
         raise ValueError(f"{path}: no feature column")
@@ -571,13 +612,22 @@ def _load_plain_bags(path) -> BagDataset:
 
 def _load_csv_bags(path) -> BagDataset:
     rows = _read_rows(path)
-    members, offsets, counts, ids = _bag_members(path, rows, list)
+    members, offsets, counts, ids = _bag_members(
+        path, rows, list, lambda summaries, heads: _parse_cells(path, summaries, 0, 3, heads, int)
+    )
+    sizes = np.diff(offsets)
     # Member k of bag j comes after the header and j + 1 summary rows.
     file_rows = np.arange(len(members))
-    file_rows += np.repeat(np.arange(2, counts.size + 2), np.diff(offsets))
+    file_rows += np.repeat(np.arange(2, counts.size + 2), sizes)
     # A miscounted n moves rows between bags; the bag_id column shows it.
-    expected = np.repeat(ids, np.diff(offsets)).tolist()
-    for k, (row, bag_id) in enumerate(zip(members, expected)):
+    # int() reads only the cells that differ from their bag's id as text
+    # (" 7" is 7 too); a float id, as ids past int64 may read, has no text.
+    id_list = ids.tolist()
+    id_texts = map(str, id_list) if ids.dtype.kind != "f" else itertools.repeat(None)
+    expected = itertools.chain.from_iterable(map(itertools.repeat, id_texts, sizes.tolist()))
+    differs = map(operator.ne, map(operator.itemgetter(0), members), expected)
+    for k in itertools.compress(itertools.count(), differs):
+        row, bag_id = members[k], id_list[np.searchsorted(offsets, k, "right") - 1]
         try:
             if int(row[0]) == bag_id:
                 continue

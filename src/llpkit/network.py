@@ -50,7 +50,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import FormatError, NumericalError, UsageError, check_floats
+from .errors import FormatError, NumericalError, UsageError, check_floats, check_whole
 from .files import write_json
 
 CHECKPOINT_FORMAT = "llpkit-checkpoint"
@@ -80,7 +80,7 @@ class ClassifierParams:
     theta: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(w) for w in self.layer_sizes)
+        sizes = tuple(check_whole(w, "layer sizes") for w in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         check_layer_sizes(sizes)
         theta = np.asarray(self.theta, dtype=np.float64)
@@ -138,7 +138,7 @@ def param_count(layer_sizes) -> int:
 
 def init_params(layer_sizes, seed: int) -> ClassifierParams:
     """Zero-mean weights scaled by 1/sqrt(fan_in), zero biases."""
-    sizes = tuple(int(w) for w in layer_sizes)
+    sizes = tuple(check_whole(w, "layer sizes") for w in layer_sizes)
     check_layer_sizes(sizes)
     rng = np.random.default_rng(seed)
     theta = _aligned(np.zeros(param_count(sizes)))
@@ -258,7 +258,8 @@ class TrainingStep:
     into ``params.theta`` and their transposes, which the chain rule
     multiplies by; the gradient vector :attr:`grad`, written through one
     ``(fan_in, fan_out)`` and one bias view per layer; and Adam's two
-    moments, two scratch vectors and step count.
+    moments, the two vectors its next moments are written into, two scratch
+    vectors and step count.
     """
 
     def __init__(self, params: ClassifierParams, learning_rate: float):
@@ -279,6 +280,7 @@ class TrainingStep:
         ]
         self.first_moment = np.zeros_like(theta)
         self.second_moment = np.zeros_like(theta)
+        self._next_moments = (np.empty_like(theta), np.empty_like(theta))
         self._scratch = (np.empty_like(theta), np.empty_like(theta))
         self.steps = 0
 
@@ -334,24 +336,26 @@ class TrainingStep:
 
     def update(self) -> None:
         """Adam step number ``steps + 1``, bias-corrected, from :attr:`grad`,
-        in place on ``params.theta`` and the two moments, through the two
-        scratch vectors; :attr:`steps` counts it once ``theta`` is written.
+        in place on ``params.theta``.  The new moments are written into two
+        spare vectors, which become :attr:`first_moment` and
+        :attr:`second_moment` once ``theta`` is written, and :attr:`steps`
+        counts the step then.
 
-        Raises NumericalError, before anything is written, for a non-finite
-        gradient entry; and for a non-finite update, which leaves ``theta``
-        and :attr:`steps` as they were and the moments advanced.  Warns as
-        :meth:`gradient` does outside an ``errstate``.
+        Raises NumericalError, leaving ``theta``, the moments and
+        :attr:`steps` as they were, for a non-finite gradient entry or a
+        non-finite update.  Warns as :meth:`gradient` does outside an
+        ``errstate``.
         """
         grad = self.grad
         if not np.isfinite(grad).all():
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             raise NumericalError(f"non-finite gradient entry at index {bad}")
         a, b = self._scratch
-        m, v = self.first_moment, self.second_moment
+        m, v = self._next_moments
         step = self.steps + 1
-        m *= ADAM_BETA1
+        np.multiply(self.first_moment, ADAM_BETA1, out=m)
         m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
-        v *= ADAM_BETA2
+        np.multiply(self.second_moment, ADAM_BETA2, out=v)
         # Multiplied left to right: (1 - beta2) * (g * g) rounds differently.
         np.multiply(1.0 - ADAM_BETA2, grad, out=a)
         v += np.multiply(a, grad, out=a)
@@ -366,6 +370,8 @@ class TrainingStep:
         if not np.isfinite(a).all():
             raise NumericalError("parameter update is not finite")
         np.copyto(self.params.theta, a)
+        self._next_moments = (self.first_moment, self.second_moment)
+        self.first_moment, self.second_moment = m, v
         self.steps = step
 
 

@@ -624,6 +624,49 @@ class TestCsvDifferential:
                 load(path)
             assert str(exc.value) == f"{path}: no bags"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # Bag 1's y is bad and bag 2 runs past the end; bag 1 comes first.
+            ("0,1,1\n0,5,1.0,1\n1,3,1\n1,6,2.0,0\n2,0,5\n2,7,3.0,0\n",
+             "bag 1: invalid counts y=3, n=1"),
+            ("0,1,1\n0,5,1.0,1\n2,0,5\n2,7,3.0,0\n", "bag 2: file ends mid-bag"),
+            ("0,1,1\n0,5,1.0,1\n1,0\n1,6,2.0,0\n",
+             "line 4: expected bag summary bag_id,y,n of integers"),
+            ("0,1,1,1\n0,5,1.0,1\n", "line 2: expected bag summary bag_id,y,n of integers"),
+            ("0,1,1\n0,5,1.0,1\n1,0,1,1\n1,6,2.0,0\n",
+             "line 4: expected bag summary bag_id,y,n of integers"),
+            ("0,0,0\n0,5,1.0,1\n", "bag 0: invalid counts y=0, n=0"),
+            # A bad n stops the walk, but bag 0's bad id is reported first.
+            ("x,1,1\n0,5,1.0,1\n1,0,zero\n", "line 2: expected bag summary bag_id,y,n of integers"),
+            # Blank lines shift the file line of a summary.
+            ("\n0,1,1\n0,5,1.0,1\n\n\n1,0\n1,6,2.0,0\n",
+             "line 7: expected bag summary bag_id,y,n of integers"),
+        ],
+    )
+    def test_summary_faults(self, tmp_path, text, message):
+        """The walk reads each summary's n alone, yet both parses name a
+        file's first faulty summary, in file order, as before."""
+        path = write(tmp_path / "bags.csv", "bag_id,y,n\n" + text)
+        assert _outcome(data._load_csv_bags, path) == f"{path}: {message}"
+        assert _outcome(load_bags_csv, path) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text,offsets,dim",
+        [
+            # Instance rows of 3 cells, as many as a summary: one feature.
+            ("0,1,2\n0,5,1.5\n0,6,2.5\n1,0,1\n1,7,0.5\n", [0, 2, 3], 1),
+            ("\n0,1,1\n\n0,5,1.0,1\n\n\n1,0,2\n1,6,2.0,0\n\n1,7,3.0,0\n\n", [0, 1, 3], 1),
+        ],
+        ids=["three-cell-rows", "blank-lines"],
+    )
+    def test_summary_walk_loads(self, tmp_path, text, offsets, dim):
+        path = write(tmp_path / "bags.csv", "bag_id,y,n\n" + text)
+        exact = data._load_csv_bags(path)
+        assert exact.offsets.tolist() == offsets and exact.feature_dim == dim
+        _assert_same(data._load_plain_bags(path), exact)
+        _assert_same(load_bags_csv(path), exact)
+
     INEXACT_LABELS = ["1.0", "01", " 1", "1 ", "+1", "-0"]
 
     @pytest.mark.parametrize("label", INEXACT_LABELS)

@@ -70,6 +70,25 @@ class TestInit:
         params = [init_params(layer_sizes, seed) for seed in range(8)]
         assert [p.theta.ctypes.data % 64 for p in params] == [0] * 8
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: init_params((2, 2.5, 1), 0),
+            lambda: ClassifierParams((2.9, 2, 1), np.zeros(9)),
+            lambda: ClassifierParams((2, 2, float("nan")), np.zeros(9)),
+        ],
+        ids=["init_params", "ClassifierParams", "nan"],
+    )
+    def test_rejects_a_layer_size_that_is_not_whole(self, make):
+        with pytest.raises(UsageError, match="layer sizes must be a whole number"):
+            make()
+
+    def test_whole_layer_sizes_of_any_type_load_as_ints(self):
+        sizes = (2.0, np.int64(2), np.uint8(1))
+        for params in (init_params(sizes, 0), ClassifierParams(sizes, np.zeros(9))):
+            assert params.layer_sizes == (2, 2, 1)
+            assert all(type(w) is int for w in params.layer_sizes)
+
     def test_rejects_mismatched_theta(self):
         with pytest.raises(UsageError):
             ClassifierParams((2, 1), np.zeros(7))
@@ -481,11 +500,11 @@ class TestTrainingStep:
         batches = self.batches("m_step_loss")
         for _ in range(2):
             step(*next(batches))
-        before = params.theta.tobytes()
+        before = adam_state(step)
         step.learning_rate = float("inf")
         with pytest.raises(NumericalError, match="parameter update is not finite"):
             step(*next(batches))
-        assert params.theta.tobytes() == before
+        assert adam_state(step) == before
         assert step.steps == 2
 
     def test_non_finite_gradient_writes_nothing(self):

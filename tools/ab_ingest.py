@@ -8,9 +8,10 @@ Usage, from the root of a checkout::
 checkouts, loaded side by side as ``tools/ab_train.py`` loads them.  For
 each shape, the labeled instances of the benchmark's workload of that name
 (``perfbench/workloads.py``: its instance count, bag sizes and class
-separation) are written once by each side.  Then five steps run
-alternately, the parent first in even pairs and the change first in odd
-ones:
+separation) are written once by each side, and each side's ``bag`` runs
+once to write its bag file and a copy of it with every cell quoted.  Then
+six steps run alternately, the parent first in even pairs and the change
+first in odd ones:
 
 - ``bag``: the ``llpkit bag`` command, through the side's ``cli.main``:
   load, bag and write;
@@ -18,12 +19,17 @@ ones:
   bags ``make_bags`` makes of them with ``bag``'s sizes and seed, so the
   writers are timed apart from the loading and bagging inside ``bag``;
 - ``load_bags_csv`` of the bag file that side's ``bag`` wrote;
+- ``load_quoted_bags_csv``: ``load_bags_csv`` of the quoted copy, which
+  numpy's reader declines, so the exact ``csv.reader`` parse is timed;
 - ``load_instances_csv`` of the instance file that side wrote.
 
 A sample is the mean of as many calls as take about a quarter of a second.
 Per shape and step it prints the median seconds of each side, the parent's
 interquartile range as a share of its median, and how many pairs the
-change won; per shape, whether the two sides' files have the same bytes.
+change won.  Per shape it prints whether the two sides' files have the
+same bytes, and whether the two sides' loads of the bag file, of its quoted
+copy and of the instance file give arrays of the same bytes: features,
+labels, and for bags the offsets, counts and instance ids.
 """
 
 import argparse
@@ -44,19 +50,23 @@ SHAPES = {
     "ingest": (100_000, (1, 8), 4.0),
     "em-small-bags": (3000, (2, 4), 2.0),
 }
-STEPS = ("bag", "save_instances_csv", "save_bags_csv", "load_bags_csv", "load_instances_csv")
-FILES = ("train.csv", "bags.csv", "saved_train.csv", "saved_bags.csv")
+STEPS = (
+    "bag", "save_instances_csv", "save_bags_csv", "load_bags_csv", "load_quoted_bags_csv",
+    "load_instances_csv",
+)
+FILES = ("train.csv", "bags.csv", "quoted_bags.csv", "saved_train.csv", "saved_bags.csv")
+LOADS = ("load_bags_csv", "load_quoted_bags_csv", "load_instances_csv")
 
 
 def step_calls(pkg, directory: str, shape) -> dict:
     """The timed steps of ``pkg`` on the shape's instances, written to
-    ``directory``; the first run of ``bag`` writes the bag file."""
+    ``directory`` with the bag file and its quoted copy."""
     n, (lo, hi), sep = shape
     rng = np.random.default_rng([0, 0, 0])
     labels = (rng.random(n) < 0.5).astype(np.int64)
     features = rng.standard_normal((n, 2))
     features[:, 0] += sep * labels
-    train, bags, saved_train, saved_bags = (os.path.join(directory, f) for f in FILES)
+    train, bags, quoted, saved_train, saved_bags = (os.path.join(directory, f) for f in FILES)
     instances = pkg.data.Instances(features, labels)
     dataset = pkg.data.make_bags(instances, lo, hi, 0)
     pkg.data.save_instances_csv(train, instances)
@@ -68,11 +78,17 @@ def step_calls(pkg, directory: str, shape) -> dict:
             if cli.main(argv) != 0:
                 raise RuntimeError(f"{pkg.__name__}: bag failed")
 
+    bag()
+    with open(bags, newline="") as fh:
+        lines = fh.read().splitlines()
+    with open(quoted, "w", newline="") as fh:
+        fh.writelines(",".join(f'"{c}"' for c in line.split(",")) + "\r\n" for line in lines)
     return {
         "bag": bag,
         "save_instances_csv": lambda: pkg.data.save_instances_csv(saved_train, instances),
         "save_bags_csv": lambda: pkg.data.save_bags_csv(saved_bags, dataset),
         "load_bags_csv": lambda: pkg.data.load_bags_csv(bags),
+        "load_quoted_bags_csv": lambda: pkg.data.load_bags_csv(quoted),
         "load_instances_csv": lambda: pkg.data.load_instances_csv(train),
     }
 
@@ -98,6 +114,17 @@ def same_bytes(a: str, b: str) -> str:
         return "match" if fa.read() == fb.read() else "DIFFER"
 
 
+def array_bytes(loaded) -> list:
+    """dtype, shape and bytes of every array of a loaded dataset or
+    instances."""
+    arrays = []
+    if hasattr(loaded, "instances"):
+        arrays = [loaded.offsets, loaded.counts, loaded.instance_ids]
+        loaded = loaded.instances
+    arrays += [loaded.features, loaded.labels]
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
 def compare(name, parent, change, directory: str, pairs: int) -> None:
     dirs = [os.path.join(directory, name, side) for side in ("parent", "change")]
     for d in dirs:
@@ -109,7 +136,7 @@ def compare(name, parent, change, directory: str, pairs: int) -> None:
         med_b = quartiles(seconds[1])[1]
         won = sum(b < a for a, b in zip(*seconds))
         print(
-            f"{name:14s} {step:19s} parent {med_a:.4f} s (IQR {100 * (q3 - q1) / med_a:.1f}%)  "
+            f"{name:14s} {step:20s} parent {med_a:.4f} s (IQR {100 * (q3 - q1) / med_a:.1f}%)  "
             f"change {med_b:.4f} s ({100 * (med_b / med_a - 1):+.1f}%)  won {won}/{pairs}",
             flush=True,
         )
@@ -118,6 +145,12 @@ def compare(name, parent, change, directory: str, pairs: int) -> None:
         for file in FILES
     ]
     print(f"{name:14s} {'  '.join(files)}", flush=True)
+    loads = [
+        f"{step} arrays "
+        f"{'match' if array_bytes(sides[0][step]()) == array_bytes(sides[1][step]()) else 'DIFFER'}"
+        for step in LOADS
+    ]
+    print(f"{name:14s} {'  '.join(loads)}", flush=True)
 
 
 def main(argv=None) -> int:
